@@ -54,6 +54,8 @@ __all__ = [
     "compute_pi_supports",
     "compute_local_truth_tables",
     "expand_truth_table",
+    "function_key",
+    "complement_key",
     "cut_limit_for_patterns",
 ]
 
@@ -395,6 +397,26 @@ def _truth_table_bits_array(table: TruthTable) -> np.ndarray:
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[: table.num_bits]
 
 
+def _gather_index(steps: Sequence[int]) -> np.ndarray:
+    """Source assignment of every assignment of ``len(steps)`` inputs.
+
+    Setting input ``i`` adds ``steps[i]`` to the source index (``0`` makes
+    the input a don't-care).  Built by doubling, one ``concatenate`` per
+    input, so the cost is O(2^n) rather than n full-array passes.
+    """
+    index = np.zeros(1, dtype=np.int64)
+    for step in steps:
+        index = np.concatenate((index, index + step))
+    return index
+
+
+def _gather_table(table: TruthTable, steps: Sequence[int]) -> TruthTable:
+    """The ``len(steps)``-input table read from ``table`` through :func:`_gather_index`."""
+    bits = _truth_table_bits_array(table)[_gather_index(steps)]
+    packed = np.packbits(bits, bitorder="little")
+    return TruthTable(len(steps), int.from_bytes(packed.tobytes(), "little"))
+
+
 def expand_truth_table(table: TruthTable, own_leaves: Sequence[int], window: Sequence[int]) -> TruthTable:
     """Re-express a function over a larger window of leaves.
 
@@ -405,19 +427,39 @@ def expand_truth_table(table: TruthTable, own_leaves: Sequence[int], window: Seq
     instead of a cone traversal.
     """
     window_list = list(window)
-    positions = {leaf: index for index, leaf in enumerate(window_list)}
-    missing = [leaf for leaf in own_leaves if leaf not in positions]
+    own_positions = {leaf: index for index, leaf in enumerate(own_leaves)}
+    window_leaves = set(window_list)
+    missing = [leaf for leaf in own_leaves if leaf not in window_leaves]
     if missing:
         raise ValueError(f"window is missing leaves {missing}")
     if len(window_list) == len(own_leaves) and list(own_leaves) == window_list:
         return table
-    assignments = np.arange(1 << len(window_list), dtype=np.int64)
-    source_index = np.zeros_like(assignments)
-    for own_position, leaf in enumerate(own_leaves):
-        source_index |= ((assignments >> positions[leaf]) & 1) << own_position
-    bits = _truth_table_bits_array(table)[source_index]
-    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-    return TruthTable(len(window_list), int.from_bytes(packed.tobytes(), "little"))
+    steps = [1 << own_positions[leaf] if leaf in own_positions else 0 for leaf in window_list]
+    return _gather_table(table, steps)
+
+
+def function_key(table: TruthTable, leaves: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Canonical key of the function ``table`` computes over ``leaves``.
+
+    The key is the essential support (the leaves the function actually
+    depends on) and the table projected onto it.  Two functions of the
+    same free inputs are equal exactly when their keys are equal, whatever
+    windows their tables were built over, so a pairwise exhaustive check
+    needs no expansion to a common window.  The complement of a function
+    has the same support and the complemented projection (see
+    :func:`complement_key`).
+    """
+    essential = table.support()
+    if len(essential) == table.num_vars:
+        return tuple(leaves), table.bits
+    projected = _gather_table(table, [1 << position for position in essential])
+    return tuple(leaves[position] for position in essential), projected.bits
+
+
+def complement_key(key: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], int]:
+    """The :func:`function_key` of the complemented function."""
+    support, bits = key
+    return support, bits ^ ((1 << (1 << len(support))) - 1)
 
 
 def compute_local_truth_tables(

@@ -31,9 +31,11 @@ from ..simulation.incremental import IncrementalAigSimulator
 from ..simulation.patterns import PatternSet
 from ..simulation.sat_guided import sat_guided_patterns
 from ..simulation.stp_simulator import (
+    complement_key,
     compute_local_truth_tables,
     compute_pi_supports,
     expand_truth_table,
+    function_key,
 )
 from ..truthtable import TruthTable
 from .constant_prop import propagate_constant_candidates
@@ -112,6 +114,7 @@ class StpSweeper:
             self._local_tables = compute_local_truth_tables(aig, self.window_leaves, self._supports)
         else:
             self._local_tables = {}
+        self._keys: dict[int, tuple[tuple[int, ...], int] | None] = {}
         stats.simulation_time += time.perf_counter() - sim_start
 
         # ---- lines 2-3: SAT-guided patterns, constants, initial classes ---
@@ -228,8 +231,15 @@ class StpSweeper:
         window_covered: set[int],
         stats: SweepStatistics,
     ) -> None:
-        """Lines 10-31 of Algorithm 2 for one candidate gate."""
-        disproved_pairs: set[tuple[int, int]] = set()
+        """Lines 10-31 of Algorithm 2 for one candidate gate.
+
+        The driver list depends only on the candidate's class, so it is
+        built and ordered once per class state and then walked: a local
+        disproof records the pair and moves on to the next driver.  Only a
+        SAT counter-example refines the classes, so only it rebuilds the
+        list.
+        """
+        disproved: set[int] = set()
         while True:
             cls = classes.class_of(candidate)
             if cls is None or cls.is_singleton():
@@ -242,79 +252,100 @@ class StpSweeper:
                 for member in cls.members
                 if member != candidate
                 and member not in merged
-                and (candidate, member) not in disproved_pairs
+                and member not in disproved
                 and member < candidate
             ]
             drivers = tfi.order_drivers(candidate, drivers)
-            if 0 in cls.members and candidate != 0 and (candidate, 0) not in disproved_pairs:
+            if 0 in cls.members and candidate != 0 and 0 not in disproved:
                 drivers = [0] + [d for d in drivers if d != 0]
-            driver = None
-            for possible in drivers:
+            for driver in drivers:
                 # lines 15-17: driver checks -- don't-touch and structural
                 # legality (no combinational cycle).
-                if classes.is_dont_touch(possible):
+                if classes.is_dont_touch(driver):
                     continue
-                if possible != 0 and not tfi.is_legal_merge(candidate, possible):
+                if driver != 0 and not tfi.is_legal_merge(candidate, driver):
                     continue
-                driver = possible
-                break
-            if driver is None:
-                return
-            inverted = classes.relative_polarity(candidate, driver)
-            driver_literal = Aig.literal(driver, inverted) if driver != 0 else (LIT_FALSE ^ int(inverted))
-
-            # Constant-class candidates: an exhaustive local function that is
-            # not constant disproves the candidate without SAT.
-            if self.use_exhaustive_refinement and driver == 0:
-                local = self._local_tables.get(candidate)
-                if local is not None and not local.is_constant():
+                inverted = classes.relative_polarity(candidate, driver)
+                if self.use_exhaustive_refinement and self._locally_disproved(
+                    candidate, driver, inverted, window_covered, stats
+                ):
+                    # Disproved locally -- no SAT call needed for this pair.
                     stats.simulation_disproofs += 1
-                    disproved_pairs.add((candidate, 0))
+                    disproved.add(driver)
                     continue
+                driver_literal = Aig.literal(driver, inverted) if driver != 0 else (LIT_FALSE ^ int(inverted))
 
-            # Pairwise exhaustive check for pairs the one-time class-level
-            # refinement could not cover (window too wide for the whole
-            # class); if both nodes were covered there, the pair is already
-            # known to agree on the window and the SAT call will be cheap.
-            pair_covered = candidate in window_covered and driver in window_covered
-            if self.use_exhaustive_refinement and driver != 0 and not pair_covered:
+                # line 18: the SAT query.
+                outcome = solver.prove_equivalence(Aig.literal(candidate), driver_literal, self.conflict_limit)
+                if outcome.status is EquivalenceStatus.UNDETERMINED:
+                    # lines 19-22: mark don't-touch and give up on this gate.
+                    classes.mark_dont_touch(candidate)
+                    classes.remove(candidate)
+                    return
+                if outcome.status is EquivalenceStatus.EQUIVALENT:
+                    # lines 23-24: substitute and stop processing this gate.
+                    aig.substitute(candidate, driver_literal)
+                    classes.remove(candidate)
+                    merged.add(candidate)
+                    stats.merges += 1
+                    if driver == 0:
+                        stats.constant_merges += 1
+                    return
+                # lines 25-28: counter-example; simulation restricted to the
+                # nodes that still sit in equivalence classes, then refinement.
+                assert outcome.counterexample is not None
                 sim_start = time.perf_counter()
-                pair_tables = self._window_tables([candidate, driver])
+                refine_with_counterexample(aig, classes, simulator, outcome.counterexample)
                 stats.simulation_time += time.perf_counter() - sim_start
-                if pair_tables is not None:
-                    candidate_table = pair_tables[candidate]
-                    driver_table = ~pair_tables[driver] if inverted else pair_tables[driver]
-                    if candidate_table != driver_table:
-                        # Disproved locally -- no SAT call needed for this pair.
-                        stats.simulation_disproofs += 1
-                        disproved_pairs.add((candidate, driver))
-                        continue
-
-            # line 18: the SAT query.
-            outcome = solver.prove_equivalence(Aig.literal(candidate), driver_literal, self.conflict_limit)
-            if outcome.status is EquivalenceStatus.UNDETERMINED:
-                # lines 19-22: mark don't-touch and give up on this gate.
-                classes.mark_dont_touch(candidate)
-                classes.remove(candidate)
+                stats.counterexamples_simulated += 1
+                break
+            else:
                 return
-            if outcome.status is EquivalenceStatus.EQUIVALENT:
-                # lines 23-24: substitute and stop processing this gate.
-                aig.substitute(candidate, driver_literal)
-                classes.remove(candidate)
-                merged.add(candidate)
-                tfi.invalidate_node(candidate)
-                stats.merges += 1
-                if driver == 0:
-                    stats.constant_merges += 1
-                return
-            # lines 25-28: counter-example; simulation restricted to the
-            # nodes that still sit in equivalence classes, then refinement.
-            assert outcome.counterexample is not None
-            sim_start = time.perf_counter()
-            refine_with_counterexample(aig, classes, simulator, outcome.counterexample)
-            stats.simulation_time += time.perf_counter() - sim_start
-            stats.counterexamples_simulated += 1
 
+    def _locally_disproved(
+        self,
+        candidate: int,
+        driver: int,
+        inverted: bool,
+        window_covered: set[int],
+        stats: SweepStatistics,
+    ) -> bool:
+        """True when exhaustive local functions already refute the pair.
+
+        Constant-class candidates: a local function that is not constant
+        disproves the candidate.  Other pairs the one-time class-level
+        refinement could not cover (window too wide for the whole class)
+        are compared over the union of their PI supports when it fits in
+        ``window_leaves``; if both nodes were covered there, the pair is
+        already known to agree on the window and the SAT call will be
+        cheap.  The comparison reads the two nodes' :func:`function_key`
+        instead of expanding both tables to the common window: the keys
+        are equal exactly when the expanded tables are.
+        """
+        if driver == 0:
+            local = self._local_tables.get(candidate)
+            return local is not None and not local.is_constant()
+        if candidate in window_covered and driver in window_covered:
+            return False
+        sim_start = time.perf_counter()
+        disproved = False
+        candidate_key = self._function_key(candidate)
+        driver_key = self._function_key(driver)
+        if candidate_key is not None and driver_key is not None:
+            candidate_support = self._supports[candidate] or ()
+            driver_support = self._supports[driver] or ()
+            if len(set(candidate_support).union(driver_support)) <= self.window_leaves:
+                disproved = candidate_key != (complement_key(driver_key) if inverted else driver_key)
+        stats.simulation_time += time.perf_counter() - sim_start
+        return disproved
+
+    def _function_key(self, node: int) -> tuple[tuple[int, ...], int] | None:
+        """Lazily cached :func:`function_key` of a node's local function."""
+        if node not in self._keys:
+            local = self._local_tables.get(node)
+            support = self._supports.get(node)
+            self._keys[node] = None if local is None or support is None else function_key(local, support)
+        return self._keys[node]
 
     # ------------------------------------------------------------------
 

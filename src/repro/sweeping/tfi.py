@@ -2,15 +2,15 @@
 
 Algorithm 2 bounds the number of nodes inspected in the transitive fanin
 of a class member when searching for a merge driver (``n = 1000`` in the
-paper, line 1).  The manager caches bounded TFI cones and answers the two
-questions the sweeper asks: "which drivers are reachable within the
-budget?" and "is this merge structurally legal?" (a driver inside the
-candidate's transitive fanout would create a combinational cycle).
+paper, line 1).  The manager answers the two questions the sweeper asks:
+"which drivers are reachable within the budget?" and "is this merge
+structurally legal?" (a driver inside the candidate's transitive fanout
+would create a combinational cycle).
 
 Incremental-engine design
 -------------------------
 
-* :meth:`TfiManager.is_legal_merge` no longer materialises the driver's
+* :meth:`TfiManager.is_legal_merge` never materialises the driver's
   full unbounded TFI (O(N) per candidate/driver pair).  It relies on the
   AIG's cached topological positions: a driver positioned *before* the
   candidate cannot contain it in its fanin cone, which settles the common
@@ -19,10 +19,9 @@ Incremental-engine design
   never expanded, because its entire TFI sits at strictly smaller
   positions -- so only the nodes strictly between the candidate and the
   driver in topological position are ever visited.
-* :meth:`TfiManager.invalidate_node` drops only the cached bounded cones
-  that contain the merged node (its TFO roots), instead of clearing the
-  whole cache after every merge; cones built for unrelated regions of the
-  network survive across merges.
+* :meth:`TfiManager.order_drivers` never builds the bounded cone either:
+  it runs the bounded breadth-first search only until every driver is
+  classified, and nothing is cached, so merges need no invalidation.
 """
 
 from __future__ import annotations
@@ -35,20 +34,17 @@ __all__ = ["TfiManager"]
 
 
 class TfiManager:
-    """Caches bounded TFI/TFO cones of one AIG."""
+    """Bounded-TFI queries and merge legality on one AIG."""
 
     def __init__(self, aig: Aig, limit: int = 1000) -> None:
         if limit < 1:
             raise ValueError("TFI node limit must be positive")
         self.aig = aig
         self.limit = limit
-        self._tfi_cache: dict[int, frozenset[int]] = {}
 
     def bounded_tfi(self, node: int) -> frozenset[int]:
         """Up to ``limit`` nodes of the transitive fanin of ``node`` (node included)."""
-        if node not in self._tfi_cache:
-            self._tfi_cache[node] = frozenset(self.aig.tfi([node], limit=self.limit))
-        return self._tfi_cache[node]
+        return frozenset(self.aig.tfi([node], limit=self.limit))
 
     def in_bounded_tfi(self, node: int, of: int) -> bool:
         """True if ``node`` lies within the bounded TFI cone of ``of``."""
@@ -95,23 +91,38 @@ class TfiManager:
         The paper inspects the TFI cones of the class members to maximise
         the quality of result; drivers that already sit in the candidate's
         bounded fanin cone are structurally closest and are tried first.
+
+        The cone is the one :meth:`bounded_tfi` returns: the first
+        ``limit`` distinct nodes of a breadth-first search from the
+        candidate.  The search is inlined over the raw node array and
+        stops as soon as every driver is classified, so the cone itself is
+        never built.
         """
-        tfi = self.bounded_tfi(candidate)
-        return sorted(drivers, key=lambda d: (d not in tfi, d))
-
-    def invalidate_node(self, node: int) -> None:
-        """Drop only the cached cones invalidated by merging ``node``.
-
-        A substitution of ``node`` changes exactly the fanin cones that
-        contained it (the cones rooted in its transitive fanout); cones of
-        unrelated nodes stay valid and survive the merge.  O(cached
-        entries) set-membership tests, instead of a full cache drop.
-        """
-        cache = self._tfi_cache
-        stale = [root for root, cone in cache.items() if node in cone]
-        for root in stale:
-            del cache[root]
-
-    def invalidate(self) -> None:
-        """Drop all cached cones (after an arbitrary network modification)."""
-        self._tfi_cache.clear()
+        if len(drivers) < 2:
+            return list(drivers)
+        pending = set(drivers)
+        inside: set[int] = set()
+        if candidate in pending:
+            pending.discard(candidate)
+            inside.add(candidate)
+        entries = self.aig.node_entries
+        limit = self.limit
+        # Deduplicating at push time keeps the BFS order of first visits,
+        # so ``frontier[:limit]`` is exactly the bounded cone.
+        frontier = [candidate]
+        seen = {candidate}
+        cursor = 0
+        while pending and cursor < len(frontier) and len(frontier) < limit:
+            entry = entries[frontier[cursor]]
+            cursor += 1
+            if entry.fanin0 < 0:
+                continue
+            for fanin in (entry.fanin0 >> 1, entry.fanin1 >> 1):
+                if fanin in seen or len(frontier) >= limit:
+                    continue
+                seen.add(fanin)
+                frontier.append(fanin)
+                if fanin in pending:
+                    pending.discard(fanin)
+                    inside.add(fanin)
+        return sorted(drivers, key=lambda d: (d not in inside, d))

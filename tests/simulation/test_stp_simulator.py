@@ -1,10 +1,15 @@
 """Tests for the STP-based simulator (Algorithm 1) and its window helpers."""
 
+import itertools
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.random_logic import random_aig
+from repro.circuits.sweep_workloads import inject_redundancy
 from repro.networks import Aig, map_aig_to_klut
 from repro.cuts import simulation_cuts
 from repro.simulation import (
@@ -22,7 +27,7 @@ from repro.simulation import (
     stp_aig_truth_table,
     stp_window_truth_tables,
 )
-from repro.simulation.stp_simulator import expand_truth_table
+from repro.simulation.stp_simulator import complement_key, expand_truth_table, function_key
 from repro.truthtable import TruthTable
 
 
@@ -193,3 +198,65 @@ class TestSupportAndLocalTables:
         table = TruthTable.from_function(lambda a: a, 1)
         with pytest.raises(ValueError):
             expand_truth_table(table, [3], [4, 5])
+
+
+def _shift_or_expand(table, own_leaves, window):
+    """Reference expansion: one full-array shift/or pass per own leaf."""
+    positions = {leaf: index for index, leaf in enumerate(window)}
+    assignments = np.arange(1 << len(window), dtype=np.int64)
+    source_index = np.zeros_like(assignments)
+    for own_position, leaf in enumerate(own_leaves):
+        source_index |= ((assignments >> positions[leaf]) & 1) << own_position
+    bits = [table.value_at(int(source)) for source in source_index]
+    return TruthTable.from_bits([int(bit) for bit in bits])
+
+
+class TestExpansionOracle:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_shift_or_formula(self, seed):
+        rng = random.Random(seed)
+        window_size = rng.randint(0, 16) if seed % 4 else 16
+        window = sorted(rng.sample(range(100), window_size))
+        own = rng.sample(window, rng.randint(0, window_size))
+        if seed % 3:
+            own.sort()
+        table = TruthTable(len(own), rng.getrandbits(1 << len(own)))
+        assert expand_truth_table(table, own, window) == _shift_or_expand(table, own, window)
+
+
+def _redundant_random_aig(seed: int) -> Aig:
+    base = random_aig(num_pis=7, num_gates=50, num_pos=5, seed=seed)
+    workload, _report = inject_redundancy(
+        base, duplication_fraction=0.3, constant_cones=1, near_miss_count=2, cut_size=3, seed=seed + 1
+    )
+    return workload
+
+
+class TestFunctionKeyOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pair_verdict_matches_expand_and_compare(self, seed):
+        aig = _redundant_random_aig(seed)
+        max_leaves = 6
+        supports = compute_pi_supports(aig, max_leaves)
+        tables = compute_local_truth_tables(aig, max_leaves, supports)
+        nodes = [n for n in aig.nodes() if tables.get(n) is not None and supports.get(n) is not None]
+        keys = {n: function_key(tables[n], supports[n]) for n in nodes}
+        verdicts = set()
+        for a, b in itertools.combinations(nodes, 2):
+            window = sorted(set(supports[a]) | set(supports[b]))
+            if len(window) > max_leaves:
+                continue
+            table_a = expand_truth_table(tables[a], supports[a], window)
+            table_b = expand_truth_table(tables[b], supports[b], window)
+            for inverted in (False, True):
+                expected = table_a == (~table_b if inverted else table_b)
+                key_b = complement_key(keys[b]) if inverted else keys[b]
+                assert (keys[a] == key_b) == expected
+                verdicts.add(expected)
+        assert verdicts == {False, True}
+
+    def test_key_drops_inessential_leaves(self):
+        table = TruthTable.from_function(lambda a, b, c: a and not c, 3)
+        assert function_key(table, (4, 7, 9)) == ((4, 9), TruthTable.from_function(lambda a, c: a and not c, 2).bits)
+        assert complement_key(function_key(table, (4, 7, 9))) == function_key(~table, (4, 7, 9))
+        assert function_key(TruthTable.constant(True, 2), (1, 2)) == ((), 1)
