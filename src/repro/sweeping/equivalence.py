@@ -262,9 +262,11 @@ class EquivalenceClasses:
         ``tables`` gives, for some class members, their function over a
         common window; members whose (polarity-adjusted) tables differ
         cannot be equivalent and are separated without any SAT call.
+        Classes with no member in ``tables`` are left untouched.
         """
+        touched = {self._class_of.get(node) for node in tables}
         splits = 0
-        for class_id in list(self._classes):
+        for class_id in [class_id for class_id in self._classes if class_id in touched]:
             cls_ = self._classes[class_id]
             if cls_.is_singleton():
                 continue

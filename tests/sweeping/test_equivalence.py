@@ -175,6 +175,30 @@ class TestRefinement:
         assert splits >= 1
         assert not classes.same_class(n1, n2)
 
+    def test_refine_with_truth_tables_leaves_other_classes_alone(self):
+        # A constant class {0, g1, g2} and an ordinary class {g3, g4}:
+        # refining the ordinary class must not split node 0 away from the
+        # constant candidates it has no table for.
+        aig = Aig()
+        a, b = aig.add_pi(), aig.add_pi()
+        g1 = aig.add_and(a, b)
+        g2 = aig.add_and(g1, a)
+        g3 = aig.add_and(g2, b)
+        g4 = aig.add_and(g3, a)
+        n1, n2, n3, n4 = (Aig.node_of(g) for g in (g1, g2, g3, g4))
+        result = _result_for({n1: 0, n2: 0, n3: 0b0110, n4: 0b0110}, 4)
+        classes = EquivalenceClasses.from_simulation(aig, result)
+        assert classes.same_class(0, n1) and classes.same_class(n3, n4)
+        tables = {
+            n3: TruthTable.from_function(lambda x, y: x and y, 2),
+            n4: TruthTable.from_function(lambda x, y: x or y, 2),
+        }
+        assert classes.refine_with_truth_tables(tables) == 1
+        assert not classes.same_class(n3, n4)
+        constant_class = classes.constant_class()
+        assert constant_class is not None
+        assert sorted(constant_class.members) == [0, n1, n2]
+
     def test_refine_keeps_members_without_new_information(self):
         aig = Aig()
         a, b = aig.add_pi(), aig.add_pi()
