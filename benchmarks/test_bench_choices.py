@@ -11,7 +11,8 @@ Three groups:
   or equal LUTs and never a larger depth than plain ``map`` on **every**
   bundled EPFL workload at k = 6, strictly fewer LUTs on a **majority**,
   with every mapping verified against the source AIG by word-parallel
-  simulation.  Running this target regenerates ``BENCH_choices.json``
+  simulation.  Running this target with
+  ``--benchmark-enable`` regenerates ``BENCH_choices.json``
   in the repository root with the per-workload numbers.
 """
 
@@ -136,7 +137,7 @@ def test_bench_choice_aware_mapping(benchmark, augmented_networks, name):
 # ---------------------------------------------------------------------------
 
 
-def test_bench_choice_map_beats_plain_map_suite(benchmark):
+def test_bench_choice_map_beats_plain_map_suite(benchmark, request):
     """Full-suite acceptance: <= LUTs and <= depth everywhere, fewer on a majority."""
     benchmark.group = "choice-flow"
 
@@ -195,7 +196,9 @@ def test_bench_choice_map_beats_plain_map_suite(benchmark):
         "workloads": len(rows),
         "luts": rows,
     }
-    try:
-        _RESULT_PATH.write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")
-    except OSError:  # pragma: no cover - read-only checkouts still benchmark fine
-        pass
+    if request.config.getoption("benchmark_enable"):
+        # The tracked record is rewritten only by an explicit timing run.
+        try:
+            _RESULT_PATH.write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")
+        except OSError:  # pragma: no cover - read-only checkouts still benchmark fine
+            pass

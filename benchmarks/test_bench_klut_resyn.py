@@ -9,7 +9,8 @@ Two groups:
   strictly fewer LUTs than ``map`` alone on **at least half** of the
   bundled EPFL workloads (and never more on any), with every
   resynthesised network verified against its source AIG by word-parallel
-  simulation.  Running this target regenerates ``BENCH_klut_resyn.json``
+  simulation.  Running this target with
+  ``--benchmark-enable`` regenerates ``BENCH_klut_resyn.json``
   in the repository root with the per-workload numbers.
 """
 
@@ -107,7 +108,7 @@ def test_bench_lut_resynthesis_pass(benchmark, name):
 # ---------------------------------------------------------------------------
 
 
-def test_bench_lutmffc_beats_map_only_suite(benchmark):
+def test_bench_lutmffc_beats_map_only_suite(benchmark, request):
     """Full-suite acceptance: strictly fewer LUTs on >= half the workloads."""
     benchmark.group = "lutmffc-flow"
 
@@ -158,7 +159,9 @@ def test_bench_lutmffc_beats_map_only_suite(benchmark):
         "workloads": len(rows),
         "luts": rows,
     }
-    try:
-        _RESULT_PATH.write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")
-    except OSError:  # pragma: no cover - read-only checkouts still benchmark fine
-        pass
+    if request.config.getoption("benchmark_enable"):
+        # The tracked record is rewritten only by an explicit timing run.
+        try:
+            _RESULT_PATH.write_text(json.dumps(record, indent=1) + "\n", encoding="ascii")
+        except OSError:  # pragma: no cover - read-only checkouts still benchmark fine
+            pass
