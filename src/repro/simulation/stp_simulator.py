@@ -401,12 +401,16 @@ def _gather_index(steps: Sequence[int]) -> np.ndarray:
     """Source assignment of every assignment of ``len(steps)`` inputs.
 
     Setting input ``i`` adds ``steps[i]`` to the source index (``0`` makes
-    the input a don't-care).  Built by doubling, one ``concatenate`` per
-    input, so the cost is O(2^n) rather than n full-array passes.
+    the input a don't-care).  Built by doubling: input ``i`` fills block
+    ``[2^i, 2^(i+1))`` from the block before it, so the cost is O(2^n)
+    rather than n full-array passes, and filling one preallocated array
+    avoids a fresh allocation per input.
     """
-    index = np.zeros(1, dtype=np.int64)
+    index = np.zeros(1 << len(steps), dtype=np.int64)
+    size = 1
     for step in steps:
-        index = np.concatenate((index, index + step))
+        np.add(index[:size], step, out=index[size : 2 * size])
+        size *= 2
     return index
 
 
