@@ -432,8 +432,8 @@ def expand_truth_table(table: TruthTable, own_leaves: Sequence[int], window: Seq
     """
     window_list = list(window)
     own_positions = {leaf: index for index, leaf in enumerate(own_leaves)}
-    window_leaves = set(window_list)
-    missing = [leaf for leaf in own_leaves if leaf not in window_leaves]
+    window_set = set(window_list)
+    missing = [leaf for leaf in own_leaves if leaf not in window_set]
     if missing:
         raise ValueError(f"window is missing leaves {missing}")
     if len(window_list) == len(own_leaves) and list(own_leaves) == window_list:
