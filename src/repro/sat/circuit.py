@@ -153,8 +153,8 @@ class CircuitSolver:
 
         Equivalence-preserving merges never need this: a stale encoding
         of a substituted-away node still models a function equal to its
-        replacement's, so accumulated clauses stay sound (that is why
-        the sweepers' TFI invalidation has no solver counterpart).  Any
+        replacement's, so accumulated clauses stay sound and the sweepers
+        keep one window across all their merges.  Any
         *non*-equivalence-preserving structural edit must invalidate,
         which retires the window -- clauses cannot be unasserted, only
         abandoned with their solver.

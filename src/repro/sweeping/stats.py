@@ -37,6 +37,12 @@ class SweepStatistics:
     network, so it counts live gates only; the number of dangling gates
     the merges left behind is recorded in
     ``extra["dangling_gates_removed"]``.
+
+    The STP sweeper skips a candidate whose every reference sits in gates
+    already merged or skipped, since cleanup removes it whatever its
+    proof would say; the count is ``extra["dangling_skipped"]``.  Its
+    ``merges`` (and so its ``Aig.substitute`` calls) therefore count only
+    merges of candidates that were still live when visited.
     """
 
     name: str = ""
@@ -117,6 +123,7 @@ class SweepStatistics:
         }
 
     def __str__(self) -> str:
+        skipped = self.extra.get("dangling_skipped")
         return (
             f"{self.name or 'sweep'}: gates {self.gates_before} -> {self.gates_after} "
             f"({100 * self.gate_reduction:.1f}% reduction), "
@@ -124,5 +131,6 @@ class SweepStatistics:
             f"{self.unsatisfiable_sat_calls} UNSAT / {self.undetermined_sat_calls} undet), "
             f"merges {self.merges} (+{self.constant_merges} const), "
             f"sim disproofs {self.simulation_disproofs}, "
-            f"sim {self.simulation_time:.3f}s, total {self.total_time:.3f}s"
+            + (f"dangling skipped {int(skipped)}, " if skipped is not None else "")
+            + f"sim {self.simulation_time:.3f}s, total {self.total_time:.3f}s"
         )

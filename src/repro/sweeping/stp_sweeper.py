@@ -7,7 +7,12 @@ paper calls out:
    solver-generated patterns seed the candidate classes and prove constant
    nodes before any sweeping happens (lines 2-3 of Algorithm 2).
 2. *Reverse topological traversal*: gates are processed from the primary
-   outputs towards the inputs (line 4).
+   outputs towards the inputs (line 4), by descending node index.  A gate
+   none of whose references survives -- it drives no PO and every fanout
+   was merged or skipped itself -- is skipped as dangling: no driver walk,
+   no SAT call.  The skip is exact because every driver has a smaller
+   index than its candidate, so a visited gate never becomes a driver, or
+   enters a driver's cone, again.
 3. *TFI-bounded driver selection*: merge drivers are taken from the
    candidate's generalised (polarity-merged) equivalence class, ordered and
    bounded through the transitive-fanin manager (lines 10-17).
@@ -82,6 +87,9 @@ class StpSweeper:
         #: Optional :class:`repro.resilience.Budget`, polled per candidate
         #: and threaded into the SAT layer (shared conflict pool, deadline).
         self.budget = budget
+        #: Gates the last :meth:`run` skipped as dangling: each drove no PO
+        #: and all its fanouts were merged or skipped before it was visited.
+        self.dangling: set[int] = set()
 
     # ------------------------------------------------------------------
 
@@ -139,26 +147,38 @@ class StpSweeper:
             stats.simulation_time += time.perf_counter() - sim_start
 
         merged: set[int] = set()
+        dangling: set[int] = set()
+        self.dangling = dangling
 
         # ---- line 4: reverse topological order -----------------------------
-        # The traversal works from the primary outputs towards the inputs;
-        # drivers are always chosen among gates created earlier than the
-        # candidate ("merging graph vertices from input to output"), so the
-        # substituted gate's cone dangles and is removed by the final cleanup.
-        order = aig.topological_order()
-        for candidate in reversed(order):
+        # Gates are walked by descending node index.  ``Aig.add_and`` gives
+        # every gate a larger index than its fanins, so this is a reverse
+        # topological order, and it matches the driver rule ``member <
+        # candidate``: every later candidate, and hence every driver and its
+        # whole fanin cone, has a smaller index than any visited gate.  A
+        # gate whose references all sit in visited gates that were merged or
+        # skipped is therefore dead for good -- it can never regain a fanout
+        # -- and is skipped instead of proved; the final cleanup removes it.
+        for candidate in range(aig.num_nodes - 1, aig.num_pis, -1):
             if self.budget is not None:
                 self.budget.checkpoint("stp")
+            fanouts = aig.fanouts(candidate)
+            if aig.fanout_count(candidate) == len(fanouts) and all(
+                fanout in merged or fanout in dangling for fanout in fanouts
+            ):
+                dangling.add(candidate)
+                classes.remove(candidate)
+                continue
             # lines 7-9: skip checks.
-            if candidate in merged or classes.is_dont_touch(candidate):
+            if classes.is_dont_touch(candidate):
                 continue
             cls = classes.class_of(candidate)
             if cls is None or cls.is_singleton():
                 continue
-            self._process_candidate(
-                aig, candidate, classes, solver, tfi, simulator, merged, window_covered, stats
-            )
+            if self._process_candidate(aig, candidate, classes, solver, tfi, simulator, window_covered, stats):
+                merged.add(candidate)
 
+        stats.extra["dangling_skipped"] = float(len(dangling))
         stats.patterns_used = simulator.num_patterns
 
         # ---- finalise (shared tail: cleanup, counters, timers) ---------------
@@ -227,11 +247,10 @@ class StpSweeper:
         solver: CircuitSolver,
         tfi: TfiManager,
         simulator: IncrementalAigSimulator,
-        merged: set[int],
         window_covered: set[int],
         stats: SweepStatistics,
-    ) -> None:
-        """Lines 10-31 of Algorithm 2 for one candidate gate.
+    ) -> bool:
+        """Lines 10-31 of Algorithm 2 for one candidate gate; True if merged.
 
         The driver list depends only on the candidate's class, so it is
         built and ordered once per class state and then walked: a local
@@ -243,17 +262,14 @@ class StpSweeper:
         while True:
             cls = classes.class_of(candidate)
             if cls is None or cls.is_singleton():
-                return
+                return False
 
             # lines 10-11: the generalised class, sorted topologically; the
             # TFI manager then orders drivers (bounded-TFI members first).
             drivers = [
                 member
                 for member in cls.members
-                if member != candidate
-                and member not in merged
-                and member not in disproved
-                and member < candidate
+                if member < candidate and member not in disproved
             ]
             drivers = tfi.order_drivers(candidate, drivers)
             if 0 in cls.members and candidate != 0 and 0 not in disproved:
@@ -281,16 +297,15 @@ class StpSweeper:
                     # lines 19-22: mark don't-touch and give up on this gate.
                     classes.mark_dont_touch(candidate)
                     classes.remove(candidate)
-                    return
+                    return False
                 if outcome.status is EquivalenceStatus.EQUIVALENT:
                     # lines 23-24: substitute and stop processing this gate.
                     aig.substitute(candidate, driver_literal)
                     classes.remove(candidate)
-                    merged.add(candidate)
                     stats.merges += 1
                     if driver == 0:
                         stats.constant_merges += 1
-                    return
+                    return True
                 # lines 25-28: counter-example; simulation restricted to the
                 # nodes that still sit in equivalence classes, then refinement.
                 assert outcome.counterexample is not None
@@ -300,7 +315,7 @@ class StpSweeper:
                 stats.counterexamples_simulated += 1
                 break
             else:
-                return
+                return False
 
     def _locally_disproved(
         self,

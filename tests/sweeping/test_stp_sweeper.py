@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.circuits import epfl_benchmark
 from repro.circuits.arithmetic import ripple_carry_adder
 from repro.circuits.sweep_workloads import inject_redundancy
 from repro.networks import Aig
@@ -103,3 +104,16 @@ class TestStpSweeper:
         workload = _workload(seed=19)
         swept, _stats = StpSweeper(workload, num_patterns=32, tfi_limit=tfi_limit).run()
         assert check_combinational_equivalence(workload, swept)
+
+
+class TestDanglingSkip:
+    """Skipping dead candidates must not change what the sweep produces."""
+
+    @pytest.mark.parametrize(
+        ("name", "gates"), [("div", 682), ("hyp", 1112), ("sqrt", 548), ("cavlc", 45), ("i2c", 237)]
+    )
+    def test_epfl_result_size_is_pinned(self, name, gates):
+        _swept, stats = StpSweeper(epfl_benchmark(name), num_patterns=64, seed=1).run()
+        assert stats.gates_after == gates
+        assert stats.extra["dangling_skipped"] > 0
+        assert f"dangling skipped {int(stats.extra['dangling_skipped'])}" in str(stats)

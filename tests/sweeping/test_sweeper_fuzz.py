@@ -74,6 +74,33 @@ class TestSweeperFuzz:
         assert _exhaustively_equal(baseline, swept)
         assert abs(swept.num_ands - baseline.num_ands) <= max(2, workload.num_ands // 20)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_skipped_dangling_gates_are_never_revived(self, seed, monkeypatch):
+        # A gate is skipped once every reference to it sits in merged or
+        # skipped gates.  The skip is exact only if no later merge brings
+        # it back: no substitution may pick a driver whose fanin cone
+        # holds a skipped gate.  Every gate the sweep may pick as a driver
+        # has a smaller index than the candidate, so a candidate below
+        # every skipped gate keeps them out of the cone of any driver, not
+        # only of the one picked.
+        workload = _workload(seed)
+        sweeper = StpSweeper(workload, num_patterns=32)
+        substitute = Aig.substitute
+        revived: list[int] = []
+        exposed: list[int] = []
+
+        def checked_substitute(aig: Aig, old_node: int, new_literal: int) -> int:
+            revived.extend(sweeper.dangling.intersection(aig.tfi([Aig.node_of(new_literal)])))
+            exposed.extend(gate for gate in sweeper.dangling if gate < old_node)
+            return substitute(aig, old_node, new_literal)
+
+        monkeypatch.setattr(Aig, "substitute", checked_substitute)
+        swept, stats = sweeper.run()
+        assert not revived
+        assert not exposed
+        assert stats.extra["dangling_skipped"] == len(sweeper.dangling)
+        assert _exhaustively_equal(workload, swept)
+
     @pytest.mark.parametrize("seed", [3, 17])
     def test_sweeping_is_idempotent(self, seed):
         workload = _workload(seed)
