@@ -59,7 +59,10 @@ def test_ablation_initial_pattern_strategy(benchmark, ablation_workload, use_sat
         ).run()
 
     _swept, stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert stats.total_sat_calls > 0
+    # With random patterns every node of this 11-input workload has an
+    # exhaustive table, so the tables prove every merge and SAT is never
+    # called; SAT-guided pattern generation always queries it.
+    assert stats.total_sat_calls + stats.extra["exhaustive_proofs"] > 0
 
 
 @pytest.mark.parametrize("tfi_limit", [10, 100, 1000])

@@ -39,6 +39,7 @@ import asyncio
 import itertools
 import json
 import queue
+import signal
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Mapping
@@ -138,14 +139,21 @@ class SynthesisServer:
             await self._server.serve_forever()
 
     async def close(self) -> None:
-        """Stop accepting connections and shut the pools down."""
+        """Stop accepting connections and shut the pools down.
+
+        In process mode this returns only once the pool's worker
+        processes have exited, so a stopped server leaves none behind:
+        queued jobs are cancelled and a job already running is waited
+        for.  Thread-mode job threads are not waited for.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+            pool, self._pool = self._pool, None
+            wait = isinstance(pool, ProcessPoolExecutor)
+            await asyncio.to_thread(pool.shutdown, wait=wait, cancel_futures=True)
         if self._drain_pool is not None:
             self._drain_pool.shutdown(wait=False, cancel_futures=True)
             self._drain_pool = None
@@ -385,8 +393,19 @@ def run_server(
             f"({pool}, job cache {server.cache.capacity})",
             flush=True,
         )
+        # SIGTERM is a graceful stop, like Ctrl-C: cancelling the serve
+        # task lets ``close()`` shut the worker pool and the manager down
+        # instead of leaving them orphaned.
+        serving = asyncio.ensure_future(server.serve_forever())
+        loop = asyncio.get_running_loop()
         try:
-            await server.serve_forever()
+            loop.add_signal_handler(signal.SIGTERM, serving.cancel)
+        except NotImplementedError:  # pragma: no cover - no signal handlers on this platform
+            pass
+        try:
+            await serving
+        except asyncio.CancelledError:
+            pass
         finally:
             await server.close()
 

@@ -391,34 +391,102 @@ def common_window_leaves(
     return leaves
 
 
-def _truth_table_bits_array(table: TruthTable) -> np.ndarray:
-    """Truth-table output bits as a uint8 numpy array (assignment 0 first)."""
-    raw = table.bits.to_bytes((table.num_bits + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[: table.num_bits]
+#: Delta-swap masks of :func:`_move_input` for tables of up to
+#: ``_SWAP_MASK_VARS`` inputs, indexed by input ``i``: bit ``p`` is set
+#: when assignment ``p`` has input ``i`` at 1 and input ``i + 1`` at 0.
+#: Built once at the widest width; a narrower table uses them as they are,
+#: since ``bits & mask`` only walks the shorter operand.
+_SWAP_MASK_VARS = 16
+_SWAP_MASKS: list[int] = []
 
 
-def _gather_index(steps: Sequence[int]) -> np.ndarray:
-    """Source assignment of every assignment of ``len(steps)`` inputs.
+def _swap_masks(num_vars: int) -> list[int]:
+    """The delta-swap masks for a ``num_vars``-input table (see :data:`_SWAP_MASKS`)."""
+    if num_vars <= _SWAP_MASK_VARS and _SWAP_MASKS:
+        return _SWAP_MASKS
+    width = 1 << max(num_vars, _SWAP_MASK_VARS)
+    masks: list[int] = []
+    for var in range(max(num_vars, _SWAP_MASK_VARS) - 1):
+        block = 1 << var
+        # One period is ``4 * block`` assignments with the mask on the
+        # second quarter; doubling the pattern fills the width in log steps.
+        mask = ((1 << block) - 1) << block
+        period = 4 * block
+        while period < width:
+            mask |= mask << period
+            period *= 2
+        masks.append(mask)
+    if num_vars <= _SWAP_MASK_VARS:
+        _SWAP_MASKS.extend(masks)
+    return masks
 
-    Setting input ``i`` adds ``steps[i]`` to the source index (``0`` makes
-    the input a don't-care).  Built by doubling: input ``i`` fills block
-    ``[2^i, 2^(i+1))`` from the block before it, so the cost is O(2^n)
-    rather than n full-array passes, and filling one preallocated array
-    avoids a fresh allocation per input.
+
+def _move_input(bits: int, num_vars: int, source: int, target: int) -> int:
+    """Move input ``source`` of a packed table to position ``target``.
+
+    The inputs in between shift by one towards ``source``.  Each step is
+    a delta swap of two adjacent inputs ``i`` and ``i + 1``: the
+    assignments that differ only by exchanging their values sit ``2**i``
+    bits apart, and the pairs whose outputs differ are flipped together.
     """
-    index = np.zeros(1 << len(steps), dtype=np.int64)
-    size = 1
-    for step in steps:
-        np.add(index[:size], step, out=index[size : 2 * size])
-        size *= 2
-    return index
+    masks = _swap_masks(num_vars)
+    while source < target:
+        shift = 1 << source
+        delta = ((bits >> shift) ^ bits) & masks[source]
+        bits ^= delta ^ (delta << shift)
+        source += 1
+    while source > target:
+        source -= 1
+        shift = 1 << source
+        delta = ((bits >> shift) ^ bits) & masks[source]
+        bits ^= delta ^ (delta << shift)
+    return bits
 
 
-def _gather_table(table: TruthTable, steps: Sequence[int]) -> TruthTable:
-    """The ``len(steps)``-input table read from ``table`` through :func:`_gather_index`."""
-    bits = _truth_table_bits_array(table)[_gather_index(steps)]
-    packed = np.packbits(bits, bitorder="little")
-    return TruthTable(len(steps), int.from_bytes(packed.tobytes(), "little"))
+def _expand_bits(bits: int, positions: Sequence[int], width: int) -> int:
+    """Packed table over ``width`` inputs from one over the inputs at ``positions``.
+
+    ``bits`` is a ``len(positions)``-input table whose input ``i`` becomes
+    input ``positions[i]`` of the result; every other input is a
+    don't-care.  The table's own inputs are first sorted into position
+    order, then each missing input, lowest first, is added as a new top
+    input (``t | t << 2**n``) and moved down into place.
+    """
+    order = list(positions)
+    num_vars = len(order)
+    for start in range(1, num_vars):
+        index = start
+        while index > 0 and order[index - 1] > order[start]:
+            index -= 1
+        if index < start:
+            bits = _move_input(bits, num_vars, start, index)
+            order.insert(index, order.pop(start))
+    present = set(order)
+    for position in range(width):
+        if position in present:
+            continue
+        # Every input below ``position`` is already in place, so the new
+        # input lands at table position ``position``.
+        bits |= bits << (1 << num_vars)
+        num_vars += 1
+        bits = _move_input(bits, num_vars, num_vars - 1, position)
+    return bits
+
+
+def _project_bits(bits: int, num_vars: int, kept: Sequence[int]) -> int:
+    """Packed table over the inputs ``kept`` (ascending) of a table that ignores the rest.
+
+    The reverse of :func:`_expand_bits`: each dropped input, highest
+    first, is moved up to the top and cut off with the upper half.
+    """
+    kept_set = set(kept)
+    for position in range(num_vars - 1, -1, -1):
+        if position in kept_set:
+            continue
+        bits = _move_input(bits, num_vars, position, num_vars - 1)
+        num_vars -= 1
+        bits &= (1 << (1 << num_vars)) - 1
+    return bits
 
 
 def expand_truth_table(table: TruthTable, own_leaves: Sequence[int], window: Sequence[int]) -> TruthTable:
@@ -426,20 +494,20 @@ def expand_truth_table(table: TruthTable, own_leaves: Sequence[int], window: Seq
 
     ``own_leaves`` are the leaves (e.g. PI node indices) of ``table``'s
     inputs in order; ``window`` is a superset.  Added leaves become
-    don't-cares.  The expansion is a vectorised gather, so comparing two
-    node functions over the union of their supports costs microseconds
-    instead of a cone traversal.
+    don't-cares.  The expansion is a handful of word operations on the
+    packed table (:func:`_expand_bits`), so comparing two node functions
+    over the union of their supports costs microseconds instead of a cone
+    traversal.
     """
     window_list = list(window)
-    own_positions = {leaf: index for index, leaf in enumerate(own_leaves)}
-    window_set = set(window_list)
-    missing = [leaf for leaf in own_leaves if leaf not in window_set]
+    window_positions = {leaf: index for index, leaf in enumerate(window_list)}
+    missing = [leaf for leaf in own_leaves if leaf not in window_positions]
     if missing:
         raise ValueError(f"window is missing leaves {missing}")
-    if len(window_list) == len(own_leaves) and list(own_leaves) == window_list:
+    if list(own_leaves) == window_list:
         return table
-    steps = [1 << own_positions[leaf] if leaf in own_positions else 0 for leaf in window_list]
-    return _gather_table(table, steps)
+    positions = [window_positions[leaf] for leaf in own_leaves]
+    return TruthTable(len(window_list), _expand_bits(table.bits, positions, len(window_list)))
 
 
 def function_key(table: TruthTable, leaves: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -456,8 +524,8 @@ def function_key(table: TruthTable, leaves: Sequence[int]) -> tuple[tuple[int, .
     essential = table.support()
     if len(essential) == table.num_vars:
         return tuple(leaves), table.bits
-    projected = _gather_table(table, [1 << position for position in essential])
-    return tuple(leaves[position] for position in essential), projected.bits
+    projected = _project_bits(table.bits, table.num_vars, essential)
+    return tuple(leaves[position] for position in essential), projected
 
 
 def complement_key(key: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], int]:
@@ -474,36 +542,44 @@ def compute_local_truth_tables(
     """Function of every node over its own PI support, in one bottom-up pass.
 
     Nodes whose support exceeds ``max_support`` map to ``None``.  This is
-    the precomputation behind the sweeper's exhaustive window refinement:
-    any two nodes whose supports jointly fit in ``max_support`` leaves can
-    afterwards be compared exhaustively with two cheap expansions, no cone
-    traversal and no SAT call.
+    the precomputation behind the sweeper's exhaustive refinement: each
+    node's table over its own support is canonicalised by
+    :func:`function_key`, and equal keys prove two nodes equivalent with
+    no SAT call.  Each gate's table is the AND of its fanins' tables,
+    expanded to the gate's support with word operations on the packed
+    integers (:func:`_expand_bits`).
     """
     if supports is None:
         supports = compute_pi_supports(aig, max_support)
     tables: dict[int, TruthTable | None] = {0: TruthTable.constant(False)}
     for pi in aig.pis:
         tables[pi] = TruthTable.variable(0, 1)
+    fulls: dict[int, int] = {}
     for node in aig.topological_order():
         support = supports.get(node)
         if support is None or len(support) > max_support:
             tables[node] = None
             continue
         fanin0, fanin1 = aig.fanins(node)
-        node0, node1 = Aig.node_of(fanin0), Aig.node_of(fanin1)
-        table0, table1 = tables.get(node0), tables.get(node1)
+        table0, table1 = tables.get(Aig.node_of(fanin0)), tables.get(Aig.node_of(fanin1))
         if table0 is None or table1 is None:
             tables[node] = None
             continue
-        support0 = supports.get(node0) if not aig.is_constant(node0) else ()
-        support1 = supports.get(node1) if not aig.is_constant(node1) else ()
-        expanded0 = expand_truth_table(table0, support0 or (), support)
-        expanded1 = expand_truth_table(table1, support1 or (), support)
-        if Aig.is_complemented(fanin0):
-            expanded0 = ~expanded0
-        if Aig.is_complemented(fanin1):
-            expanded1 = ~expanded1
-        tables[node] = expanded0 & expanded1
+        width = len(support)
+        full = fulls.get(width)
+        if full is None:
+            full = fulls[width] = (1 << (1 << width)) - 1
+        bits = full
+        positions: dict[int, int] | None = None
+        for fanin, table in ((fanin0, table0), (fanin1, table1)):
+            own = supports.get(Aig.node_of(fanin)) or ()
+            expanded = table.bits
+            if own != support:
+                if positions is None:
+                    positions = {leaf: index for index, leaf in enumerate(support)}
+                expanded = _expand_bits(expanded, [positions[leaf] for leaf in own], width)
+            bits &= expanded ^ full if Aig.is_complemented(fanin) else expanded
+        tables[node] = TruthTable(len(support), bits)
     return tables
 
 

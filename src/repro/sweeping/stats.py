@@ -43,6 +43,13 @@ class SweepStatistics:
     proof would say; the count is ``extra["dangling_skipped"]``.  Its
     ``merges`` (and so its ``Aig.substitute`` calls) therefore count only
     merges of candidates that were still live when visited.
+
+    The STP sweeper proves equivalences from its exhaustive local truth
+    tables wherever both nodes of a pair have one, with no SAT call; the
+    count of such proofs, constant candidates of the initial propagation
+    included, is ``extra["exhaustive_proofs"]``.  Its
+    ``unsatisfiable_sat_calls`` therefore no longer include the pairs the
+    tables prove: they count only the equivalences SAT itself proved.
     """
 
     name: str = ""
@@ -124,6 +131,7 @@ class SweepStatistics:
 
     def __str__(self) -> str:
         skipped = self.extra.get("dangling_skipped")
+        proofs = self.extra.get("exhaustive_proofs")
         return (
             f"{self.name or 'sweep'}: gates {self.gates_before} -> {self.gates_after} "
             f"({100 * self.gate_reduction:.1f}% reduction), "
@@ -131,6 +139,7 @@ class SweepStatistics:
             f"{self.unsatisfiable_sat_calls} UNSAT / {self.undetermined_sat_calls} undet), "
             f"merges {self.merges} (+{self.constant_merges} const), "
             f"sim disproofs {self.simulation_disproofs}, "
+            + (f"exhaustive proofs {int(proofs)}, " if proofs is not None else "")
             + (f"dangling skipped {int(skipped)}, " if skipped is not None else "")
             + f"sim {self.simulation_time:.3f}s, total {self.total_time:.3f}s"
         )

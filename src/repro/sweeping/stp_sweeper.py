@@ -16,13 +16,16 @@ paper calls out:
 3. *TFI-bounded driver selection*: merge drivers are taken from the
    candidate's generalised (polarity-merged) equivalence class, ordered and
    bounded through the transitive-fanin manager (lines 10-17).
-4. *STP-based exhaustive refinement*: before a SAT query is issued for a
-   (candidate, driver) pair, the pair's functions are computed exhaustively
-   over a common window of at most ``window_leaves`` leaves using the
-   STP-based simulator; a mismatch disproves the candidate equivalence with
-   no SAT call at all, and every SAT counter-example is likewise propagated
-   only through the nodes that still sit in equivalence classes
-   (Section IV-A, "Refinement using STP-based Simulation").
+4. *STP-based exhaustive refinement*: every node whose PI support has at
+   most ``window_leaves`` inputs gets its exhaustive function over that
+   support, computed once up front, and a canonical key of it
+   (:func:`function_key`).  When both nodes of a (candidate, driver) pair
+   have a key, the keys decide the pair exactly with no SAT call at all:
+   equal keys prove the equivalence and the candidate is substituted,
+   unequal keys disprove it.  Only pairs with a wider node go to SAT, and
+   every SAT counter-example is propagated only through the nodes that
+   still sit in equivalence classes (Section IV-A, "Refinement using
+   STP-based Simulation").
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Any
 
-from ..networks.aig import Aig, LIT_FALSE
+from ..networks.aig import Aig
 from ..sat.circuit import CircuitSolver, EquivalenceStatus
 from ..simulation.incremental import IncrementalAigSimulator
 from ..simulation.patterns import PatternSet
@@ -131,7 +134,6 @@ class StpSweeper:
         # ---- one-time STP-based exhaustive refinement of every class --------
         # (Section IV-A: only nodes inside equivalence classes are simulated,
         # with exhaustive patterns over windows of fewer than 16 leaves.)
-        window_covered: set[int] = set()
         if self.use_exhaustive_refinement:
             sim_start = time.perf_counter()
             for cls in classes.classes():
@@ -141,7 +143,6 @@ class StpSweeper:
                 tables = self._window_tables(members)
                 if tables is None:
                     continue
-                window_covered.update(members)
                 splits = classes.refine_with_truth_tables(tables)
                 stats.simulation_disproofs += splits
             stats.simulation_time += time.perf_counter() - sim_start
@@ -175,7 +176,7 @@ class StpSweeper:
             cls = classes.class_of(candidate)
             if cls is None or cls.is_singleton():
                 continue
-            if self._process_candidate(aig, candidate, classes, solver, tfi, simulator, window_covered, stats):
+            if self._process_candidate(aig, candidate, classes, solver, tfi, simulator, stats):
                 merged.add(candidate)
 
         stats.extra["dangling_skipped"] = float(len(dangling))
@@ -223,6 +224,7 @@ class StpSweeper:
         stats.constant_merges += report.substitutions
         stats.merges += report.substitutions
         stats.simulation_disproofs += report.exhaustive_disproofs
+        stats.extra["exhaustive_proofs"] = float(report.exhaustive_proofs)
         for pattern in report.counterexamples:
             equivalence_patterns.add_pattern(pattern)
 
@@ -247,16 +249,18 @@ class StpSweeper:
         solver: CircuitSolver,
         tfi: TfiManager,
         simulator: IncrementalAigSimulator,
-        window_covered: set[int],
         stats: SweepStatistics,
     ) -> bool:
         """Lines 10-31 of Algorithm 2 for one candidate gate; True if merged.
 
         The driver list depends only on the candidate's class, so it is
-        built and ordered once per class state and then walked: a local
-        disproof records the pair and moves on to the next driver.  Only a
-        SAT counter-example refines the classes, so only it rebuilds the
-        list.
+        built and ordered once per class state and then walked.  Each
+        legal driver is first judged by the two nodes' exhaustive keys
+        (:meth:`_local_verdict`): a proof substitutes the candidate and a
+        disproof records the pair and moves on to the next driver, both
+        without SAT.  Only a pair the keys do not cover goes to SAT, and
+        only a SAT counter-example refines the classes, so only it
+        rebuilds the list.
         """
         disproved: set[int] = set()
         while True:
@@ -282,77 +286,62 @@ class StpSweeper:
                 if driver != 0 and not tfi.is_legal_merge(candidate, driver):
                     continue
                 inverted = classes.relative_polarity(candidate, driver)
-                if self.use_exhaustive_refinement and self._locally_disproved(
-                    candidate, driver, inverted, window_covered, stats
-                ):
+                driver_literal = Aig.literal(driver, inverted)
+                verdict = self._local_verdict(candidate, driver, inverted, stats)
+                if verdict is False:
                     # Disproved locally -- no SAT call needed for this pair.
                     stats.simulation_disproofs += 1
                     disproved.add(driver)
                     continue
-                driver_literal = Aig.literal(driver, inverted) if driver != 0 else (LIT_FALSE ^ int(inverted))
-
-                # line 18: the SAT query.
-                outcome = solver.prove_equivalence(Aig.literal(candidate), driver_literal, self.conflict_limit)
-                if outcome.status is EquivalenceStatus.UNDETERMINED:
-                    # lines 19-22: mark don't-touch and give up on this gate.
-                    classes.mark_dont_touch(candidate)
-                    classes.remove(candidate)
-                    return False
-                if outcome.status is EquivalenceStatus.EQUIVALENT:
-                    # lines 23-24: substitute and stop processing this gate.
-                    aig.substitute(candidate, driver_literal)
-                    classes.remove(candidate)
-                    stats.merges += 1
-                    if driver == 0:
-                        stats.constant_merges += 1
-                    return True
-                # lines 25-28: counter-example; simulation restricted to the
-                # nodes that still sit in equivalence classes, then refinement.
-                assert outcome.counterexample is not None
-                sim_start = time.perf_counter()
-                refine_with_counterexample(aig, classes, simulator, outcome.counterexample)
-                stats.simulation_time += time.perf_counter() - sim_start
-                stats.counterexamples_simulated += 1
-                break
+                if verdict is None:
+                    # line 18: the SAT query.
+                    outcome = solver.prove_equivalence(Aig.literal(candidate), driver_literal, self.conflict_limit)
+                    if outcome.status is EquivalenceStatus.UNDETERMINED:
+                        # lines 19-22: mark don't-touch and give up on this gate.
+                        classes.mark_dont_touch(candidate)
+                        classes.remove(candidate)
+                        return False
+                    if outcome.status is EquivalenceStatus.NOT_EQUIVALENT:
+                        # lines 25-28: counter-example; simulation restricted
+                        # to the nodes that still sit in equivalence classes,
+                        # then refinement.
+                        assert outcome.counterexample is not None
+                        sim_start = time.perf_counter()
+                        refine_with_counterexample(aig, classes, simulator, outcome.counterexample)
+                        stats.simulation_time += time.perf_counter() - sim_start
+                        stats.counterexamples_simulated += 1
+                        break
+                else:
+                    stats.extra["exhaustive_proofs"] += 1
+                # lines 23-24: substitute and stop processing this gate.
+                aig.substitute(candidate, driver_literal)
+                classes.remove(candidate)
+                stats.merges += 1
+                if driver == 0:
+                    stats.constant_merges += 1
+                return True
             else:
                 return False
 
-    def _locally_disproved(
-        self,
-        candidate: int,
-        driver: int,
-        inverted: bool,
-        window_covered: set[int],
-        stats: SweepStatistics,
-    ) -> bool:
-        """True when exhaustive local functions already refute the pair.
+    def _local_verdict(self, candidate: int, driver: int, inverted: bool, stats: SweepStatistics) -> bool | None:
+        """Exhaustive verdict on ``candidate == driver ^ inverted``; None if a key is missing.
 
-        Constant-class candidates: a local function that is not constant
-        disproves the candidate.  Other pairs the one-time class-level
-        refinement could not cover (window too wide for the whole class)
-        are compared over the union of their PI supports when it fits in
-        ``window_leaves``; if both nodes were covered there, the pair is
-        already known to agree on the window and the SAT call will be
-        cheap.  The comparison reads the two nodes' :func:`function_key`
-        instead of expanding both tables to the common window: the keys
-        are equal exactly when the expanded tables are.
+        Each key is a node's function over its own PI support, reduced to
+        the inputs it depends on (:func:`function_key`), so two keys are
+        equal exactly when the two functions are, whatever their
+        supports.  The constant node's key is ``((), 0)``, so constant
+        candidates are decided the same way.  A node whose support is
+        wider than ``window_leaves`` has no key, and its pairs go to SAT;
+        without exhaustive refinement no node has one.
         """
-        if driver == 0:
-            local = self._local_tables.get(candidate)
-            return local is not None and not local.is_constant()
-        if candidate in window_covered and driver in window_covered:
-            return False
         sim_start = time.perf_counter()
-        disproved = False
+        verdict: bool | None = None
         candidate_key = self._function_key(candidate)
         driver_key = self._function_key(driver)
         if candidate_key is not None and driver_key is not None:
-            candidate_support = self._supports[candidate] or ()
-            driver_support = self._supports[driver] or ()
-            if len(set(candidate_support).union(driver_support)) <= self.window_leaves:
-                disproved = candidate_key != (complement_key(driver_key) if inverted else driver_key)
+            verdict = candidate_key == (complement_key(driver_key) if inverted else driver_key)
         stats.simulation_time += time.perf_counter() - sim_start
-        return disproved
+        return verdict
 
     def _function_key(self, node: int) -> tuple[tuple[int, ...], int] | None:
         """Lazily cached :func:`function_key` of a node's local function."""
@@ -370,7 +359,7 @@ class StpSweeper:
         Uses the precomputed per-node local functions; the combined window
         must not exceed ``window_leaves`` and every target must have a
         cached local function, otherwise ``None`` is returned and the
-        caller falls back to SAT.
+        class is left to the pairwise checks of the candidate walk.
         """
         window: list[int] = []
         for target in targets:

@@ -3,7 +3,9 @@
 This is the one test that exercises the production pool path -- spawned
 worker processes warming their own libraries, manager-queue event
 streaming back across the process boundary -- end to end through the
-console entry point.  CI runs the same scenario as a workflow step.
+console entry point, and the graceful SIGTERM stop that takes the worker
+processes down with the server.  CI runs the same scenario as a
+workflow step.
 """
 
 from __future__ import annotations
@@ -17,6 +19,22 @@ import time
 from repro.service import JobRequest, fetch_json, submit
 
 _BANNER = re.compile(r"http://[\w.]+:(\d+)")
+
+
+def _children(pid: int) -> list[int]:
+    """PIDs of the direct children of ``pid`` (Linux ``/proc``)."""
+    with open(f"/proc/{pid}/task/{pid}/children") as handle:
+        return [int(child) for child in handle.read().split()]
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs; a zombie waiting to be reaped counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            # The state follows the parenthesised command name.
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
 
 
 def test_serve_subprocess_with_process_workers(tmp_path, adder_text: str) -> None:
@@ -67,9 +85,21 @@ def test_serve_subprocess_with_process_workers(tmp_path, adder_text: str) -> Non
 
         metrics = fetch_json("/metrics", port=port, timeout=30)
         assert metrics["cache"]["hits"] == 1
-    finally:
+
+        # SIGTERM is a graceful stop: the pool worker, the manager and the
+        # resource tracker all exit with the server.
+        children = _children(process.pid)
+        assert children, "the process-mode server runs no worker processes"
         process.terminate()
-        try:
-            process.wait(timeout=15)
-        except subprocess.TimeoutExpired:  # pragma: no cover - cleanup path
-            process.kill()
+        assert process.wait(timeout=30) == 0, log_path.read_text()
+        deadline = time.time() + 30
+        while time.time() < deadline and any(_alive(child) for child in children):
+            time.sleep(0.2)
+        assert not [child for child in children if _alive(child)]
+    finally:
+        if process.poll() is None:
+            process.terminate()
+            try:
+                process.wait(timeout=15)
+            except subprocess.TimeoutExpired:  # pragma: no cover - cleanup path
+                process.kill()

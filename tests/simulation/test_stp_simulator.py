@@ -260,3 +260,44 @@ class TestFunctionKeyOracle:
         assert function_key(table, (4, 7, 9)) == ((4, 9), TruthTable.from_function(lambda a, c: a and not c, 2).bits)
         assert complement_key(function_key(table, (4, 7, 9))) == function_key(~table, (4, 7, 9))
         assert function_key(TruthTable.constant(True, 2), (1, 2)) == ((), 1)
+
+
+def _gather_table(table, steps):
+    """Reference numpy gather: output ``a`` reads ``table`` at ``sum of steps[i]`` over the set inputs ``i``."""
+    index = np.zeros(1 << len(steps), dtype=np.int64)
+    size = 1
+    for step in steps:
+        index[size : 2 * size] = index[:size] + step
+        size *= 2
+    raw = table.bits.to_bytes((table.num_bits + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[: table.num_bits][index]
+    return TruthTable(len(steps), int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
+
+
+class TestWordLevelMatchesGather:
+    """The word-operation projection and table build agree with an index gather."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_function_key_projection(self, seed):
+        rng = random.Random(seed)
+        window = sorted(rng.sample(range(64), rng.randint(1, 16) if seed % 4 else 16))
+        own = sorted(rng.sample(window, rng.randint(0, len(window))))
+        table = expand_truth_table(TruthTable(len(own), rng.getrandbits(1 << len(own))), own, window)
+        essential = table.support()
+        projected = _gather_table(table, [1 << position for position in essential])
+        assert function_key(table, window) == (tuple(window[p] for p in essential), projected.bits)
+
+    def test_local_tables_match_gather_expansion(self):
+        aig = _redundant_random_aig(11)
+        supports = compute_pi_supports(aig, 6)
+        tables = compute_local_truth_tables(aig, 6, supports)
+        for node in aig.gates():
+            if tables[node] is None:
+                continue
+            fanin_tables = []
+            for fanin in aig.fanins(node):
+                own = supports[Aig.node_of(fanin)] or ()
+                steps = [1 << own.index(leaf) if leaf in own else 0 for leaf in supports[node]]
+                expanded = _gather_table(tables[Aig.node_of(fanin)], steps)
+                fanin_tables.append(~expanded if Aig.is_complemented(fanin) else expanded)
+            assert tables[node] == fanin_tables[0] & fanin_tables[1]

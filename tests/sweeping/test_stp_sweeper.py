@@ -117,3 +117,6 @@ class TestDanglingSkip:
         assert stats.gates_after == gates
         assert stats.extra["dangling_skipped"] > 0
         assert f"dangling skipped {int(stats.extra['dangling_skipped'])}" in str(stats)
+        assert stats.extra["exhaustive_proofs"] > 0
+        assert f"exhaustive proofs {int(stats.extra['exhaustive_proofs'])}" in str(stats)
+

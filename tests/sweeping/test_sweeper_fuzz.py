@@ -7,6 +7,8 @@ not just by the CEC miter), interface preservation, and never *growing*
 the network.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,10 @@ from repro.circuits.sweep_workloads import inject_redundancy
 from repro.networks import Aig
 from repro.networks.aig import fanout_counts_impl
 from repro.networks.traversal import topological_sort
+from repro.sat import CircuitSolver, EquivalenceStatus
+from repro.simulation import compute_local_truth_tables, compute_pi_supports
 from repro.sweeping import FraigSweeper, StpSweeper
+from repro.sweeping.stats import SweepStatistics
 
 
 def _exhaustively_equal(a: Aig, b: Aig) -> bool:
@@ -29,8 +34,8 @@ def _exhaustively_equal(a: Aig, b: Aig) -> bool:
     return True
 
 
-def _workload(seed: int) -> Aig:
-    base = random_aig(num_pis=6, num_gates=60, num_pos=5, seed=seed)
+def _workload(seed: int, num_pis: int = 6, num_gates: int = 60) -> Aig:
+    base = random_aig(num_pis=num_pis, num_gates=num_gates, num_pos=5, seed=seed)
     workload, _report = inject_redundancy(
         base,
         duplication_fraction=0.25,
@@ -108,6 +113,54 @@ class TestSweeperFuzz:
         twice, stats = StpSweeper(once, num_patterns=32).run()
         assert twice.num_ands == once.num_ands
         assert _exhaustively_equal(once, twice)
+
+
+class TestExhaustiveVerdict:
+    """Equal function keys prove a pair; only uncovered pairs reach SAT."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_key_verdict_matches_sat(self, seed):
+        # A 4-leaf window on 10 inputs leaves some nodes without a key and
+        # gives many keyed pairs a joint support wider than the window.
+        aig = _workload(seed, num_pis=10, num_gates=30)
+        sweeper = StpSweeper(aig, num_patterns=32, window_leaves=4)
+        sweeper.run()
+        solver = CircuitSolver(aig)
+        stats = SweepStatistics()
+        keyed = [node for node in aig.nodes() if sweeper._function_key(node) is not None]
+        verdicts = set()
+        for a, b in itertools.combinations(keyed, 2):
+            for inverted in (False, True):
+                outcome = solver.prove_equivalence(Aig.literal(b), Aig.literal(a, inverted))
+                assert outcome.status is not EquivalenceStatus.UNDETERMINED
+                verdict = sweeper._local_verdict(b, a, inverted, stats)
+                assert verdict == (outcome.status is EquivalenceStatus.EQUIVALENT), (a, b, inverted)
+                verdicts.add(verdict)
+        assert verdicts == {False, True}
+        assert len(keyed) < aig.num_nodes
+
+    @pytest.mark.parametrize("window_leaves", [4, 16])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_sat_never_sees_a_keyed_pair(self, seed, window_leaves, monkeypatch):
+        workload = _workload(seed)
+        supports = compute_pi_supports(workload, window_leaves)
+        tables = compute_local_truth_tables(workload, window_leaves, supports)
+        keyed = {node for node, table in tables.items() if table is not None and supports.get(node) is not None}
+        prove = CircuitSolver.prove_equivalence
+        queried: list[tuple[int, int]] = []
+
+        def recording_prove(solver, literal_a, literal_b, conflict_limit=None):
+            queried.append((Aig.node_of(literal_a), Aig.node_of(literal_b)))
+            return prove(solver, literal_a, literal_b, conflict_limit)
+
+        monkeypatch.setattr(CircuitSolver, "prove_equivalence", recording_prove)
+        swept, stats = StpSweeper(workload, num_patterns=32, window_leaves=window_leaves).run()
+        monkeypatch.undo()
+        assert not [pair for pair in queried if pair[0] in keyed and pair[1] in keyed]
+        assert _exhaustively_equal(workload, swept)
+        if window_leaves == 16:
+            assert not queried
+            assert stats.extra["exhaustive_proofs"] >= stats.merges - stats.constant_merges
 
 
 def _reference_topological_order(aig: Aig) -> list[int]:
