@@ -59,10 +59,14 @@ def test_ablation_initial_pattern_strategy(benchmark, ablation_workload, use_sat
         ).run()
 
     _swept, stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    # With random patterns every node of this 11-input workload has an
-    # exhaustive table, so the tables prove every merge and SAT is never
-    # called; SAT-guided pattern generation always queries it.
-    assert stats.total_sat_calls + stats.extra["exhaustive_proofs"] > 0
+    if use_sat_guided:
+        assert stats.total_sat_calls > 0
+    else:
+        # Every node of this 11-input workload has an exhaustive table, so
+        # without SAT-guided patterns the tables prove every merge, the
+        # non-constant ones included, and SAT is never called.
+        assert stats.total_sat_calls == 0
+        assert stats.extra["exhaustive_proofs"] == stats.merges > stats.constant_merges
 
 
 @pytest.mark.parametrize("tfi_limit", [10, 100, 1000])

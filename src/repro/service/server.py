@@ -138,13 +138,14 @@ class SynthesisServer:
         async with self._server:
             await self._server.serve_forever()
 
-    async def close(self) -> None:
+    async def close(self, grace: float = 5.0) -> None:
         """Stop accepting connections and shut the pools down.
 
         In process mode this returns only once the pool's worker
         processes have exited, so a stopped server leaves none behind:
-        queued jobs are cancelled and a job already running is waited
-        for.  Thread-mode job threads are not waited for.
+        queued jobs are cancelled, and a job already running gets
+        ``grace`` seconds to finish before every worker process is
+        terminated.  Thread-mode job threads are not waited for.
         """
         if self._server is not None:
             self._server.close()
@@ -152,8 +153,22 @@ class SynthesisServer:
             self._server = None
         if self._pool is not None:
             pool, self._pool = self._pool, None
-            wait = isinstance(pool, ProcessPoolExecutor)
-            await asyncio.to_thread(pool.shutdown, wait=wait, cancel_futures=True)
+            if isinstance(pool, ProcessPoolExecutor):
+                # The executor has no public handle on its worker processes.
+                workers = list((getattr(pool, "_processes", None) or {}).values())
+                shutdown = asyncio.ensure_future(
+                    asyncio.to_thread(pool.shutdown, wait=True, cancel_futures=True)
+                )
+                try:
+                    await asyncio.wait_for(asyncio.shield(shutdown), grace)
+                except asyncio.TimeoutError:
+                    # The pool notices its terminated workers and finishes
+                    # the shutdown.
+                    for process in workers:
+                        process.terminate()
+                    await shutdown
+            else:
+                pool.shutdown(wait=False, cancel_futures=True)
         if self._drain_pool is not None:
             self._drain_pool.shutdown(wait=False, cancel_futures=True)
             self._drain_pool = None

@@ -391,113 +391,15 @@ def common_window_leaves(
     return leaves
 
 
-#: Delta-swap masks of :func:`_move_input` for tables of up to
-#: ``_SWAP_MASK_VARS`` inputs, indexed by input ``i``: bit ``p`` is set
-#: when assignment ``p`` has input ``i`` at 1 and input ``i + 1`` at 0.
-#: Built once at the widest width; a narrower table uses them as they are,
-#: since ``bits & mask`` only walks the shorter operand.
-_SWAP_MASK_VARS = 16
-_SWAP_MASKS: list[int] = []
-
-
-def _swap_masks(num_vars: int) -> list[int]:
-    """The delta-swap masks for a ``num_vars``-input table (see :data:`_SWAP_MASKS`)."""
-    if num_vars <= _SWAP_MASK_VARS and _SWAP_MASKS:
-        return _SWAP_MASKS
-    width = 1 << max(num_vars, _SWAP_MASK_VARS)
-    masks: list[int] = []
-    for var in range(max(num_vars, _SWAP_MASK_VARS) - 1):
-        block = 1 << var
-        # One period is ``4 * block`` assignments with the mask on the
-        # second quarter; doubling the pattern fills the width in log steps.
-        mask = ((1 << block) - 1) << block
-        period = 4 * block
-        while period < width:
-            mask |= mask << period
-            period *= 2
-        masks.append(mask)
-    if num_vars <= _SWAP_MASK_VARS:
-        _SWAP_MASKS.extend(masks)
-    return masks
-
-
-def _move_input(bits: int, num_vars: int, source: int, target: int) -> int:
-    """Move input ``source`` of a packed table to position ``target``.
-
-    The inputs in between shift by one towards ``source``.  Each step is
-    a delta swap of two adjacent inputs ``i`` and ``i + 1``: the
-    assignments that differ only by exchanging their values sit ``2**i``
-    bits apart, and the pairs whose outputs differ are flipped together.
-    """
-    masks = _swap_masks(num_vars)
-    while source < target:
-        shift = 1 << source
-        delta = ((bits >> shift) ^ bits) & masks[source]
-        bits ^= delta ^ (delta << shift)
-        source += 1
-    while source > target:
-        source -= 1
-        shift = 1 << source
-        delta = ((bits >> shift) ^ bits) & masks[source]
-        bits ^= delta ^ (delta << shift)
-    return bits
-
-
-def _expand_bits(bits: int, positions: Sequence[int], width: int) -> int:
-    """Packed table over ``width`` inputs from one over the inputs at ``positions``.
-
-    ``bits`` is a ``len(positions)``-input table whose input ``i`` becomes
-    input ``positions[i]`` of the result; every other input is a
-    don't-care.  The table's own inputs are first sorted into position
-    order, then each missing input, lowest first, is added as a new top
-    input (``t | t << 2**n``) and moved down into place.
-    """
-    order = list(positions)
-    num_vars = len(order)
-    for start in range(1, num_vars):
-        index = start
-        while index > 0 and order[index - 1] > order[start]:
-            index -= 1
-        if index < start:
-            bits = _move_input(bits, num_vars, start, index)
-            order.insert(index, order.pop(start))
-    present = set(order)
-    for position in range(width):
-        if position in present:
-            continue
-        # Every input below ``position`` is already in place, so the new
-        # input lands at table position ``position``.
-        bits |= bits << (1 << num_vars)
-        num_vars += 1
-        bits = _move_input(bits, num_vars, num_vars - 1, position)
-    return bits
-
-
-def _project_bits(bits: int, num_vars: int, kept: Sequence[int]) -> int:
-    """Packed table over the inputs ``kept`` (ascending) of a table that ignores the rest.
-
-    The reverse of :func:`_expand_bits`: each dropped input, highest
-    first, is moved up to the top and cut off with the upper half.
-    """
-    kept_set = set(kept)
-    for position in range(num_vars - 1, -1, -1):
-        if position in kept_set:
-            continue
-        bits = _move_input(bits, num_vars, position, num_vars - 1)
-        num_vars -= 1
-        bits &= (1 << (1 << num_vars)) - 1
-    return bits
-
-
 def expand_truth_table(table: TruthTable, own_leaves: Sequence[int], window: Sequence[int]) -> TruthTable:
     """Re-express a function over a larger window of leaves.
 
     ``own_leaves`` are the leaves (e.g. PI node indices) of ``table``'s
     inputs in order; ``window`` is a superset.  Added leaves become
     don't-cares.  The expansion is a handful of word operations on the
-    packed table (:func:`_expand_bits`), so comparing two node functions
-    over the union of their supports costs microseconds instead of a cone
-    traversal.
+    packed table (:meth:`TruthTable.extend`), so comparing two node
+    functions over the union of their supports costs microseconds instead
+    of a cone traversal.
     """
     window_list = list(window)
     window_positions = {leaf: index for index, leaf in enumerate(window_list)}
@@ -506,8 +408,7 @@ def expand_truth_table(table: TruthTable, own_leaves: Sequence[int], window: Seq
         raise ValueError(f"window is missing leaves {missing}")
     if list(own_leaves) == window_list:
         return table
-    positions = [window_positions[leaf] for leaf in own_leaves]
-    return TruthTable(len(window_list), _expand_bits(table.bits, positions, len(window_list)))
+    return table.extend(len(window_list), [window_positions[leaf] for leaf in own_leaves])
 
 
 def function_key(table: TruthTable, leaves: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -521,11 +422,8 @@ def function_key(table: TruthTable, leaves: Sequence[int]) -> tuple[tuple[int, .
     has the same support and the complemented projection (see
     :func:`complement_key`).
     """
-    essential = table.support()
-    if len(essential) == table.num_vars:
-        return tuple(leaves), table.bits
-    projected = _project_bits(table.bits, table.num_vars, essential)
-    return tuple(leaves[position] for position in essential), projected
+    projected, essential = table.shrink_to_support()
+    return tuple(leaves[position] for position in essential), projected.bits
 
 
 def complement_key(key: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], int]:
@@ -547,7 +445,7 @@ def compute_local_truth_tables(
     :func:`function_key`, and equal keys prove two nodes equivalent with
     no SAT call.  Each gate's table is the AND of its fanins' tables,
     expanded to the gate's support with word operations on the packed
-    integers (:func:`_expand_bits`).
+    integers (:meth:`TruthTable.extend`).
     """
     if supports is None:
         supports = compute_pi_supports(aig, max_support)
@@ -573,11 +471,11 @@ def compute_local_truth_tables(
         positions: dict[int, int] | None = None
         for fanin, table in ((fanin0, table0), (fanin1, table1)):
             own = supports.get(Aig.node_of(fanin)) or ()
-            expanded = table.bits
             if own != support:
                 if positions is None:
                     positions = {leaf: index for index, leaf in enumerate(support)}
-                expanded = _expand_bits(expanded, [positions[leaf] for leaf in own], width)
+                table = table.extend(width, [positions[leaf] for leaf in own])
+            expanded = table.bits
             bits &= expanded ^ full if Aig.is_complemented(fanin) else expanded
         tables[node] = TruthTable(len(support), bits)
     return tables

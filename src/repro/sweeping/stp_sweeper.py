@@ -22,10 +22,10 @@ paper calls out:
    (:func:`function_key`).  When both nodes of a (candidate, driver) pair
    have a key, the keys decide the pair exactly with no SAT call at all:
    equal keys prove the equivalence and the candidate is substituted,
-   unequal keys disprove it.  Only pairs with a wider node go to SAT, and
-   every SAT counter-example is propagated only through the nodes that
-   still sit in equivalence classes (Section IV-A, "Refinement using
-   STP-based Simulation").
+   unequal keys disprove it and the walk moves on to the next driver.
+   Only pairs with a wider node go to SAT, and every SAT counter-example
+   is propagated only through the nodes that still sit in equivalence
+   classes (Section IV-A, "Refinement using STP-based Simulation").
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from ..simulation.stp_simulator import (
     complement_key,
     compute_local_truth_tables,
     compute_pi_supports,
-    expand_truth_table,
     function_key,
 )
 from ..truthtable import TruthTable
@@ -93,6 +92,10 @@ class StpSweeper:
         #: Gates the last :meth:`run` skipped as dangling: each drove no PO
         #: and all its fanouts were merged or skipped before it was visited.
         self.dangling: set[int] = set()
+        # Per-run caches, filled by :meth:`_load_tables`.
+        self._supports: dict[int, tuple[int, ...] | None] = {}
+        self._local_tables: dict[int, TruthTable | None] = {}
+        self._keys: dict[int, tuple[tuple[int, ...], int] | None] = {}
 
     # ------------------------------------------------------------------
 
@@ -115,37 +118,12 @@ class StpSweeper:
         )
         tfi = TfiManager(aig, self.tfi_limit)
 
-        # Structural PI supports and per-node local functions, computed once
-        # up front by the STP simulator.  A node's local function stays valid
-        # across equivalence-preserving substitutions, so the cache is never
-        # invalidated during the sweep.
         sim_start = time.perf_counter()
-        self._supports = compute_pi_supports(aig, self.window_leaves)
-        if self.use_exhaustive_refinement:
-            self._local_tables = compute_local_truth_tables(aig, self.window_leaves, self._supports)
-        else:
-            self._local_tables = {}
-        self._keys: dict[int, tuple[tuple[int, ...], int] | None] = {}
+        self._load_tables(aig)
         stats.simulation_time += time.perf_counter() - sim_start
 
         # ---- lines 2-3: SAT-guided patterns, constants, initial classes ---
         simulator, classes = self._initialise(aig, solver, stats)
-
-        # ---- one-time STP-based exhaustive refinement of every class --------
-        # (Section IV-A: only nodes inside equivalence classes are simulated,
-        # with exhaustive patterns over windows of fewer than 16 leaves.)
-        if self.use_exhaustive_refinement:
-            sim_start = time.perf_counter()
-            for cls in classes.classes():
-                members = [member for member in cls.members if member != 0]
-                if len(members) < 2 or cls.representative == 0:
-                    continue
-                tables = self._window_tables(members)
-                if tables is None:
-                    continue
-                splits = classes.refine_with_truth_tables(tables)
-                stats.simulation_disproofs += splits
-            stats.simulation_time += time.perf_counter() - sim_start
 
         merged: set[int] = set()
         dangling: set[int] = set()
@@ -181,6 +159,9 @@ class StpSweeper:
 
         stats.extra["dangling_skipped"] = float(len(dangling))
         stats.patterns_used = simulator.num_patterns
+        # The supports, local tables and keys serve this run only; a sweeper
+        # kept for another run should not hold them.
+        self._supports, self._local_tables, self._keys = {}, {}, {}
 
         # ---- finalise (shared tail: cleanup, counters, timers) ---------------
         return stats.finalize(aig, solver, start), stats
@@ -343,6 +324,20 @@ class StpSweeper:
         stats.simulation_time += time.perf_counter() - sim_start
         return verdict
 
+    def _load_tables(self, aig: Aig) -> None:
+        """Structural PI supports and per-node local functions of ``aig``, once up front.
+
+        A node's local function stays valid across equivalence-preserving
+        substitutions, so the caches are never invalidated during a sweep.
+        Without exhaustive refinement no node gets a table.
+        """
+        self._supports = compute_pi_supports(aig, self.window_leaves)
+        if self.use_exhaustive_refinement:
+            self._local_tables = compute_local_truth_tables(aig, self.window_leaves, self._supports)
+        else:
+            self._local_tables = {}
+        self._keys = {}
+
     def _function_key(self, node: int) -> tuple[tuple[int, ...], int] | None:
         """Lazily cached :func:`function_key` of a node's local function."""
         if node not in self._keys:
@@ -350,34 +345,6 @@ class StpSweeper:
             support = self._supports.get(node)
             self._keys[node] = None if local is None or support is None else function_key(local, support)
         return self._keys[node]
-
-    # ------------------------------------------------------------------
-
-    def _window_tables(self, targets: list[int]) -> dict[int, TruthTable] | None:
-        """Exhaustive functions of ``targets`` over their combined PI support.
-
-        Uses the precomputed per-node local functions; the combined window
-        must not exceed ``window_leaves`` and every target must have a
-        cached local function, otherwise ``None`` is returned and the
-        class is left to the pairwise checks of the candidate walk.
-        """
-        window: list[int] = []
-        for target in targets:
-            support = self._supports.get(target)
-            if support is None or self._local_tables.get(target) is None:
-                return None
-            for leaf in support:
-                if leaf not in window:
-                    window.append(leaf)
-                    if len(window) > self.window_leaves:
-                        return None
-        window.sort()
-        tables: dict[int, TruthTable] = {}
-        for target in targets:
-            local = self._local_tables[target]
-            assert local is not None
-            tables[target] = expand_truth_table(local, self._supports[target] or (), window)
-        return tables
 
 
 def stp_sweep(aig: Aig, **kwargs: Any) -> tuple[Aig, SweepStatistics]:

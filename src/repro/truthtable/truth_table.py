@@ -22,17 +22,64 @@ __all__ = ["TruthTable"]
 #: ``2 * block`` chunk (the assignments where the cofactored input is 0).
 _HALF_MASKS: dict[tuple[int, int], int] = {}
 
+#: Delta-swap masks of :func:`_move_input`, indexed by input ``i``: bit
+#: ``p`` is set when assignment ``p`` has input ``i`` at 1 and input
+#: ``i + 1`` at 0.  Only the set for the widest table seen is kept; a
+#: narrower table uses it as it is, since ``bits & mask`` only walks the
+#: shorter operand.  A caller keeps the tuple it was handed, so a
+#: concurrent rebuild never changes the masks under it.
+_SWAP_MASKS: tuple[int, ...] = ()
+
+
+def _periodic_mask(num_bits: int, pattern: int, period: int) -> int:
+    """Repeat the ``period``-bit ``pattern`` over ``num_bits`` bits (both powers of two)."""
+    mask = pattern
+    while period < num_bits:
+        mask |= mask << period
+        period *= 2
+    return mask
+
 
 def _half_mask(num_bits: int, block: int) -> int:
     key = (num_bits, block)
     mask = _HALF_MASKS.get(key)
     if mask is None:
-        ones = (1 << block) - 1
-        mask = 0
-        for offset in range(0, num_bits, 2 * block):
-            mask |= ones << offset
-        _HALF_MASKS[key] = mask
+        mask = _HALF_MASKS[key] = _periodic_mask(num_bits, (1 << block) - 1, 2 * block)
     return mask
+
+
+def _swap_masks(num_bits: int) -> tuple[int, ...]:
+    """The delta-swap masks for a ``num_bits``-bit table (see :data:`_SWAP_MASKS`)."""
+    global _SWAP_MASKS
+    masks = _SWAP_MASKS
+    num_swaps = num_bits.bit_length() - 2
+    if len(masks) < num_swaps:
+        masks = _SWAP_MASKS = tuple(
+            _periodic_mask(num_bits, ((1 << (1 << variable)) - 1) << (1 << variable), 4 << variable)
+            for variable in range(num_swaps)
+        )
+    return masks
+
+
+def _move_input(bits: int, masks: tuple[int, ...], source: int, target: int) -> int:
+    """Move input ``source`` of a packed table to ``target``; the inputs between shift towards ``source``.
+
+    Each step is a delta swap of two adjacent inputs ``i`` and ``i + 1``:
+    the assignments that differ only by exchanging their values sit
+    ``2**i`` bits apart, and the pairs whose outputs differ are flipped
+    together.  ``masks`` are :func:`_swap_masks` for the table's width.
+    """
+    while source < target:
+        shift = 1 << source
+        delta = ((bits >> shift) ^ bits) & masks[source]
+        bits ^= delta ^ (delta << shift)
+        source += 1
+    while source > target:
+        source -= 1
+        shift = 1 << source
+        delta = ((bits >> shift) ^ bits) & masks[source]
+        bits ^= delta ^ (delta << shift)
+    return bits
 
 
 @dataclass(frozen=True)
@@ -209,50 +256,87 @@ class TruthTable:
         return TruthTable(self.num_vars, half | (half << block))
 
     def depends_on(self, variable: int) -> bool:
-        """True if the function actually depends on input ``variable``."""
-        return self.cofactor(variable, False) != self.cofactor(variable, True)
+        """True if the function actually depends on input ``variable``.
+
+        The two cofactors differ exactly when some assignment with the
+        input at 0 and its partner ``2**variable`` bits up disagree, so
+        one masked XOR decides it without building either cofactor.
+        """
+        if not 0 <= variable < self.num_vars:
+            raise ValueError(f"variable {variable} out of range")
+        block = 1 << variable
+        return ((self.bits >> block) ^ self.bits) & _half_mask(self.num_bits, block) != 0
 
     def support(self) -> list[int]:
         """Indices of the inputs the function depends on."""
         return [v for v in range(self.num_vars) if self.depends_on(v)]
 
     def permute_inputs(self, permutation: Sequence[int]) -> "TruthTable":
-        """Reorder inputs: new input ``i`` is old input ``permutation[i]``."""
+        """Reorder inputs: new input ``i`` is old input ``permutation[i]``.
+
+        Each new position is filled in turn by moving its input down with
+        adjacent delta swaps on the packed bits.
+        """
         if sorted(permutation) != list(range(self.num_vars)):
             raise ValueError(f"invalid permutation {list(permutation)} for {self.num_vars} inputs")
-        bits = 0
-        for assignment in range(self.num_bits):
-            source = 0
-            for new_index, old_index in enumerate(permutation):
-                if (assignment >> new_index) & 1:
-                    source |= 1 << old_index
-            if self.value_at(source):
-                bits |= 1 << assignment
+        order = list(range(self.num_vars))
+        bits, masks = self.bits, _swap_masks(self.num_bits)
+        for position, old_index in enumerate(permutation):
+            current = order.index(old_index, position)
+            if current != position:
+                bits = _move_input(bits, masks, current, position)
+                order.insert(position, order.pop(current))
         return TruthTable(self.num_vars, bits)
 
-    def extend(self, num_vars: int) -> "TruthTable":
-        """Pad with additional (don't-care) inputs up to ``num_vars``."""
+    def extend(self, num_vars: int, positions: Sequence[int] | None = None) -> "TruthTable":
+        """Pad with additional (don't-care) inputs up to ``num_vars``.
+
+        The new inputs go on top unless ``positions`` is given: then input
+        ``i`` becomes input ``positions[i]`` and the rest are the new
+        ones.  The table's inputs are first put in position order
+        (:meth:`permute_inputs`); then each new input, lowest first, is
+        added on top (``t | t << 2**k``) and moved down into place, so
+        every move works on a table no wider than it has to be.
+        """
         if num_vars < self.num_vars:
             raise ValueError("cannot shrink a truth table with extend()")
-        result = self
-        while result.num_vars < num_vars:
-            result = TruthTable(
-                result.num_vars + 1,
-                result.bits | (result.bits << result.num_bits),
-            )
-        return result
+        if positions is None:
+            positions = range(self.num_vars)
+        elif (
+            len(positions) != self.num_vars
+            or len(set(positions)) != self.num_vars
+            or (positions and (min(positions) < 0 or max(positions) >= num_vars))
+        ):
+            raise ValueError(f"invalid positions {list(positions)} for {self.num_vars} inputs of {num_vars}")
+        table = self
+        if list(positions) != sorted(positions):
+            table = self.permute_inputs(sorted(range(self.num_vars), key=positions.__getitem__))
+        bits, width = table.bits, table.num_vars
+        masks = _swap_masks(1 << num_vars)
+        present = set(positions)
+        for position in range(num_vars):
+            if position not in present:
+                # Every input below ``position`` is already in place.
+                bits |= bits << (1 << width)
+                bits = _move_input(bits, masks, width, position)
+                width += 1
+        return TruthTable(num_vars, bits)
 
     def shrink_to_support(self) -> tuple["TruthTable", list[int]]:
-        """Project onto the true support; returns the smaller table and the kept inputs."""
+        """Project onto the true support; returns the smaller table and the kept inputs.
+
+        Each dropped input, highest first, is moved to the top with
+        adjacent delta swaps and cut off with the upper half of the table.
+        """
         kept = self.support()
-        bits = 0
-        for assignment in range(1 << len(kept)):
-            source = 0
-            for new_index, old_index in enumerate(kept):
-                if (assignment >> new_index) & 1:
-                    source |= 1 << old_index
-            if self.value_at(source):
-                bits |= 1 << assignment
+        if len(kept) == self.num_vars:
+            return self, kept
+        bits, num_vars, masks = self.bits, self.num_vars, _swap_masks(self.num_bits)
+        for variable in range(self.num_vars - 1, -1, -1):
+            if variable not in kept:
+                bits = _move_input(bits, masks, variable, num_vars - 1)
+                num_vars -= 1
+                bits &= (1 << (1 << num_vars)) - 1
         return TruthTable(len(kept), bits), kept
 
     def compose(self, inputs: Sequence["TruthTable"]) -> "TruthTable":

@@ -10,13 +10,15 @@ workflow step.
 
 from __future__ import annotations
 
+import asyncio
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
 import time
 
-from repro.service import JobRequest, fetch_json, submit
+from repro.service import JobRequest, SynthesisServer, fetch_json, submit
 
 _BANNER = re.compile(r"http://[\w.]+:(\d+)")
 
@@ -103,3 +105,27 @@ def test_serve_subprocess_with_process_workers(tmp_path, adder_text: str) -> Non
                 process.wait(timeout=15)
             except subprocess.TimeoutExpired:  # pragma: no cover - cleanup path
                 process.kill()
+
+
+def test_close_terminates_a_job_that_outlives_the_grace() -> None:
+    """A hung job cannot keep a stopping server alive: after the grace its worker is terminated."""
+
+    async def scenario() -> tuple[float, list[multiprocessing.process.BaseProcess]]:
+        before = set(multiprocessing.active_children())
+        server = SynthesisServer(port=0, workers=1)
+        await server.start()
+        assert server._pool is not None
+        server._pool.submit(time.sleep, 90)
+        deadline = time.monotonic() + 60
+        while len(set(multiprocessing.active_children()) - before) < 2 and time.monotonic() < deadline:
+            await asyncio.sleep(0.1)
+        # The manager and the pool worker.
+        children = list(set(multiprocessing.active_children()) - before)
+        assert len(children) == 2
+        started = time.monotonic()
+        await server.close(grace=1.0)
+        return time.monotonic() - started, children
+
+    elapsed, children = asyncio.run(scenario())
+    assert elapsed < 30
+    assert not [child for child in children if child.is_alive()]

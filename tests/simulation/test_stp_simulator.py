@@ -277,6 +277,20 @@ def _gather_table(table, steps):
 class TestWordLevelMatchesGather:
     """The word-operation projection and table build agree with an index gather."""
 
+    @pytest.mark.parametrize("window_size", range(17, 21))
+    def test_expansion_and_projection_beyond_16_leaves(self, window_size):
+        # Windows wider than 16 leaves are legal (``--window-leaves`` up to
+        # the 24-input table limit) and grow the shared swap masks.
+        rng = random.Random(window_size)
+        window = sorted(rng.sample(range(64), window_size))
+        own = rng.sample(window, rng.randint(window_size - 6, window_size - 1))
+        table = TruthTable(len(own), rng.getrandbits(1 << len(own)))
+        expanded = expand_truth_table(table, own, window)
+        assert expanded == _gather_table(table, [1 << own.index(leaf) if leaf in own else 0 for leaf in window])
+        essential = expanded.support()
+        projected = _gather_table(expanded, [1 << position for position in essential])
+        assert function_key(expanded, window) == (tuple(window[p] for p in essential), projected.bits)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_function_key_projection(self, seed):
         rng = random.Random(seed)

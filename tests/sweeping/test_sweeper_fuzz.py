@@ -124,7 +124,7 @@ class TestExhaustiveVerdict:
         # gives many keyed pairs a joint support wider than the window.
         aig = _workload(seed, num_pis=10, num_gates=30)
         sweeper = StpSweeper(aig, num_patterns=32, window_leaves=4)
-        sweeper.run()
+        sweeper._load_tables(aig)
         solver = CircuitSolver(aig)
         stats = SweepStatistics()
         keyed = [node for node in aig.nodes() if sweeper._function_key(node) is not None]

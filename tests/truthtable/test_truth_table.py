@@ -1,5 +1,7 @@
 """Unit and property-based tests for word-packed truth tables."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +125,15 @@ class TestStructuralOperations:
         with pytest.raises(ValueError):
             table.permute_inputs([0, 0])
 
+    def test_extend_places_inputs_at_positions(self):
+        table = TruthTable.from_function(lambda a, b: a and not b, 2)
+        spread = table.extend(4, [3, 1])
+        assert spread == TruthTable.from_function(lambda w, x, y, z: z and not x, 4)
+        with pytest.raises(ValueError):
+            table.extend(4, [1, 1])
+        with pytest.raises(ValueError):
+            table.extend(4, [0, 4])
+
     def test_extend_preserves_function(self):
         table = TruthTable.from_function(lambda a, b: a ^ b, 2)
         extended = table.extend(4)
@@ -156,3 +167,64 @@ class TestStructuralOperations:
             positive = table.cofactor(variable, True)
             negative = table.cofactor(variable, False)
             assert (x & positive) | (~x & negative) == table
+
+
+def _reference_permute(table, permutation):
+    """Per-assignment reference: new input ``i`` reads old input ``permutation[i]``."""
+    bits = 0
+    for assignment in range(table.num_bits):
+        source = 0
+        for new_index, old_index in enumerate(permutation):
+            if (assignment >> new_index) & 1:
+                source |= 1 << old_index
+        if table.value_at(source):
+            bits |= 1 << assignment
+    return TruthTable(table.num_vars, bits)
+
+
+class TestWordLevelMatchesLoops:
+    """The delta-swap permutation, projection and spreading agree with per-assignment loops."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_permute_inputs(self, seed):
+        rng = random.Random(seed)
+        num_vars = rng.randint(0, 9)
+        table = TruthTable(num_vars, rng.getrandbits(1 << num_vars))
+        permutation = rng.sample(range(num_vars), num_vars)
+        assert table.permute_inputs(permutation) == _reference_permute(table, permutation)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_shrink_to_support(self, seed):
+        rng = random.Random(seed)
+        kept_vars = rng.randint(0, 6)
+        num_vars = rng.randint(kept_vars, 9)
+        positions = sorted(rng.sample(range(num_vars), kept_vars))
+        inner = TruthTable(kept_vars, rng.getrandbits(1 << kept_vars))
+        # A table that ignores every input outside ``positions``.
+        bits = 0
+        for assignment in range(1 << num_vars):
+            source = sum(1 << index for index, position in enumerate(positions) if (assignment >> position) & 1)
+            if inner.value_at(source):
+                bits |= 1 << assignment
+        table = TruthTable(num_vars, bits)
+        shrunk, kept = table.shrink_to_support()
+        assert kept == [variable for variable in range(num_vars) if table.depends_on(variable)]
+        assert set(kept) <= set(positions)
+        expected = 0
+        for assignment in range(1 << len(kept)):
+            source = sum(1 << old for new, old in enumerate(kept) if (assignment >> new) & 1)
+            if table.value_at(source):
+                expected |= 1 << assignment
+        assert shrunk == TruthTable(len(kept), expected)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_extend_with_positions(self, seed):
+        rng = random.Random(seed)
+        num_vars = rng.randint(0, 9)
+        own_vars = rng.randint(0, num_vars)
+        positions = rng.sample(range(num_vars), own_vars)
+        table = TruthTable(own_vars, rng.getrandbits(1 << own_vars))
+        expected = TruthTable.from_function(
+            lambda *inputs: table.evaluate([inputs[position] for position in positions]), num_vars
+        )
+        assert table.extend(num_vars, positions) == expected
