@@ -15,6 +15,20 @@ vector.  Two simulation modes are provided, mirroring Algorithm 1:
   computed by STP composition, and only cut roots are evaluated
   (:meth:`StpSimulator.simulate_nodes`).
 
+Both modes run the matrix pass as a byte-table lookup.  A node's value
+over all patterns is held with one 0/1 byte per pattern (a Python int in
+the loop, ``bytes`` when stored).  Under one pattern, with fanin ``i``
+taking value ``b_i``, the STP product selects column
+``c = sum_i (1 - b_i) * 2^i`` of the structural matrix ``M``; equivalently
+``M[0, 2^k - 1 - j]`` with ``j = sum_i b_i * 2^i``.  So each LUT keeps the
+row ``R[j] = M[0, 2^k - 1 - j]``, built once from its matrix, and ``j``
+for every pattern at once is ``OR_i value_i << i``: the shifted bits are
+disjoint and stay inside their byte for up to 8 inputs.  The pass is then
+``j.to_bytes(P, "little").translate(R)``.  Wider tables (mode ``s`` cuts
+reach ``floor(log2 P)`` leaves) build ``j`` 8 inputs at a time and gather
+from ``R`` with numpy.  All signatures are packed at the end by one
+``np.packbits``.
+
 Two equivalent implementations of the structural-matrix composition are
 available: the literal STP-algebra path (:func:`cut_truth_table_stp` with
 ``use_stp_algebra=True``) builds the canonical form with swap and
@@ -72,26 +86,95 @@ def cut_limit_for_patterns(num_patterns: int, maximum: int = 16) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Packed-word <-> bit-array helpers
+# Byte-per-pattern column selection
 # ---------------------------------------------------------------------------
 
 
-def _word_to_bits(word: int, num_patterns: int) -> np.ndarray:
-    """Unpack a signature integer into a uint8 array of length ``num_patterns``."""
-    if num_patterns == 0:
-        return np.zeros(0, dtype=np.uint8)
-    num_bytes = (num_patterns + 7) // 8
-    raw = word.to_bytes(num_bytes, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits[:num_patterns]
+def _matrix_row(matrix: np.ndarray) -> bytes:
+    """Column-select table of a structural matrix: byte ``j`` is ``M[0, 2^k - 1 - j]``.
+
+    Padded to 256 bytes so that it is a ``bytes.translate`` table for LUTs
+    of up to 8 inputs.
+    """
+    return matrix[0, ::-1].astype(np.uint8).tobytes().ljust(256, b"\0")
 
 
-def _bits_to_word(bits: np.ndarray) -> int:
-    """Pack a uint8/bool array back into a signature integer."""
-    if bits.size == 0:
+def _spread(word: int, num_patterns: int) -> bytes:
+    """A packed signature word as one 0/1 byte per pattern."""
+    raw = np.frombuffer(word.to_bytes((num_patterns + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=num_patterns, bitorder="little").tobytes()
+
+
+def _select_columns(row: bytes, fanin_values: Sequence[int], num_patterns: int) -> bytes:
+    """One structural-matrix pass over all patterns, one 0/1 byte per pattern.
+
+    ``fanin_values`` hold one 0/1 byte per pattern each, so OR-ing fanin
+    ``i``'s value shifted by ``i`` builds every pattern's assignment ``j``
+    in its own byte without carries; ``row[j]`` is the output the STP
+    column selection yields for it.  Up to 8 inputs this is a single
+    ``bytes.translate``; wider tables gather from ``row`` with a numpy
+    index assembled 8 inputs at a time.
+    """
+    if len(fanin_values) <= 8:
+        return _byte_index(fanin_values).to_bytes(num_patterns, "little").translate(row)
+    gather = np.zeros(num_patterns, dtype=np.intp)
+    for low in range(0, len(fanin_values), 8):
+        chunk = _byte_index(fanin_values[low : low + 8]).to_bytes(num_patterns, "little")
+        gather |= np.frombuffer(chunk, dtype=np.uint8).astype(np.intp) << low
+    return np.frombuffer(row, dtype=np.uint8)[gather].tobytes()
+
+
+def _byte_index(fanin_values: Sequence[int]) -> int:
+    """``OR_i fanin_values[i] << i``: up to 8 inputs' bits, one byte per pattern."""
+    if not fanin_values:
         return 0
-    packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+    index = fanin_values[0]
+    for position in range(1, len(fanin_values)):
+        index |= fanin_values[position] << position
+    return index
+
+
+class _ByteValues:
+    """Node values with one 0/1 byte per pattern, for one simulation run.
+
+    ``values`` is a flat list indexed by node (``None`` until simulated)
+    holding each value as a Python int for the shift/OR of
+    :func:`_byte_index`; ``buffer`` holds the same bytes, node after node,
+    so that :meth:`result` packs every signature with one ``np.packbits``.
+    Constants and PIs are stored on construction.
+    """
+
+    def __init__(self, network: KLutNetwork, patterns: PatternSet) -> None:
+        if patterns.num_inputs != network.num_pis:
+            raise ValueError(f"pattern set has {patterns.num_inputs} inputs, network has {network.num_pis}")
+        self.num_patterns = num_patterns = patterns.num_patterns
+        self.values: list[int | None] = [None] * network.num_nodes
+        self.buffer = bytearray(network.num_nodes * num_patterns)
+        for node in network.nodes():
+            if network.is_constant(node):
+                self.store(node, bytes([network.constant_value(node)]) * num_patterns)
+        for position, node in enumerate(network.pis):
+            self.store(node, _spread(patterns.input_word(position) & patterns.mask, num_patterns))
+
+    def store(self, node: int, raw: bytes) -> None:
+        """Record the value of ``node`` (one 0/1 byte per pattern)."""
+        num_patterns = self.num_patterns
+        self.buffer[node * num_patterns : (node + 1) * num_patterns] = raw
+        self.values[node] = int.from_bytes(raw, "little")
+
+    def result(self) -> SimulationResult:
+        """Signatures of every stored node."""
+        num_patterns = self.num_patterns
+        stride = (num_patterns + 7) // 8
+        rows = np.frombuffer(self.buffer, dtype=np.uint8).reshape(len(self.values), num_patterns)
+        packed = np.packbits(rows, axis=1, bitorder="little").tobytes()
+        result = SimulationResult(num_patterns)
+        result.signatures = {
+            node: int.from_bytes(packed[node * stride : (node + 1) * stride], "little")
+            for node, value in enumerate(self.values)
+            if value is not None
+        }
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -183,49 +266,29 @@ class StpSimulator:
         self.network = network
         # One structural matrix per LUT, precomputed once: this is the
         # "logic matrices as primitives of the logic network" part of the
-        # paper -- the simulator never looks at gate operators again.
-        self._matrices: dict[int, np.ndarray] = {
-            node: truth_table_to_structural_matrix(network.lut_function(node))
-            for node in network.luts()
-        }
+        # paper -- the simulator never looks at gate operators again.  Only
+        # the matrix's column-select row is kept (see _select_columns), one
+        # per distinct LUT function.
+        shared: dict[TruthTable, bytes] = {}
+        self._rows: dict[int, bytes] = {}
+        for node in network.luts():
+            function = network.lut_function(node)
+            row = shared.get(function)
+            if row is None:
+                row = shared[function] = _matrix_row(truth_table_to_structural_matrix(function))
+            self._rows[node] = row
 
     # -- mode 'a': all nodes --------------------------------------------
 
     def simulate_all(self, patterns: PatternSet) -> SimulationResult:
         """Simulate every node; one structural-matrix pass per node."""
         network = self.network
-        if patterns.num_inputs != network.num_pis:
-            raise ValueError(f"pattern set has {patterns.num_inputs} inputs, network has {network.num_pis}")
-        num_patterns = patterns.num_patterns
-        values: dict[int, np.ndarray] = {}
-        for node in network.nodes():
-            if network.is_constant(node):
-                fill = 1 if network.constant_value(node) else 0
-                values[node] = np.full(num_patterns, fill, dtype=np.uint8)
-        for position, node in enumerate(network.pis):
-            values[node] = _word_to_bits(patterns.input_word(position), num_patterns)
+        state = _ByteValues(network, patterns)
+        values, rows, num_patterns = state.values, self._rows, state.num_patterns
         for node in network.topological_order():
-            values[node] = self._node_pass(node, values)
-        result = SimulationResult(num_patterns)
-        for node, bits in values.items():
-            result.signatures[node] = _bits_to_word(bits)
-        return result
-
-    def _node_pass(self, node: int, values: Mapping[int, np.ndarray]) -> np.ndarray:
-        """One structural-matrix pass: select the matrix column of each pattern.
-
-        The STP of the structural matrix with the fanin logic vectors is a
-        one-hot column selection; column index ``sum_i (1 - b_i) << i``
-        (fanin ``i`` contributing bit ``i``) reproduces it for all patterns
-        at once.
-        """
-        matrix = self._matrices[node]
-        fanins = self.network.lut_fanins(node)
-        num_patterns = next(iter(values.values())).shape[0] if values else 0
-        columns = np.zeros(num_patterns, dtype=np.int64)
-        for position, fanin in enumerate(fanins):
-            columns += (1 - values[fanin].astype(np.int64)) << position
-        return matrix[0, columns].astype(np.uint8)
+            fanin_values = [values[fanin] for fanin in network.fanins(node)]
+            state.store(node, _select_columns(rows[node], fanin_values, num_patterns))
+        return state.result()
 
     # -- mode 's': specified nodes ----------------------------------------
 
@@ -242,33 +305,14 @@ class StpSimulator:
         include every target), the PIs and the constants.
         """
         network = self.network
-        if patterns.num_inputs != network.num_pis:
-            raise ValueError(f"pattern set has {patterns.num_inputs} inputs, network has {network.num_pis}")
+        state = _ByteValues(network, patterns)
         if limit is None:
-            limit = cut_limit_for_patterns(patterns.num_patterns)
-        num_patterns = patterns.num_patterns
-
-        cuts = simulation_cuts(network, list(targets), limit)
-        values: dict[int, np.ndarray] = {}
-        for node in network.nodes():
-            if network.is_constant(node):
-                fill = 1 if network.constant_value(node) else 0
-                values[node] = np.full(num_patterns, fill, dtype=np.uint8)
-        for position, node in enumerate(network.pis):
-            values[node] = _word_to_bits(patterns.input_word(position), num_patterns)
-
-        for cut in cuts:
-            table = cut_truth_table_stp(network, cut)
-            matrix = truth_table_to_structural_matrix(table)
-            columns = np.zeros(num_patterns, dtype=np.int64)
-            for position, leaf in enumerate(cut.leaves):
-                columns += (1 - values[leaf].astype(np.int64)) << position
-            values[cut.root] = matrix[0, columns].astype(np.uint8)
-
-        result = SimulationResult(num_patterns)
-        for node, bits in values.items():
-            result.signatures[node] = _bits_to_word(bits)
-        return result
+            limit = cut_limit_for_patterns(state.num_patterns)
+        for cut in simulation_cuts(network, list(targets), limit):
+            row = _matrix_row(truth_table_to_structural_matrix(cut_truth_table_stp(network, cut)))
+            leaf_values = [state.values[leaf] for leaf in cut.leaves]
+            state.store(cut.root, _select_columns(row, leaf_values, state.num_patterns))
+        return state.result()
 
     # -- exhaustive local signatures (Section III-C) -----------------------
 

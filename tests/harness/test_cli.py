@@ -75,14 +75,20 @@ class TestSimulateCli:
         assert lines[0] == "output,ones,patterns,signature_hex"
         assert len(lines) == 1 + 5  # 4 sum bits + carry
 
-    def test_engines_agree_on_signatures(self, adder_file, tmp_path, capsys):
-        paths = {}
+    @pytest.mark.parametrize("lut_size", [2, 6])
+    @pytest.mark.parametrize("num_patterns", [64, 1001])
+    def test_engines_agree_on_signatures(self, adder_file, tmp_path, capsys, lut_size, num_patterns):
+        outputs = {}
         for engine in ("aig", "lut", "stp"):
             csv_path = tmp_path / f"{engine}.csv"
-            simulate_main([str(adder_file), "--engine", engine, "--patterns", "64", "--csv", str(csv_path)])
-            paths[engine] = csv_path.read_text()
+            exit_code = simulate_main(
+                [str(adder_file), "--engine", engine, "--lut-size", str(lut_size),
+                 "--patterns", str(num_patterns), "--csv", str(csv_path)]
+            )
+            assert exit_code == 0
+            outputs[engine] = csv_path.read_bytes()
             capsys.readouterr()
-        assert paths["aig"] == paths["lut"] == paths["stp"]
+        assert outputs["aig"] == outputs["lut"] == outputs["stp"]
 
 
 class TestSweepCli:

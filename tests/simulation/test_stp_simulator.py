@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.circuits.random_logic import random_aig
 from repro.circuits.sweep_workloads import inject_redundancy
-from repro.networks import Aig, map_aig_to_klut
+from repro.networks import Aig, KLutNetwork, map_aig_to_klut
 from repro.cuts import simulation_cuts
 from repro.simulation import (
     PatternSet,
@@ -22,6 +22,7 @@ from repro.simulation import (
     cut_truth_table_stp,
     klut_po_signatures,
     simulate_aig,
+    simulate_klut_minterm,
     simulate_klut_per_pattern,
     simulate_klut_stp,
     stp_aig_truth_table,
@@ -74,7 +75,100 @@ class TestAllNodeMode:
         assert klut_po_signatures(klut, baseline) == klut_po_signatures(klut, stp)
 
 
+def _hand_built_network(seed: int, num_pis: int = 12) -> KLutNetwork:
+    """LUTs of every arity 0-12 over PIs, constants and earlier LUTs.
+
+    The mapper never emits 0-input or 9-12-input LUTs; here every arity
+    appears.  Some LUTs are left dangling, and POs are driven by LUTs,
+    PIs and constants.
+    """
+    rng = random.Random(seed)
+    network = KLutNetwork()
+    pis = [network.add_pi() for _ in range(num_pis)]
+    nodes = [network.constant_node(False), network.constant_node(True), *pis]
+    luts = []
+    for arity in list(range(13)) + [rng.randint(0, 12) for _ in range(12)]:
+        fanins = rng.sample(nodes, arity)
+        luts.append(network.add_lut(fanins, TruthTable(arity, rng.getrandbits(1 << arity))))
+        nodes.append(luts[-1])
+    for node in rng.sample(luts, len(luts) // 2):
+        network.add_po(node, negated=rng.random() < 0.5)
+    network.add_po(pis[0])
+    network.add_po(pis[-1], negated=True)
+    network.add_po(network.constant_node(True))
+    return network
+
+
+def _lut_trees(seed: int, num_pis: int = 12) -> KLutNetwork:
+    """Fanout-free trees of random 2- and 3-LUTs, each over all PIs.
+
+    Every internal LUT has one fanout, so a tree's simulation cut grows
+    up to the leaf limit.
+    """
+    rng = random.Random(seed)
+    network = KLutNetwork()
+    pis = [network.add_pi() for _ in range(num_pis)]
+    for _tree in range(3):
+        frontier = rng.sample(pis, num_pis)
+        while len(frontier) > 1:
+            arity = min(len(frontier), rng.choice((2, 2, 3)))
+            fanins = [frontier.pop(rng.randrange(len(frontier))) for _ in range(arity)]
+            frontier.append(network.add_lut(fanins, TruthTable(arity, rng.getrandbits(1 << arity))))
+        network.add_po(frontier[0])
+    return network
+
+
+class TestAllNodeOracles:
+    """Every node's STP signature equals both k-LUT baselines."""
+
+    @pytest.mark.parametrize("num_patterns", [0, 1, 7, 8, 1001, 1024])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_node_matches_baselines(self, seed, num_patterns):
+        network = _hand_built_network(seed)
+        assert {len(network.lut_fanins(node)) for node in network.luts()} == set(range(13))
+        assert len(network.topological_order()) > len(set(network.tfi(network.po_nodes())) & set(network.luts()))
+        patterns = PatternSet.random(network.num_pis, num_patterns, seed=seed + 100)
+        stp = StpSimulator(network).simulate_all(patterns)
+        per_pattern = simulate_klut_per_pattern(network, patterns)
+        minterm = simulate_klut_minterm(network, patterns)
+        assert stp.signatures.keys() == set(network.nodes())
+        for node in network.nodes():
+            assert stp.signature(node) == per_pattern.signature(node) == minterm.signature(node), node
+
+    @pytest.mark.parametrize("num_patterns", [1, 1001])
+    def test_mapped_network_matches_baselines(self, num_patterns):
+        aig = random_aig(num_pis=10, num_gates=120, num_pos=6, seed=5)
+        for k in (2, 6):
+            network, _ = map_aig_to_klut(aig, k=k)
+            patterns = PatternSet.random(network.num_pis, num_patterns, seed=k)
+            stp = StpSimulator(network).simulate_all(patterns)
+            minterm = simulate_klut_minterm(network, patterns)
+            assert stp.signatures == minterm.signatures
+
+
 class TestSpecifiedNodeMode:
+    @pytest.mark.parametrize("limit", range(9, 13))
+    def test_wide_cuts_match_all_node_mode(self, limit):
+        # Limits above 8 give cut tables wider than one byte of index.
+        network = _lut_trees(1)
+        targets = network.po_nodes()
+        assert max(len(cut.leaves) for cut in simulation_cuts(network, targets, limit)) > 8
+        patterns = PatternSet.random(network.num_pis, 1001, seed=limit)
+        full = StpSimulator(network).simulate_all(patterns)
+        partial = StpSimulator(network).simulate_nodes(patterns, targets, limit=limit)
+        assert set(targets) <= partial.signatures.keys()
+        for node, signature in partial.signatures.items():
+            assert signature == full.signature(node), node
+
+    def test_hand_built_wide_luts_match_all_node_mode(self):
+        network = _hand_built_network(7)
+        patterns = PatternSet.random(network.num_pis, 1024, seed=7)
+        full = StpSimulator(network).simulate_all(patterns)
+        for limit in range(9, 13):
+            partial = StpSimulator(network).simulate_nodes(patterns, list(network.luts()), limit=limit)
+            for node, signature in partial.signatures.items():
+                assert signature == full.signature(node), (limit, node)
+
     def test_targets_match_all_node_mode(self, small_klut):
         patterns = PatternSet.random(small_klut.num_pis, 64, seed=13)
         targets = list(small_klut.luts())[:3]
