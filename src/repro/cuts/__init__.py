@@ -4,12 +4,16 @@ This package is the single home of cut computation.  Mapping, DAG-aware
 rewriting and the simulation layer all consume the same pieces:
 
 * :class:`Cut` / :func:`merge_cut_sets` -- the cut datatype and the one
-  merge/dominance implementation (``repro/cuts/cut.py``);
+  merge/dominance implementation, which selects the priority cuts
+  smallest-first and only then fuses a truth table for each cut it
+  keeps (``repro/cuts/cut.py``);
 * :class:`CutEngine` / :func:`enumerate_cuts` -- static enumeration and
   incremental maintenance against :meth:`~repro.networks.aig.Aig.substitute`
   events, with dead-cone/revival bookkeeping (``repro/cuts/engine.py``);
 * :class:`CutFunctionCache` -- fused cut functions memoised under
-  structural signatures, with NPN-canonical lookup (``repro/cuts/cache.py``);
+  structural signatures, with NPN-canonical lookup; it is consulted
+  once per kept cut, never for a dropped candidate
+  (``repro/cuts/cache.py``);
 * :func:`aig_cone_table` / :func:`klut_cone_table` -- the validating
   reference cone walkers (``repro/cuts/cone.py``);
 * :class:`SimulationCut` and friends -- the paper's simulation-cut

@@ -61,7 +61,9 @@ class CutFunctionCache:
     One instance is shared by every consumer of a
     :class:`~repro.cuts.engine.CutEngine`; ``hits``/``misses`` count the
     merge-table lookups and :attr:`hit_rate` is the headline number the
-    mapping benchmarks record.
+    mapping benchmarks record.  :func:`~repro.cuts.cut.merge_cut_sets`
+    looks up a table only for each cut it keeps, so the counters and the
+    hit rate cover kept cuts alone, not every candidate it considered.
     """
 
     def __init__(self) -> None:

@@ -3,11 +3,13 @@
 A :class:`Cut` is a set of leaf nodes bounding a cone, optionally
 carrying the cone's function over those leaves as a word-packed
 :class:`~repro.truthtable.TruthTable` (leaf ``i`` = table input ``i``).
-The table is *fused* into cut merging: when two fanin cuts combine, the
-merged cut's table is built directly from the fanin tables (expand each
-to the merged leaf set, apply the fanin complements, AND) -- no cone is
-ever re-walked.  Equality and hashing ignore the table, so cuts compare
-by their leaf sets exactly as before the tables existed.
+The table is *fused* into cut merging: once the union of two fanin
+cuts is selected as a kept cut, its table is built directly from the
+fanin tables (expand each to the merged leaf set, apply the fanin
+complements, AND) -- no cone is ever re-walked, and no table is built
+for a candidate that selection drops.  Equality and hashing ignore the
+table, so cuts compare by their leaf sets exactly as before the tables
+existed.
 
 :func:`merge_cut_sets` is the one merge/dominance implementation in the
 tree; the static enumeration, the incremental rewriting database and the
@@ -17,6 +19,7 @@ mapper all go through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from ..truthtable import TruthTable
@@ -28,6 +31,9 @@ __all__ = ["Cut", "trivial_cut", "merge_cut_sets"]
 
 #: Table of a trivial cut ``{node}``: the identity function of one input.
 _IDENTITY = TruthTable.variable(0, 1)
+
+#: Sort key of a ``(size, mask, cut0, cut1)`` merge candidate.
+_by_size = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -81,24 +87,41 @@ def merge_cut_sets(
     """Cut set of ``node`` from its two fanin cut sets.
 
     ``fanin0`` and ``fanin1`` are the fanin *literals* (complement bits
-    are folded into the fused tables).  Candidates larger than ``k`` or
-    dominated by an already-kept candidate are discarded; kept candidates
-    are sorted by size, truncated to ``cut_limit - 1`` and the trivial
-    cut ``{node}`` is appended (downstream nodes use it to treat this
-    node as a leaf).
+    are folded into the fused tables).  The result holds at most
+    ``cut_limit - 1`` merged cuts, smallest first, followed by the
+    trivial cut ``{node}`` (downstream nodes use it to treat this node
+    as a leaf).
 
-    With a :class:`~repro.cuts.cache.CutFunctionCache` the merged cut's
-    truth table is computed from the fanin cut tables (never by a cone
-    walk) and attached to the cut; without one, tables are skipped and
-    the resulting cuts carry ``table=None``.
+    Selection is one pass over the candidate pairs ``(cut0, cut1)``:
 
-    Dominance runs on per-call leaf *bitmasks* (each distinct leaf of
-    the two fanin sets gets one bit; subset tests become two integer
-    ops).  Large cut sets -- the choice-aware engine doubles the
-    priority budget and merges whole classes -- made the set-object
-    subset tests the mapping hot spot; the masks cut enumeration cost
-    by an order of magnitude while keeping the kept cuts, their order
-    and their tables bit-identical.
+    1. every pair whose leaf union has at most ``k`` leaves becomes a
+       candidate, in arrival order (``cuts0`` outer, ``cuts1`` inner);
+    2. the candidates are stably sorted by size;
+    3. a candidate is kept unless an already-kept leaf set is a subset
+       of its own (equal sets included);
+    4. the pass stops once ``cut_limit - 1`` candidates are kept.
+
+    Leaves are built only for kept cuts and, with a
+    :class:`~repro.cuts.cache.CutFunctionCache`, so are truth tables,
+    fused from the fanin cut tables (never by a cone walk): exactly one
+    ``merge_table`` call per kept cut.  Without a cache the cuts carry
+    ``table=None``.
+
+    This is the same selection as merging every candidate eagerly,
+    evicting the ones a later candidate dominates, then sorting by size
+    and truncating.  That eager result is the set of *minimal* leaf
+    sets, each at its first arrival, in arrival order, stably sorted by
+    size and truncated.  In (size, arrival) order every strict subset of
+    a candidate is smaller, so it is visited first and has a kept subset
+    by then: a non-minimal candidate is always rejected, a later copy of
+    a kept set is rejected, and the first arrival of a minimal set finds
+    no kept subset but itself.  The kept sequence is therefore the
+    eager one, and stopping at ``cut_limit - 1`` is its truncation;
+    each kept cut also comes from the same ``(cut0, cut1)`` pair, so its
+    table is the same.
+
+    Subset tests run on per-call leaf *bitmasks* (each distinct leaf of
+    the two fanin sets gets one bit), so a test is two integer ops.
     """
     comp0, comp1 = fanin0 & 1, fanin1 & 1
     # One bit per distinct leaf appearing in either fanin set.
@@ -111,41 +134,35 @@ def merge_cut_sets(
         for leaf in cut.leaves:
             if leaf not in bit_of:
                 bit_of[leaf] = 1 << len(bit_of)
-    masks0 = [sum(bit_of[leaf] for leaf in cut.leaves) for cut in cuts0]
-    masks1 = [sum(bit_of[leaf] for leaf in cut.leaves) for cut in cuts1]
+    leaf_bit = bit_of.__getitem__
+    masks1 = [(sum(map(leaf_bit, cut.leaves)), cut) for cut in cuts1]
 
+    candidates: list[tuple[int, int, Cut, Cut]] = []
+    for cut0 in cuts0:
+        mask0 = sum(map(leaf_bit, cut0.leaves))
+        for mask1, cut1 in masks1:
+            mask = mask0 | mask1
+            size = mask.bit_count()
+            if size <= k:
+                candidates.append((size, mask, cut0, cut1))
+    candidates.sort(key=_by_size)  # list.sort is stable: ties keep arrival order
+
+    room = cut_limit - 1
     merged: list[Cut] = []
-    merged_masks: list[int] = []
-    for index0, cut0 in enumerate(cuts0):
-        mask0 = masks0[index0]
-        for index1, cut1 in enumerate(cuts1):
-            mask = mask0 | masks1[index1]
-            if mask.bit_count() > k:
-                continue
-            dominated = False
-            for existing in merged_masks:
-                if existing & mask == existing:
-                    dominated = True
-                    break
-            if dominated:
-                continue
-            survivors = [
-                position
-                for position, existing in enumerate(merged_masks)
-                if mask & existing != mask
-            ]
-            if len(survivors) != len(merged):
-                merged = [merged[position] for position in survivors]
-                merged_masks = [merged_masks[position] for position in survivors]
+    kept_masks: list[int] = []
+    for _size, mask, cut0, cut1 in candidates:
+        if len(merged) >= room:
+            break
+        for existing in kept_masks:
+            if existing & mask == existing:
+                break
+        else:
+            kept_masks.append(mask)
             leaves = _merge_leaves(cut0.leaves, cut1.leaves)
             if cache is not None and cut0.table is not None and cut1.table is not None:
                 table = cache.merge_table(cut0.table, cut0.leaves, comp0, cut1.table, cut1.leaves, comp1, leaves)
-                candidate = Cut(leaves, table)
+                merged.append(Cut(leaves, table))
             else:
-                candidate = Cut(leaves)
-            merged.append(candidate)
-            merged_masks.append(mask)
-    merged.sort(key=lambda cut: cut.size)
-    merged = merged[: cut_limit - 1]
+                merged.append(Cut(leaves))
     merged.append(trivial_cut(node, with_table=cache is not None))
     return merged

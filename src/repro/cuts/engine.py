@@ -267,7 +267,7 @@ class CutEngine:
         combined = [cut for cut in own if cut.leaves != (node,)]
         seen = {cut.leaves for cut in combined}
         node_phase = self.aig.choice_phase(node)
-        borrowed: list[Cut] = []
+        borrowed: list[tuple[Cut, int]] = []
         for member in members:
             if member == node:
                 continue
@@ -285,13 +285,14 @@ class CutEngine:
                 if cut.leaves == (member,) or cut.leaves in seen:
                     continue
                 seen.add(cut.leaves)
-                table = cut.table
-                if table is not None and phase:
-                    table = self.cache.complement_table(table)
-                borrowed.append(Cut(cut.leaves, table))
-        borrowed.sort(key=lambda cut: cut.size)
+                borrowed.append((cut, phase))
+        borrowed.sort(key=lambda entry: entry[0].size)
         room = max(0, self.choice_limit - 1 - len(combined))
-        combined.extend(borrowed[:room])
+        # Complement only the borrowed tables that survive the cap.
+        for cut, phase in borrowed[:room]:
+            if cut.table is not None and phase:
+                cut = Cut(cut.leaves, self.cache.complement_table(cut.table))
+            combined.append(cut)
         combined.append(trivial_cut(node, with_table=self._with_tables))
         return combined
 

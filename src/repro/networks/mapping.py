@@ -107,7 +107,12 @@ def aig_literal_truth_table(
 
 @dataclass
 class MappingStats:
-    """Counters collected by one technology-mapping run."""
+    """Counters collected by one technology-mapping run.
+
+    ``cache_hits``/``cache_misses`` are the shared
+    :class:`~repro.cuts.cache.CutFunctionCache` lookups of this run: one
+    per kept cut, none for a candidate that cut selection drops.
+    """
 
     k: int = 0
     cut_limit: int = 0

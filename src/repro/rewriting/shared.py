@@ -30,10 +30,15 @@ which is exactly the ``("leaf", 0, literal)`` /
 reconstructed on access.  The section table (arity, offset, count) rides
 in the descriptor, not the blob.
 
-The attach side unregisters the segment from the child's
-``resource_tracker`` (or opens it with ``track=False`` where supported):
-the parent owns the segment's lifetime and unlinks it at exit; a child
-exiting must not tear it down under its siblings.
+The parent owns the segment's lifetime and unlinks it at exit.  Workers
+open it with ``track=False`` where supported (Python 3.13+).  Before
+that, attaching registers the segment with the ``resource_tracker``,
+which is harmless: every start method hands workers the *parent's*
+tracker (the parent started it when it created the segment), a repeated
+registration is a no-op, and a worker exiting unlinks nothing.  The
+attach side must not unregister the segment: that would remove the
+parent's own registration, and the parent's unlink would then make the
+tracker print a ``KeyError`` traceback at exit.
 """
 
 from __future__ import annotations
@@ -265,19 +270,8 @@ def _attach_buffer(descriptor: SharedLibraryDescriptor) -> "tuple[Any, memoryvie
         try:
             try:
                 segment = shared_memory.SharedMemory(name=descriptor.name, track=False)
-            except TypeError:  # Python < 3.13: no track parameter
+            except TypeError:  # Python < 3.13: no track parameter (see the module docstring)
                 segment = shared_memory.SharedMemory(name=descriptor.name)
-                # Work around the attach side registering the segment
-                # with its own resource_tracker: the parent owns the
-                # lifetime; a child exiting must not unlink it.
-                try:
-                    from multiprocessing import resource_tracker
-
-                    resource_tracker.unregister(
-                        getattr(segment, "_name", descriptor.name), "shared_memory"
-                    )
-                except Exception:  # pragma: no cover - tracker internals moved
-                    pass
         except Exception:
             return None
         return segment, memoryview(segment.buf)[: descriptor.size]

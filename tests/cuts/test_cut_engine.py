@@ -1,5 +1,7 @@
 """Tests for the shared priority-cut engine (repro.cuts)."""
 
+import random
+
 import pytest
 
 from repro.circuits.random_logic import random_aig
@@ -9,9 +11,11 @@ from repro.cuts import (
     CutFunctionCache,
     aig_cone_table,
     enumerate_cuts,
+    merge_cut_sets,
     trivial_cut,
 )
 from repro.networks import Aig
+from repro.rewriting import compute_choices
 from repro.truthtable import TruthTable
 
 
@@ -208,3 +212,96 @@ class TestTrivialCut:
         assert cut.leaves == (7,)
         assert cut.table == TruthTable.variable(0, 1)
         assert trivial_cut(7, with_table=False).table is None
+
+
+def eager_merge_cut_sets(node, fanin0, fanin1, cuts0, cuts1, k, cut_limit, cache=None):
+    """Reference: eager insertion-order merging, which :func:`merge_cut_sets` must reproduce.
+
+    Every non-dominated candidate gets its table as it arrives, evicts
+    the kept candidates it dominates, and the survivors are stably
+    sorted by size and truncated to ``cut_limit - 1`` at the end.
+    """
+    comp0, comp1 = fanin0 & 1, fanin1 & 1
+    merged = []
+    for cut0 in cuts0:
+        for cut1 in cuts1:
+            leaves = tuple(sorted(set(cut0.leaves) | set(cut1.leaves)))
+            if len(leaves) > k:
+                continue
+            if any(set(kept.leaves) <= set(leaves) for kept in merged):
+                continue
+            merged = [kept for kept in merged if not set(leaves) < set(kept.leaves)]
+            if cache is not None and cut0.table is not None and cut1.table is not None:
+                table = cache.merge_table(cut0.table, cut0.leaves, comp0, cut1.table, cut1.leaves, comp1, leaves)
+                merged.append(Cut(leaves, table))
+            else:
+                merged.append(Cut(leaves))
+    merged.sort(key=lambda cut: cut.size)
+    merged = merged[: cut_limit - 1]
+    merged.append(trivial_cut(node, with_table=cache is not None))
+    return merged
+
+
+class CountingCache(CutFunctionCache):
+    """A cut-function cache that counts its ``merge_table`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.merge_calls = 0
+
+    def merge_table(self, *args):
+        self.merge_calls += 1
+        return super().merge_table(*args)
+
+
+def _random_cut_set(rng, k, with_tables):
+    """A fanin cut set over a small leaf pool: overlaps and repeated leaf sets."""
+    pool = [tuple(sorted(rng.sample(range(1, 13), rng.randint(0, k)))) for _ in range(rng.randint(1, 6))]
+    cuts = []
+    for _ in range(rng.randint(1, 12)):
+        leaves = rng.choice(pool)
+        table = TruthTable(len(leaves), rng.getrandbits(1 << len(leaves))) if with_tables else None
+        cuts.append(Cut(leaves, table))
+    return cuts
+
+
+def _signature(cuts):
+    return [(cut.leaves, None if cut.table is None else cut.table.bits) for cut in cuts]
+
+
+class TestMergeCutSetsOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_eager_reference(self, seed):
+        """Same leaves, same order, same table bits as eager merging."""
+        rng = random.Random(seed)
+        for _ in range(150):
+            k = rng.randint(2, 8)
+            cut_limit = rng.randint(1, 16)
+            with_cache = rng.random() < 0.7
+            cuts0 = _random_cut_set(rng, k, with_cache)
+            cuts1 = _random_cut_set(rng, k, with_cache)
+            fanin0, fanin1 = 2 * 20 + rng.getrandbits(1), 2 * 21 + rng.getrandbits(1)
+            reference_cache = CutFunctionCache() if with_cache else None
+            cache = CountingCache() if with_cache else None
+            expected = eager_merge_cut_sets(30, fanin0, fanin1, cuts0, cuts1, k, cut_limit, reference_cache)
+            result = merge_cut_sets(30, fanin0, fanin1, cuts0, cuts1, k, cut_limit, cache)
+            assert _signature(result) == _signature(expected)
+            if cache is not None:
+                # One fused table per kept cut, none for dropped candidates.
+                assert cache.merge_calls == len(result) - 1
+
+    @pytest.mark.parametrize("use_choices", [False, True])
+    def test_enumeration_matches_eager_reference(self, monkeypatch, use_choices):
+        """Whole-network cut sets are unchanged, plain and choice-merged."""
+        for seed in range(40):
+            aig = random_aig(num_pis=7, num_gates=50, num_pos=4, seed=seed)
+            if use_choices:
+                aig, _report = compute_choices(aig)
+            k, cut_limit = 2 + seed % 5, 2 + seed % 9
+            result = CutEngine(aig, k=k, cut_limit=cut_limit, use_choices=use_choices).enumerate_all()
+            with monkeypatch.context() as patch:
+                patch.setattr("repro.cuts.engine.merge_cut_sets", eager_merge_cut_sets)
+                expected = CutEngine(aig, k=k, cut_limit=cut_limit, use_choices=use_choices).enumerate_all()
+            assert result.keys() == expected.keys()
+            for node, cuts in expected.items():
+                assert _signature(result[node]) == _signature(cuts), (seed, node)
