@@ -16,13 +16,16 @@ from repro.rewriting.passes import PassManager
 def test_budgeted_epfl_run_terminates_near_deadline():
     aig = epfl_benchmark("bar")
     deadline = 1.0
-    manager = PassManager("resyn2; resyn2; resyn2", num_patterns=32)
+    # Ten resyn2 rounds take several seconds unbudgeted; three rounds
+    # now finish in little more than the deadline, so a fast machine
+    # could complete them before the budget ran out.
+    manager = PassManager("; ".join(["resyn2"] * 10), num_patterns=32)
     started = time.perf_counter()
     result, flow = manager.run(
         aig, budget=Budget(wall_clock=deadline), on_error="rollback"
     )
     elapsed = time.perf_counter() - started
-    # resyn2 x3 on `bar` takes far longer than 1s unbudgeted, so the
+    # resyn2 x10 on `bar` takes far longer than 1s unbudgeted, so the
     # budget must have cut the flow short...
     assert flow.budget_exhausted
     assert any(stats.status == "failed" for stats in flow.passes)
