@@ -81,22 +81,16 @@ def test_ablation_tfi_limit_sweep(benchmark, ablation_workload, tfi_limit):
     assert stats.merges > 0
 
 
-@pytest.mark.parametrize(
-    "use_windows", [False, True], ids=["ce-resimulation-only", "exhaustive-windows"]
-)
-def test_ablation_ce_refinement_strategy(benchmark, ablation_workload, use_windows):
-    """Exhaustive-window refinement versus plain CE resimulation."""
+@pytest.mark.parametrize("window_leaves", [0, 16], ids=["ce-resimulation-only", "exhaustive-windows"])
+def test_ablation_ce_refinement_strategy(benchmark, ablation_workload, window_leaves):
+    """Exhaustive-window refinement versus plain CE resimulation (no keys at 0 leaves)."""
     benchmark.group = "ablation-ce-refinement"
 
     def run():
-        return StpSweeper(
-            ablation_workload,
-            num_patterns=64,
-            use_exhaustive_refinement=use_windows,
-        ).run()
+        return StpSweeper(ablation_workload, num_patterns=64, window_leaves=window_leaves).run()
 
     _swept, stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    if use_windows:
+    if window_leaves:
         assert stats.simulation_disproofs > 0
 
 

@@ -17,7 +17,6 @@ from repro.simulation import (
     compute_local_truth_tables,
     cut_truth_table_stp,
     simulate_aig,
-    stp_window_truth_tables,
 )
 from repro.stp import expression_to_stp, semi_tensor_product, structural_matrix
 from repro.truthtable import TruthTable, truth_table_to_structural_matrix
@@ -65,14 +64,6 @@ def test_micro_local_truth_tables(benchmark):
     """One bottom-up pass of per-node exhaustive functions (priority profile)."""
     aig = epfl_benchmark("priority")
     benchmark(compute_local_truth_tables, aig, 12)
-
-
-def test_micro_window_truth_tables(benchmark):
-    """Exhaustive window simulation of a pair of nodes (int2float profile)."""
-    aig = epfl_benchmark("int2float")
-    gates = list(aig.gates())
-    pair = [gates[len(gates) // 3], gates[len(gates) // 2]]
-    benchmark(stp_window_truth_tables, aig, pair, 16)
 
 
 def test_micro_bit_parallel_aig_simulation(benchmark):

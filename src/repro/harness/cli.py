@@ -65,6 +65,7 @@ from ..simulation import (
 )
 from ..rewriting import FlowStatistics, NAMED_SCRIPTS, PassManager, PassStatistics
 from ..sweeping import FraigSweeper, StpSweeper, check_combinational_equivalence
+from .table2 import sweep_option_error
 
 __all__ = [
     "simulate_main",
@@ -232,7 +233,7 @@ def sweep_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--engine", choices=["fraig", "stp"], default="stp", help="sweeping engine")
     parser.add_argument("--patterns", type=int, default=64, help="initial pattern count")
     parser.add_argument("--conflict-limit", type=int, default=10_000, help="SAT conflict limit per query")
-    parser.add_argument("--tfi-limit", type=int, default=1000, help="TFI candidate bound")
+    parser.add_argument("--tfi-limit", type=int, default=1000, help="TFI candidate bound (stp engine)")
     parser.add_argument("--window-leaves", type=int, default=16, help="exhaustive window bound (stp engine)")
     parser.add_argument("--seed", type=int, default=1, help="random seed")
     parser.add_argument("--no-verify", action="store_true", help="skip the CEC verification")
@@ -244,6 +245,10 @@ def sweep_main(argv: list[str] | None = None) -> int:
     )
     arguments = parser.parse_args(argv)
 
+    error = sweep_option_error(arguments)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return EXIT_USAGE
     aig = _load_network(arguments.input)
     if aig is None:
         return EXIT_USAGE
@@ -256,7 +261,6 @@ def sweep_main(argv: list[str] | None = None) -> int:
             num_patterns=arguments.patterns,
             seed=arguments.seed,
             conflict_limit=arguments.conflict_limit,
-            tfi_limit=arguments.tfi_limit,
             budget=budget,
         )
     else:

@@ -11,6 +11,7 @@ geometric-mean summary ("Imp.") rows.
 from __future__ import annotations
 
 import argparse
+import sys
 from dataclasses import dataclass
 
 from ..circuits.sweep_workloads import SWEEP_WORKLOADS, sweep_workload
@@ -22,7 +23,19 @@ from ..sweeping.stats import SweepStatistics
 from ..sweeping.stp_sweeper import StpSweeper
 from .reporting import format_table, geometric_mean
 
-__all__ = ["Table2Row", "run_table2", "format_table2", "main"]
+__all__ = ["Table2Row", "run_table2", "format_table2", "sweep_option_error", "main"]
+
+#: Smallest accepted value of each numeric sweep option, shared with ``repro sweep``.
+SWEEP_OPTION_MINIMUMS = {"patterns": 0, "tfi_limit": 1, "window_leaves": 0}
+
+
+def sweep_option_error(arguments: argparse.Namespace) -> str | None:
+    """One-line message for the first sweep option below its minimum, else ``None``."""
+    for name, minimum in SWEEP_OPTION_MINIMUMS.items():
+        value = getattr(arguments, name)
+        if value < minimum:
+            return f"--{name.replace('_', '-')} must be >= {minimum}, got {value}"
+    return None
 
 
 @dataclass
@@ -115,7 +128,6 @@ def run_single_comparison(
         num_patterns=num_patterns,
         seed=seed,
         conflict_limit=conflict_limit,
-        tfi_limit=tfi_limit,
     )
     baseline_result, baseline_stats = baseline_engine.run()
 
@@ -227,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", nargs="*", default=None, help="workload names (default: all fifteen)")
     parser.add_argument("--patterns", type=int, default=64, help="initial pattern count for the STP sweeper")
     parser.add_argument("--conflict-limit", type=int, default=10_000, help="SAT conflict limit per query")
-    parser.add_argument("--tfi-limit", type=int, default=1000, help="TFI node bound (paper: 1000)")
+    parser.add_argument("--tfi-limit", type=int, default=1000, help="TFI node bound of the STP sweeper (paper: 1000)")
     parser.add_argument("--window-leaves", type=int, default=16, help="exhaustive window leaf bound")
     parser.add_argument("--no-verify", action="store_true", help="skip the CEC verification")
     parser.add_argument("--seed", type=int, default=1, help="random seed")
@@ -237,6 +249,10 @@ def main(argv: list[str] | None = None) -> int:
         help="optimization script run on every workload before sweeping (e.g. 'rw', 'resyn2')",
     )
     arguments = parser.parse_args(argv)
+    error = sweep_option_error(arguments)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     rows = run_table2(
         workloads=arguments.workloads,
         num_patterns=arguments.patterns,

@@ -32,9 +32,6 @@ from .stp_simulator import (
     StpSimulator,
     simulate_klut_stp,
     cut_truth_table_stp,
-    stp_aig_truth_table,
-    common_window_leaves,
-    stp_window_truth_tables,
     compute_pi_supports,
     compute_local_truth_tables,
     expand_truth_table,
@@ -62,9 +59,6 @@ __all__ = [
     "StpSimulator",
     "simulate_klut_stp",
     "cut_truth_table_stp",
-    "stp_aig_truth_table",
-    "common_window_leaves",
-    "stp_window_truth_tables",
     "compute_pi_supports",
     "compute_local_truth_tables",
     "expand_truth_table",

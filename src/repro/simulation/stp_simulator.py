@@ -48,7 +48,6 @@ import numpy as np
 from ..cuts import SimulationCut, klut_cone_table, simulation_cuts
 from ..networks.aig import Aig
 from ..networks.klut import KLutNetwork
-from ..networks.mapping import aig_node_truth_table
 from ..stp.canonical import STPForm, apply_operator, constant_form, normalize, variable_form
 from ..truthtable import (
     TruthTable,
@@ -62,9 +61,6 @@ __all__ = [
     "StpSimulator",
     "simulate_klut_stp",
     "cut_truth_table_stp",
-    "stp_aig_truth_table",
-    "common_window_leaves",
-    "stp_window_truth_tables",
     "compute_pi_supports",
     "compute_local_truth_tables",
     "expand_truth_table",
@@ -364,18 +360,6 @@ def simulate_klut_stp(
 # ---------------------------------------------------------------------------
 
 
-def stp_aig_truth_table(aig: Aig, literal: int, leaves: Sequence[int]) -> TruthTable:
-    """Function of an AIG literal over ``leaves``, via structural-matrix composition.
-
-    Every AND gate contributes its 2x4 structural matrix and every
-    complemented edge an ``M_not``; the word-level composition in
-    :func:`repro.networks.mapping.aig_node_truth_table` computes the same
-    structural matrix and is used as the engine.
-    """
-    table = aig_node_truth_table(aig, Aig.node_of(literal), leaves, allow_unused_leaves=True)
-    return ~table if Aig.is_complemented(literal) else table
-
-
 def compute_pi_supports(aig: Aig, max_size: int | None = None) -> dict[int, tuple[int, ...] | None]:
     """Structural PI support of every node, in one bottom-up pass.
 
@@ -399,40 +383,6 @@ def compute_pi_supports(aig: Aig, max_size: int | None = None) -> dict[int, tupl
         node: (tuple(sorted(value)) if value is not None else None)
         for node, value in supports.items()
     }
-
-
-def common_window_leaves(
-    aig: Aig,
-    targets: Sequence[int],
-    max_leaves: int = 16,
-    supports: Mapping[int, tuple[int, ...] | None] | None = None,
-) -> list[int] | None:
-    """The combined primary-input support of a group of AIG nodes.
-
-    Exhaustive window simulation can only *disprove* an equivalence soundly
-    when the window leaves are free inputs: over an internal cut, two
-    equivalent nodes may still have different local functions on the
-    unreachable leaf combinations (satisfiability don't-cares).  The window
-    is therefore the union of the targets' PI supports; ``None`` is
-    returned when it exceeds ``max_leaves`` (the paper's "fewer than 16
-    leaf nodes" restriction).  A precomputed ``supports`` map (see
-    :func:`compute_pi_supports`) avoids repeated cone traversals.
-    """
-    leaves: list[int] = []
-    for target in targets:
-        target_support: Sequence[int] | None
-        if supports is not None:
-            target_support = supports.get(target)
-            if target_support is None:
-                return None
-        else:
-            target_support = [node for node in aig.tfi([target]) if aig.is_pi(node)]
-        for node in target_support:
-            if node not in leaves:
-                leaves.append(node)
-                if len(leaves) > max_leaves:
-                    return None
-    return leaves
 
 
 def expand_truth_table(table: TruthTable, own_leaves: Sequence[int], window: Sequence[int]) -> TruthTable:
@@ -522,36 +472,4 @@ def compute_local_truth_tables(
             expanded = table.bits
             bits &= expanded ^ full if Aig.is_complemented(fanin) else expanded
         tables[node] = TruthTable(len(support), bits)
-    return tables
-
-
-def stp_window_truth_tables(
-    aig: Aig,
-    targets: Sequence[int],
-    max_leaves: int = 16,
-    supports: Mapping[int, tuple[int, ...] | None] | None = None,
-) -> dict[int, TruthTable] | None:
-    """Exhaustive window signatures of a group of AIG nodes.
-
-    Computes one shared window (at most ``max_leaves`` leaves) covering all
-    targets and returns each target's truth table over that window -- the
-    exhaustive local simulation the STP sweeper uses to disprove candidate
-    equivalences without calling SAT.  Returns ``None`` when no such window
-    exists (or when a stale ``supports`` cache no longer covers a target's
-    cone after the network was rewritten).
-    """
-    leaves = common_window_leaves(aig, targets, max_leaves, supports)
-    if leaves is None:
-        return None
-    tables: dict[int, TruthTable] = {}
-    for target in targets:
-        if target in leaves:
-            tables[target] = TruthTable.variable(leaves.index(target), len(leaves))
-        else:
-            try:
-                tables[target] = aig_node_truth_table(aig, target, leaves, allow_unused_leaves=True)
-            except ValueError:
-                # A substitution enlarged the structural support beyond the
-                # cached window; treat the pair as not coverable.
-                return None
     return tables

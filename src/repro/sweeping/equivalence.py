@@ -80,7 +80,6 @@ class EquivalenceClasses:
         self._classes: dict[int, EquivalenceClass] = {}
         self._class_of: dict[int, int] = {}
         self._next_class_id = 1
-        self._dont_touch: set[int] = set()
 
     # ------------------------------------------------------------------
     # Construction
@@ -198,16 +197,6 @@ class EquivalenceClasses:
         for cls_ in self.classes():
             nodes.extend(node for node in cls_.members if node != 0)
         return nodes
-
-    # -- don't-touch bookkeeping (unDET outcome of Algorithm 2) ----------
-
-    def mark_dont_touch(self, node: int) -> None:
-        """Exclude ``node`` from further merge attempts."""
-        self._dont_touch.add(node)
-
-    def is_dont_touch(self, node: int) -> bool:
-        """True if the node was marked don't-touch."""
-        return node in self._dont_touch
 
     # ------------------------------------------------------------------
     # Mutation

@@ -343,6 +343,35 @@ class TestSimulateExitCodes:
     def test_bad_pattern_count_exits_2(self, adder_file, capsys):
         assert simulate_main([str(adder_file), "--patterns", "0"]) == 2
 
+
+class TestSweepExitCodes:
+    """Numeric sweep options below their minimum are usage errors, not crashes."""
+
+    BAD_OPTIONS = [
+        (["--tfi-limit", "0"], "--tfi-limit must be >= 1, got 0"),
+        (["--patterns", "-3"], "--patterns must be >= 0, got -3"),
+        (["--window-leaves", "-1"], "--window-leaves must be >= 0, got -1"),
+    ]
+
+    @pytest.mark.parametrize("engine", ["fraig", "stp"])
+    @pytest.mark.parametrize(("option", "message"), BAD_OPTIONS)
+    def test_bad_sweep_option_exits_2(self, adder_file, capsys, engine, option, message):
+        assert sweep_main([str(adder_file), "--engine", engine, "--no-verify", *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(("option", "message"), BAD_OPTIONS)
+    def test_bad_table2_option_exits_2(self, capsys, option, message):
+        assert main(["table2", "--workloads", "leon2", "--no-verify", *option]) == 2
+        assert capsys.readouterr().err.strip() == message
+
+    def test_limits_themselves_are_accepted(self, adder_file, capsys):
+        code = sweep_main(
+            [str(adder_file), "--no-verify", "--tfi-limit", "1", "--patterns", "0", "--window-leaves", "0"]
+        )
+        assert code == 0
+
     def test_unwritable_csv_exits_2(self, adder_file, tmp_path, capsys):
         bad = tmp_path / "nope" / "out.csv"
         assert simulate_main([str(adder_file), "--csv", str(bad)]) == 2

@@ -15,7 +15,6 @@ from repro.cuts import simulation_cuts
 from repro.simulation import (
     PatternSet,
     StpSimulator,
-    common_window_leaves,
     compute_local_truth_tables,
     compute_pi_supports,
     cut_limit_for_patterns,
@@ -25,8 +24,6 @@ from repro.simulation import (
     simulate_klut_minterm,
     simulate_klut_per_pattern,
     simulate_klut_stp,
-    stp_aig_truth_table,
-    stp_window_truth_tables,
 )
 from repro.simulation.stp_simulator import complement_key, expand_truth_table, function_key
 from repro.truthtable import TruthTable
@@ -219,44 +216,6 @@ class TestCutTruthTables:
         simulator = StpSimulator(small_klut)
         tables = simulator.exhaustive_truth_tables(list(small_klut.luts()), max_support=1)
         assert any(table is None for table in tables.values())
-
-
-class TestAigWindows:
-    def test_stp_aig_truth_table_matches_evaluation(self, small_aig):
-        po_literal = small_aig.pos[0]
-        leaves = small_aig.pis
-        table = stp_aig_truth_table(small_aig, po_literal, leaves)
-        for assignment in range(1 << small_aig.num_pis):
-            values = [bool(assignment & (1 << i)) for i in range(small_aig.num_pis)]
-            assert table.value_at(assignment) == small_aig.evaluate(values)[0]
-
-    def test_common_window_is_pi_support(self, small_aig):
-        po_node = Aig.node_of(small_aig.pos[0])
-        window = common_window_leaves(small_aig, [po_node], max_leaves=8)
-        assert window is not None
-        assert all(small_aig.is_pi(leaf) for leaf in window)
-
-    def test_window_respects_limit(self, small_aig):
-        po_node = Aig.node_of(small_aig.pos[0])
-        assert common_window_leaves(small_aig, [po_node], max_leaves=1) is None
-
-    def test_window_tables_disprove_non_equivalence(self, small_aig):
-        node_a = Aig.node_of(small_aig.pos[0])
-        node_b = Aig.node_of(small_aig.pos[1])
-        tables = stp_window_truth_tables(small_aig, [node_a, node_b], max_leaves=8)
-        assert tables is not None
-        assert tables[node_a] != tables[node_b]
-
-    def test_window_tables_detect_equivalence(self):
-        aig = Aig()
-        a, b, c = aig.add_pi(), aig.add_pi(), aig.add_pi()
-        x = aig.add_and(aig.add_and(a, b), c)
-        y = aig.add_and(a, aig.add_and(b, c))
-        aig.add_po(x)
-        aig.add_po(y)
-        tables = stp_window_truth_tables(aig, [Aig.node_of(x), Aig.node_of(y)], max_leaves=4)
-        assert tables is not None
-        assert tables[Aig.node_of(x)] == tables[Aig.node_of(y)]
 
 
 class TestSupportAndLocalTables:

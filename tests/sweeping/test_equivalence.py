@@ -106,12 +106,6 @@ class TestQueriesAndMutation:
         if cls.members:
             assert cls.representative == cls.members[0]
 
-    def test_dont_touch_marking(self):
-        _aig, _result, classes = self._simple_classes()
-        node = classes.classes()[0].members[0]
-        classes.mark_dont_touch(node)
-        assert classes.is_dont_touch(node)
-
     def test_candidate_pairs_and_class_nodes(self):
         _aig, _result, classes = self._simple_classes()
         assert classes.candidate_pairs() >= 1

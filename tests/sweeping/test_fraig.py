@@ -1,9 +1,12 @@
 """Tests for the baseline FRAIG sweeper."""
 
+import pytest
+
 from repro.circuits.arithmetic import ripple_carry_adder
 from repro.circuits.sweep_workloads import inject_redundancy
 from repro.networks import Aig
-from repro.sweeping import FraigSweeper, check_combinational_equivalence, fraig_sweep
+from repro.sat import CircuitSolver, EquivalenceStatus
+from repro.sweeping import FraigSweeper, StpSweeper, check_combinational_equivalence, fraig_sweep
 
 
 def _redundant_adder(width: int = 6, seed: int = 3) -> tuple[Aig, Aig]:
@@ -59,13 +62,41 @@ class TestFraigSweeper:
         swept_twice, _ = fraig_sweep(swept_once, num_patterns=64)
         assert swept_twice.num_ands == swept_once.num_ands
 
-    def test_conflict_limit_marks_dont_touch(self):
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda aig: FraigSweeper(aig, num_patterns=16, conflict_limit=1),
+            lambda aig: StpSweeper(aig, num_patterns=16, window_leaves=0, conflict_limit=1),
+        ],
+        ids=["fraig", "stp"],
+    )
+    def test_undetermined_query_gives_up_on_the_candidate(self, make, monkeypatch):
+        # One conflict leaves most queries UNDETERMINED.  Each such
+        # candidate leaves its class: it is never substituted, and the
+        # sweep still ends equivalent.
         _base, workload = _redundant_adder(seed=13)
-        _swept, stats = FraigSweeper(workload, num_patterns=16, conflict_limit=1).run()
-        # With an absurdly small budget some queries must give up (or the
-        # instance is easy enough that none do -- either way the sweep must
-        # still produce an equivalent network).
-        assert stats.undetermined_sat_calls >= 0
+        prove, substitute = CircuitSolver.prove_equivalence, Aig.substitute
+        undetermined: set[int] = set()
+        substituted: set[int] = set()
+
+        def recording_prove(solver, literal_a, literal_b, conflict_limit=None):
+            outcome = prove(solver, literal_a, literal_b, conflict_limit)
+            if outcome.status is EquivalenceStatus.UNDETERMINED:
+                undetermined.add(Aig.node_of(literal_a))
+            return outcome
+
+        def recording_substitute(aig, old_node, new_literal):
+            substituted.add(old_node)
+            return substitute(aig, old_node, new_literal)
+
+        monkeypatch.setattr(CircuitSolver, "prove_equivalence", recording_prove)
+        monkeypatch.setattr(Aig, "substitute", recording_substitute)
+        swept, stats = make(workload).run()
+        monkeypatch.undo()
+        assert stats.undetermined_sat_calls >= 1
+        assert undetermined
+        assert not undetermined & substituted
+        assert check_combinational_equivalence(workload, swept)
 
     def test_constant_nodes_are_removed(self):
         aig = Aig()

@@ -42,12 +42,8 @@ class TestStpSweeper:
 
     def test_exhaustive_refinement_reduces_satisfiable_calls(self):
         workload = _workload(seed=7, near_misses=8)
-        _swept_off, stats_off = StpSweeper(
-            workload, num_patterns=64, use_exhaustive_refinement=False
-        ).run()
-        _swept_on, stats_on = StpSweeper(
-            workload, num_patterns=64, use_exhaustive_refinement=True
-        ).run()
+        _swept_off, stats_off = StpSweeper(workload, num_patterns=64, window_leaves=0).run()
+        _swept_on, stats_on = StpSweeper(workload, num_patterns=64).run()
         assert stats_on.satisfiable_sat_calls <= stats_off.satisfiable_sat_calls
         assert stats_on.simulation_disproofs > 0
 
