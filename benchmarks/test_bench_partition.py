@@ -3,13 +3,11 @@
 Measurements over the largest bundled EPFL workloads plus -- on hosts
 that can exploit it -- a >= 200k-gate structured-random synthetic
 (:func:`~repro.circuits.random_logic.random_aig`), the scale regime the
-streaming/batched dispatch path is built for.  Three splits per
-workload:
+streaming dispatch path is built for.  Two splits per workload:
 
 * ``jobs=1`` inline versus ``jobs=4`` over the shared warmed
-  spawned-process pool (the headline speedup number);
-* batched binary dispatch versus one IPC round-trip per region
-  (``batch_bytes=0``), isolating the transport win;
+  spawned-process pool, one job per region (the headline speedup
+  number);
 * persistent per-region solver windows versus fresh solver encodes on a
   ``fraig`` sweep, isolating the solver-reuse win.
 
@@ -80,7 +78,7 @@ def _workloads():
 
 
 def test_bench_partition_parallel_suite(benchmark, request):
-    """Inline/pooled, batched/unbatched and windowed/fresh splits.
+    """Inline/pooled and windowed/fresh splits.
 
     The pool is created and warmed *outside* the timed region (the warm
     NPN/structure libraries and the shared exact-table blob are a
@@ -104,30 +102,19 @@ def test_bench_partition_parallel_suite(benchmark, request):
             inline_s = time.perf_counter() - t
 
             t = time.perf_counter()
-            batched, report_batched = partition_optimize(
+            pooled, report = partition_optimize(
                 aig, SCRIPT, jobs=JOBS, max_gates=MAX_GATES, executor=executor
             )
-            batched_s = time.perf_counter() - t
+            pooled_s = time.perf_counter() - t
 
-            t = time.perf_counter()
-            unbatched, _report_unbatched = partition_optimize(
-                aig, SCRIPT, jobs=JOBS, max_gates=MAX_GATES, executor=executor,
-                batch_bytes=0,
-            )
-            unbatched_s = time.perf_counter() - t
-
-            # The determinism contract: pool, batching and solver windows
-            # are implementation details, never a result change.
-            reference = structural_hash(inline)
-            assert reference == structural_hash(batched), (
+            # The determinism contract: the pool and solver windows are
+            # implementation details, never a result change.
+            assert structural_hash(inline) == structural_hash(pooled), (
                 f"{name}: jobs={JOBS} diverged from the inline reference"
             )
-            assert reference == structural_hash(unbatched), (
-                f"{name}: unbatched dispatch diverged from the batched result"
-            )
-            outcome = check_combinational_equivalence(aig, batched)
+            outcome = check_combinational_equivalence(aig, pooled)
             assert outcome.equivalent, f"{name}: merged result is not equivalent"
-            assert report_batched.worker_restarts == 0
+            assert report.worker_restarts == 0
 
             # Solver-window split on a SAT sweep, transport held fixed.
             t = time.perf_counter()
@@ -147,16 +134,13 @@ def test_bench_partition_parallel_suite(benchmark, request):
 
             rows[name] = {
                 "gates_before": aig.num_gates,
-                "gates_after": batched.num_gates,
-                "regions": report_batched.regions_built,
-                "regions_merged": report_batched.regions_merged,
-                "batches": report_batched.batches,
-                "wire_bytes": report_batched.wire_bytes,
+                "gates_after": pooled.num_gates,
+                "regions": report.regions_built,
+                "regions_merged": report.regions_merged,
+                "wire_bytes": report.wire_bytes,
                 "inline_jobs1_s": round(inline_s, 4),
-                f"pool_jobs{JOBS}_batched_s": round(batched_s, 4),
-                f"pool_jobs{JOBS}_unbatched_s": round(unbatched_s, 4),
-                "speedup": round(inline_s / max(batched_s, 1e-9), 3),
-                "batching_speedup": round(unbatched_s / max(batched_s, 1e-9), 3),
+                f"pool_jobs{JOBS}_s": round(pooled_s, 4),
+                "speedup": round(inline_s / max(pooled_s, 1e-9), 3),
                 "fraig_fresh_s": round(fresh_s, 4),
                 f"fraig_window{SOLVER_WINDOW}_s": round(windowed_s, 4),
                 "window_speedup": round(fresh_s / max(windowed_s, 1e-9), 3),
@@ -181,15 +165,15 @@ def test_bench_partition_parallel_suite(benchmark, request):
                 else f"disarmed: cpu_count={CPU_COUNT} < 4, a spawned pool cannot "
                 "beat inline here; only determinism and equivalence are asserted"
             ),
-            "pr": (
-                "ISSUE 10 (perf_opt): streaming region extraction, batched "
-                "binary wire dispatch, shared warm exact-tables, per-region "
-                "solver windows"
+            "subject": (
+                "streaming region extraction, binary wire dispatch with one "
+                "job per region, shared warm exact-tables, per-region solver "
+                "windows"
             ),
             "method": (
                 f"partition_optimize('{SCRIPT}', max_gates={MAX_GATES}); inline "
-                f"jobs=1 vs jobs={JOBS} shared warmed spawned pool (batched and "
-                f"batch_bytes=0), plus a '{SWEEP_SCRIPT}' split with and without "
+                f"jobs=1 vs jobs={JOBS} shared warmed spawned pool (one job per "
+                f"region), plus a '{SWEEP_SCRIPT}' split with and without "
                 f"window_size={SOLVER_WINDOW}; structural identity across every "
                 "mode and CEC against the input asserted on every workload"
             ),

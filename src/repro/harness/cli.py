@@ -467,13 +467,6 @@ def optimize_main(argv: list[str] | None = None) -> int:
         "--partition-window", type=int, default=None,
         help="per-region SAT solver window inside each worker (with --jobs)",
     )
-    parser.add_argument(
-        "--partition-batch-bytes", type=int, default=None,
-        help=(
-            "wire-batch byte budget: regions are packed into worker batches of "
-            "roughly this size; 0 dispatches one region per job (with --jobs)"
-        ),
-    )
     arguments = parser.parse_args(argv)
 
     aig = _load_network(arguments.input)
@@ -493,7 +486,6 @@ def optimize_main(argv: list[str] | None = None) -> int:
                 strategy=arguments.partition_strategy,
                 merge=arguments.partition_merge,
                 window=arguments.partition_window,
-                batch=arguments.partition_batch_bytes,
             )
         except ValueError as error:
             print(str(error), file=sys.stderr)

@@ -6,7 +6,9 @@ configurable pass script (``rw`` / ``rf`` / ``fraig`` / ...) per region
 across a ``multiprocessing`` pool, and merges the optimized cones back
 into the parent network -- transactionally, one
 :class:`~repro.resilience.NetworkCheckpoint` per region, so one bad
-worker result never corrupts the network.
+worker result never corrupts the network.  Each region is exactly one
+executor job, so each region is also one blast radius: a crashed, hung
+or lying worker costs its own region and nothing else.
 
 The layers, bottom up:
 
@@ -16,11 +18,9 @@ The layers, bottom up:
   extraction, materialized (:func:`extract_region`) or streamed one
   region at a time (:func:`stream_region_networks`).
 * :mod:`~repro.partition.wire` -- the compact binary wire format
-  (flat little-endian arrays, no AAG text on either side) and the
-  byte-budget batcher that packs many small regions into one worker
-  job.
-* :mod:`~repro.partition.worker` -- the per-region and per-batch jobs
-  a worker executes: decode, optimize under a
+  (flat little-endian arrays, no AAG text on either side).
+* :mod:`~repro.partition.worker` -- the one job a worker executes per
+  region: decode, optimize under a
   :class:`~repro.resilience.Budget`, re-encode the result (plus the
   deterministic fault hooks the chaos suite injects).
 * :mod:`~repro.partition.pool` -- the executors: inline (``jobs=1``,
@@ -43,7 +43,7 @@ the :class:`~repro.rewriting.passes.PassManager`.
 
 from __future__ import annotations
 
-from .parallel import DEFAULT_BATCH_BYTES, PartitionReport, RegionReport, partition_optimize
+from .parallel import PartitionReport, RegionReport, partition_optimize
 from .pool import (
     InlineExecutor,
     ProcessExecutor,
@@ -54,8 +54,8 @@ from .pool import (
 )
 from .regions import Region, extract_region, partition_network, stream_region_networks
 from .script import wrap_script_with_jobs
-from .wire import decode_region, encode_region, plan_batches, wire_counts
-from .worker import run_batch_job, run_partition_job, run_region_job, warm_partition_worker
+from .wire import decode_region, encode_region, wire_counts
+from .worker import run_partition_job, warm_partition_worker
 
 __all__ = [
     "Region",
@@ -65,10 +65,6 @@ __all__ = [
     "encode_region",
     "decode_region",
     "wire_counts",
-    "plan_batches",
-    "DEFAULT_BATCH_BYTES",
-    "run_region_job",
-    "run_batch_job",
     "run_partition_job",
     "warm_partition_worker",
     "RegionExecutor",

@@ -13,16 +13,13 @@
    million-gate memory posture.  The blob doubles as the verification
    reference (decoded lazily at merge time).
 2. **Dispatch** the wire payloads to the executor (inline / threads /
-   warmed spawned processes), packed into byte-budgeted batches
-   (:func:`~repro.partition.wire.plan_batches`) so many small regions
-   share one IPC round-trip; ``batch_bytes=0`` restores one job per
-   region.  The flow :class:`~repro.resilience.Budget` is split across
-   partitions: the shared conflict pool is divided evenly, every
-   worker gets a deadline bounded by the flow's remaining wall clock
-   over the number of execution waves, and the parent charges each
-   worker's actual conflict spend back against the pool.  Because
-   every region job is an independent deterministic function of its
-   own payload, batch composition never changes results.
+   warmed spawned processes), one job per region, so a crashed or hung
+   worker costs exactly its own region.  The flow
+   :class:`~repro.resilience.Budget` is split across partitions: the
+   shared conflict pool is divided evenly, every worker gets a
+   deadline bounded by the flow's remaining wall clock over the number
+   of execution waves, and the parent charges each worker's actual
+   conflict spend back against the pool.
 3. **Verify and merge in deterministic region-index order.**  The
    parent *never trusts a worker*: every returned cone is re-simulated
    against the original extraction, re-instantiated through the
@@ -67,19 +64,13 @@ from ..networks.transforms import cleanup_dangling
 from ..resilience import Budget, BudgetExceeded, NetworkCheckpoint, simulation_equivalent
 from .pool import InlineExecutor, RegionExecutor, shared_process_executor
 from .regions import Region, partition_network, stream_region_networks
-from .wire import decode_region, encode_region, plan_batches
+from .wire import decode_region, encode_region
 
-__all__ = ["RegionReport", "PartitionReport", "partition_optimize", "DEFAULT_BATCH_BYTES"]
+__all__ = ["RegionReport", "PartitionReport", "partition_optimize"]
 
 #: Extra collection time granted on top of the worker deadline before a
 #: worker counts as hung.
 _TIMEOUT_GRACE = 30.0
-
-#: Default byte budget of one dispatch batch (``batch_bytes=None``).
-#: 64 KiB of wire bytes is a few dozen default-sized regions -- enough
-#: to amortize the per-job IPC round-trip without letting one batch
-#: serialize a whole wave behind it.
-DEFAULT_BATCH_BYTES = 1 << 16
 
 
 @dataclass
@@ -140,9 +131,6 @@ class PartitionReport:
     worker_restarts: int = 0
     choices_recorded: int = 0
     wall_clock: float = 0.0
-    #: Worker jobs dispatched (each one region, or one byte-budgeted
-    #: batch of regions).
-    batches: int = 0
     #: Total wire bytes shipped to workers (the compact binary payloads).
     wire_bytes: int = 0
 
@@ -178,7 +166,6 @@ class PartitionReport:
             "ppart_regions_skipped": float(self.regions_skipped),
             "ppart_worker_restarts": float(self.worker_restarts),
             "ppart_jobs": float(self.jobs),
-            "ppart_batches": float(self.batches),
             "ppart_wire_bytes": float(self.wire_bytes),
         }
         if self.merge == "choice":
@@ -247,50 +234,6 @@ def _instantiate(
     return replacements
 
 
-def _flatten_outcomes(
-    plan: Sequence[Sequence[int]],
-    payloads: Sequence[Mapping[str, Any]],
-    raw_outcomes: Sequence[Mapping[str, Any]],
-) -> list[dict[str, Any]]:
-    """Expand per-job outcomes back to one outcome per region payload.
-
-    A healthy batch outcome carries ``results`` aligned with its
-    entries.  A batch that failed as a whole (hang, unexploded crash)
-    carries a plain failure status instead -- every member inherits it,
-    which is exactly the "blast radius = that batch" contract the chaos
-    suite pins down.  A malformed ``results`` list never silently drops
-    a region: missing entries become ``worker_crashed``.
-    """
-    outcomes: list[dict[str, Any]] = []
-    for group, outcome in zip(plan, raw_outcomes):
-        if len(group) == 1 and "results" not in outcome:
-            outcomes.append(dict(outcome))
-            continue
-        results = outcome.get("results")
-        for offset, position in enumerate(group):
-            region_index = int(payloads[position].get("region", -1))
-            if isinstance(results, list):
-                if offset < len(results) and isinstance(results[offset], Mapping):
-                    outcomes.append(dict(results[offset]))
-                else:
-                    outcomes.append(
-                        {
-                            "region": region_index,
-                            "status": "worker_crashed",
-                            "message": "batch result is missing this region",
-                        }
-                    )
-            else:
-                outcomes.append(
-                    {
-                        "region": region_index,
-                        "status": str(outcome.get("status", "worker_crashed")),
-                        "message": str(outcome.get("message", "")),
-                    }
-                )
-    return outcomes
-
-
 def partition_optimize(
     network: Aig,
     script: str | Sequence[str] = "rw; rf",
@@ -303,7 +246,6 @@ def partition_optimize(
     num_patterns: int = 64,
     conflict_limit: int | None = 10_000,
     window_size: int | None = None,
-    batch_bytes: int | None = None,
     budget: Budget | None = None,
     executor: RegionExecutor | None = None,
     region_timeout: float | None = None,
@@ -320,12 +262,8 @@ def partition_optimize(
 
     ``window_size`` threads the persistent-solver window through to each
     region job's own pass manager (one ``CircuitSolver`` window per
-    region job, retired on merge-back).  ``batch_bytes`` is the byte
-    budget of one dispatch batch: ``None`` uses
-    :data:`DEFAULT_BATCH_BYTES`, ``0`` disables batching (one job per
-    region -- what the fault-injection suites use to aim a hard fault at
-    exactly one region).  Neither knob changes results: each region job
-    is a deterministic function of its own payload.
+    region job, retired on merge-back).  It never changes results: each
+    region job is a deterministic function of its own payload.
 
     Budget exhaustion mid-merge degrades gracefully: the regions merged
     so far stay committed (each was independently verified, so the
@@ -337,8 +275,6 @@ def partition_optimize(
         raise ValueError(f"merge must be 'substitute' or 'choice', got {merge!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if batch_bytes is not None and batch_bytes < 0:
-        raise ValueError(f"batch_bytes must be >= 0, got {batch_bytes}")
     if window_size is not None and window_size < 1:
         raise ValueError(f"window_size must be >= 1, got {window_size}")
     script_text = script if isinstance(script, str) else "; ".join(script)
@@ -421,37 +357,12 @@ def partition_optimize(
                 payload["fault_sleep"] = fault_sleep
         payloads.append(payload)
 
-    # -- batching -------------------------------------------------------
-    # Pack the wire payloads into contiguous byte-budgeted batches so
-    # small regions share one IPC round-trip; min_batches=jobs keeps a
-    # small workload fanned out across the whole pool.  Composition is
-    # purely a transport decision -- every entry still runs under its
-    # own seed and Budget, so results are batch-invariant.
-    budget_bytes = DEFAULT_BATCH_BYTES if batch_bytes is None else batch_bytes
-    if budget_bytes and payloads:
-        plan = plan_batches(
-            [len(payload["wire"]) for payload in payloads], budget_bytes, min_batches=jobs
-        )
-    else:
-        plan = [[index] for index in range(len(payloads))]
-    dispatch: list[dict[str, Any]] = [
-        payloads[group[0]]
-        if len(group) == 1
-        else {"batch": [payloads[position] for position in group]}
-        for group in plan
-    ]
-    report.batches = len(dispatch)
-
-    # -- dispatch -------------------------------------------------------
+    # -- dispatch: one job per active region ----------------------------
     collect_timeout: float | None = None
     if worker_deadline is not None:
-        max_batch = max((len(group) for group in plan), default=1)
-        dispatch_waves = max(1, math.ceil(max(1, len(dispatch)) / jobs))
-        collect_timeout = worker_deadline * max_batch * dispatch_waves + _TIMEOUT_GRACE
-    raw_outcomes = executor.map_regions(dispatch, timeout=collect_timeout) if dispatch else []
+        collect_timeout = worker_deadline * waves + _TIMEOUT_GRACE
+    outcomes = executor.map_regions(payloads, timeout=collect_timeout) if payloads else []
     report.worker_restarts = executor.restarts - restarts_before
-
-    outcomes = _flatten_outcomes(plan, payloads, raw_outcomes)
 
     # -- verify and merge, in region-index order ------------------------
     substituted: dict[int, int] = {}

@@ -1,12 +1,11 @@
 """Region executors: inline, thread pool, and the restartable process pool.
 
 All three expose the same tiny surface (:class:`RegionExecutor`): run a
-wave of job payloads through :func:`~repro.partition.worker.
-run_partition_job` (single regions or byte-budgeted batches of regions
--- the executors are shape-agnostic) and return one outcome dict per
-payload, **in payload order** -- the parent merges in region-index
-order regardless of which worker finished first, which is what makes
-``jobs=4`` commit the exact sequence ``jobs=1`` does.
+wave of region payloads -- one payload per region, each one job of
+:func:`~repro.partition.worker.run_partition_job` -- and return one
+outcome dict per payload, **in payload order** -- the parent merges in
+region-index order regardless of which worker finished first, which is
+what makes ``jobs=4`` commit the exact sequence ``jobs=1`` does.
 
 Failure handling lives here so the driver never sees an exception from
 a worker, only a typed outcome:
@@ -18,12 +17,10 @@ a worker, only a typed outcome:
   flow;
 * hard worker death in process mode (``os._exit``) breaks the whole
   ``ProcessPoolExecutor``; the executor rebuilds the pool and retries
-  the affected payloads **one at a time** in isolation -- and a batch
-  payload caught in the blast is *exploded* into per-region retries --
-  so exactly the region that kills its worker is reported crashed and
-  its innocent wave (and batch) neighbours still complete.  Every
-  rebuild increments ``restarts`` (surfaced as the
-  ``ppart_worker_restarts`` counter).
+  the affected payloads **one at a time** in isolation, so exactly the
+  region that kills its worker is reported crashed and its innocent
+  wave neighbours still complete.  Every rebuild increments
+  ``restarts`` (surfaced as the ``ppart_worker_restarts`` counter).
 
 Process pools are expensive to warm (each worker pays the NPN
 structure-library enumeration once, via
@@ -65,9 +62,9 @@ def _failure(payload: dict[str, Any], status: str, message: str) -> dict[str, An
 
 
 class RegionExecutor(Protocol):
-    """Anything that can run a batch of region payloads to outcomes."""
+    """Anything that runs region payloads, one job each, to outcomes in payload order."""
 
-    #: Worker-pool restarts performed while serving batches (0 where the
+    #: Worker-pool restarts performed while serving waves (0 where the
     #: concept does not apply).
     restarts: int
 
@@ -223,7 +220,7 @@ class ProcessExecutor:
             # At least one worker died and broke the pool.
             self._kill_pool()
         for index in retry:
-            outcomes[index] = self._retry_in_isolation(payloads[index], deadline, timeout)
+            outcomes[index] = self._retry_single(payloads[index], deadline, timeout)
         return [
             outcome
             if outcome is not None
@@ -247,24 +244,6 @@ class ProcessExecutor:
             return _failure(payload, "worker_crashed", "worker process died")
         except Exception as error:  # pragma: no cover - defensive
             return _failure(payload, "worker_crashed", f"{type(error).__name__}: {error}")
-
-    def _retry_in_isolation(
-        self, payload: dict[str, Any], deadline: float | None, timeout: float | None
-    ) -> dict[str, Any]:
-        """Retry a payload caught in a pool explosion, one region at a time.
-
-        A batch payload is exploded into per-region retries so the
-        blast radius of a hard worker crash shrinks back to exactly the
-        region that kills its worker: batch-mates of the killer re-run
-        in isolation and complete normally.
-        """
-        entries = payload.get("batch")
-        if entries is None:
-            return self._retry_single(payload, deadline, timeout)
-        return {
-            "batch": True,
-            "results": [self._retry_single(entry, deadline, timeout) for entry in entries],
-        }
 
 
 #: Long-lived warmed process pools, one per worker count, shared by every

@@ -26,7 +26,6 @@ def wrap_script_with_jobs(
     strategy: str = "window",
     merge: str = "substitute",
     window: int | None = None,
-    batch: int | None = None,
 ) -> tuple[str, bool]:
     """Wrap the leading AIG passes of ``script`` into a ``ppart`` token.
 
@@ -34,9 +33,8 @@ def wrap_script_with_jobs(
     there was nothing to partition (no leading aig-to-aig pass, or the
     script already carries an explicit ``ppart``), in which case the
     script comes back canonicalised but otherwise unchanged.  ``window``
-    (per-region solver window) and ``batch`` (wire-batch byte budget, 0
-    disables batching) are emitted into the token only when set.  Raises
-    ``ValueError`` for invalid scripts or ``jobs < 1``.
+    (per-region solver window) is emitted into the token only when set.
+    Raises ``ValueError`` for invalid scripts or ``jobs < 1``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -56,8 +54,6 @@ def wrap_script_with_jobs(
     options = f",jobs={jobs},max_gates={max_gates},strategy={strategy},merge={merge}"
     if window is not None:
         options += f",window={window}"
-    if batch is not None:
-        options += f",batch={batch}"
     token = f"ppart({';'.join(prefix)}{options})"
     wrapped = parse_script([token] + rest)
     return "; ".join(wrapped), True

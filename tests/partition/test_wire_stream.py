@@ -1,4 +1,4 @@
-"""Wire format and streaming extraction: round-trips, batching, peak memory.
+"""Wire format and streaming extraction: round-trips and peak memory.
 
 The million-gate driver path never materialises every region at once:
 :func:`stream_region_networks` yields one sub-network at a time and the
@@ -6,8 +6,7 @@ dispatcher immediately flattens it to compact wire bytes.  This suite
 fuzzes the two halves independently -- 40-seed structural identity of
 the stream against :func:`extract_region`, and byte-exact wire
 round-trips -- then pins the memory claim itself (only one region's
-sub-network is ever alive) and the :func:`plan_batches` packing
-contract the byte-budget batcher relies on.
+sub-network is ever alive).
 """
 
 from __future__ import annotations
@@ -21,12 +20,7 @@ import pytest
 from repro.circuits.random_logic import random_aig
 from repro.networks.structural_hash import structural_hash
 from repro.partition.regions import extract_region, partition_network, stream_region_networks
-from repro.partition.wire import (
-    decode_region,
-    encode_region,
-    plan_batches,
-    wire_counts,
-)
+from repro.partition.wire import decode_region, encode_region, wire_counts
 
 SEEDS = list(range(40))
 
@@ -132,38 +126,3 @@ def test_decode_rejects_corrupt_payloads() -> None:
     corrupt[16:20] = (2**31).to_bytes(4, "little")
     with pytest.raises(ValueError):
         decode_region(bytes(corrupt))
-
-
-def test_plan_batches_contract() -> None:
-    sizes = [10, 20, 30, 5, 5, 40, 10]
-    batches = plan_batches(sizes, byte_budget=45)
-    # Contiguous partition of range(len(sizes)), in order.
-    assert [index for batch in batches for index in batch] == list(range(len(sizes)))
-    for batch in batches:
-        assert batch == list(range(batch[0], batch[0] + len(batch)))
-        # Over budget only when the batch is a single oversized item.
-        if len(batch) > 1:
-            assert sum(sizes[i] for i in batch) <= 45
-
-
-def test_plan_batches_min_batches_splits_small_workloads() -> None:
-    # A huge budget would collapse into one batch; min_batches keeps the
-    # pool busy by splitting near-evenly instead.
-    batches = plan_batches([10] * 8, byte_budget=1 << 30, min_batches=4)
-    assert len(batches) >= 4
-    assert [index for batch in batches for index in batch] == list(range(8))
-
-
-def test_plan_batches_oversized_item_gets_its_own_batch() -> None:
-    batches = plan_batches([5, 100, 5], byte_budget=20)
-    assert [5] not in batches  # no empty padding batches either
-    assert [1] in batches
-
-
-def test_plan_batches_edges() -> None:
-    assert plan_batches([], byte_budget=100) == []
-    assert plan_batches([7], byte_budget=1) == [[0]]
-    with pytest.raises(ValueError):
-        plan_batches([1], byte_budget=0)
-    with pytest.raises(ValueError):
-        plan_batches([1], byte_budget=10, min_batches=0)

@@ -84,11 +84,6 @@ def test_worker_fault_blast_radius_is_one_partition(seed: int, monkeypatch):
             region_timeout=1.5,
             fault_plan=faulted,
             fault_sleep=10.0,
-            # One job per region: this suite pins the *per-region* blast
-            # radius, so a hanging fault must not share a batch with
-            # healthy regions (test_partition_batch_chaos covers the
-            # batched blast radius).
-            batch_bytes=0,
         )
     finally:
         executor.close()
@@ -127,7 +122,6 @@ def test_all_workers_faulted_returns_the_input(monkeypatch):
             max_gates=MAX_GATES,
             executor=executor,
             fault_plan={region.index: "exception" for region in regions},
-            batch_bytes=0,
         )
     finally:
         executor.close()
@@ -137,6 +131,40 @@ def test_all_workers_faulted_returns_the_input(monkeypatch):
     from repro.networks.structural_hash import structural_hash
 
     assert structural_hash(optimized) == structural_hash(aig)
+
+
+def test_hung_region_at_pool_width_costs_only_itself(monkeypatch):
+    """Default dispatch with as many jobs as workers: a hang is one region."""
+    monkeypatch.setattr(parallel_module, "_TIMEOUT_GRACE", 1.5)
+    aig = _workload(32)
+    regions = partition_network(aig, max_gates=MAX_GATES)
+    eligible = [region.index for region in regions if region.outputs]
+    assert len(eligible) >= 4
+    faulted = eligible[0]
+    executor = ThreadExecutor(2)
+    try:
+        optimized, report = partition_optimize(
+            aig,
+            "rw",
+            jobs=2,
+            max_gates=MAX_GATES,
+            executor=executor,
+            region_timeout=0.4,
+            fault_plan={faulted: "timeout"},
+            fault_sleep=10.0,
+        )
+    finally:
+        executor.close()
+    by_index = {region.index: region for region in report.regions}
+    assert by_index[faulted].status == "worker_failed"
+    for index, region_report in by_index.items():
+        if index != faulted:
+            assert region_report.status in ("merged", "unchanged"), (
+                f"region {index}: {region_report.status} ({region_report.failure})"
+            )
+    assert report.regions_rolled_back == 1
+    outcome = check_combinational_equivalence(aig, optimized)
+    assert outcome.equivalent
 
 
 @pytest.mark.skipif(os.name != "posix", reason="hard worker death uses os._exit")
