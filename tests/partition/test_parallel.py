@@ -154,3 +154,63 @@ def test_process_pool_reuse_does_not_restart_workers() -> None:
         shutdown_shared_executors()
     assert first.worker_restarts == 0
     assert second.worker_restarts == 0
+
+
+class _RecordingExecutor:
+    """Runs every payload inline and records what the driver dispatched."""
+
+    restarts = 0
+
+    def __init__(self) -> None:
+        self.calls: list[tuple[list[dict], float | None]] = []
+
+    def map_regions(self, payloads, timeout=None):
+        from repro.partition.pool import InlineExecutor
+
+        self.calls.append((list(payloads), timeout))
+        return InlineExecutor().map_regions(payloads)
+
+
+def test_each_active_region_is_dispatched_as_one_job() -> None:
+    aig = epfl_benchmark("int2float")
+    executor = _RecordingExecutor()
+    inline, _ = partition_optimize(aig, "rw", jobs=1, max_gates=60)
+    optimized, report = partition_optimize(aig, "rw", jobs=2, max_gates=60, executor=executor)
+    # One wave call, one payload per region with visible outputs, in
+    # region-index order; dead cones never reach a worker.
+    assert len(executor.calls) == 1
+    payloads, _timeout = executor.calls[0]
+    active = [r.index for r in report.regions if r.outputs]
+    assert [int(payload["region"]) for payload in payloads] == active
+    assert all(isinstance(payload["wire"], bytes) for payload in payloads)
+    assert structural_hash(optimized) == structural_hash(inline)
+
+
+def test_no_collection_timeout_without_a_deadline() -> None:
+    aig = epfl_benchmark("int2float")
+    executor = _RecordingExecutor()
+    partition_optimize(aig, "rw", jobs=2, max_gates=60, executor=executor)
+    payloads, timeout = executor.calls[0]
+    assert timeout is None
+    assert all("deadline" not in payload for payload in payloads)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_collection_timeout_is_region_deadline_times_waves_plus_grace(jobs: int) -> None:
+    import math
+
+    from repro.partition import parallel as parallel_module
+
+    aig = epfl_benchmark("int2float")
+    executor = _RecordingExecutor()
+    region_timeout = 7.0
+    partition_optimize(
+        aig, "rw", jobs=jobs, max_gates=60, executor=executor, region_timeout=region_timeout
+    )
+    payloads, timeout = executor.calls[0]
+    assert len(payloads) > 4
+    # Each region job gets the region deadline; the parent waits for as
+    # many sequential waves as the pool width implies, plus the grace.
+    assert all(payload["deadline"] == region_timeout for payload in payloads)
+    waves = math.ceil(len(payloads) / jobs)
+    assert timeout == pytest.approx(region_timeout * waves + parallel_module._TIMEOUT_GRACE)

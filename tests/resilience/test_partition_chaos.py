@@ -167,6 +167,62 @@ def test_hung_region_at_pool_width_costs_only_itself(monkeypatch):
     assert outcome.equivalent
 
 
+@pytest.mark.parametrize("fault", ["crash-soft", "exception"])
+def test_soft_fault_on_a_single_worker_costs_only_its_own_region(fault: str) -> None:
+    """Every region queues through one worker; one faults; the rest commit."""
+    aig = _workload(31)
+    regions = partition_network(aig, max_gates=MAX_GATES)
+    eligible = [region.index for region in regions if region.outputs]
+    assert len(eligible) >= 4
+    faulted = eligible[1]
+    executor = ThreadExecutor(1)
+    try:
+        optimized, report = partition_optimize(
+            aig,
+            "rw",
+            jobs=1,
+            max_gates=MAX_GATES,
+            executor=executor,
+            fault_plan={faulted: fault},
+        )
+    finally:
+        executor.close()
+    by_index = {region.index: region for region in report.regions}
+    assert by_index[faulted].status == "worker_failed"
+    for index in eligible:
+        if index != faulted:
+            assert by_index[index].status in ("merged", "unchanged"), (
+                f"region {index}: {by_index[index].status} ({by_index[index].failure})"
+            )
+    assert report.regions_rolled_back == 1
+    outcome = check_combinational_equivalence(aig, optimized)
+    assert outcome.equivalent
+
+
+def test_executor_width_does_not_change_the_result() -> None:
+    """Pool width is a transport decision: every width commits the same network."""
+    from repro.networks.structural_hash import structural_hash
+
+    aig = _workload(33)
+    inline, _report = partition_optimize(aig.clone(), "rw; rf", jobs=1, max_gates=MAX_GATES)
+    hashes = {structural_hash(inline)}
+    for width in (1, 2, 4):
+        executor = ThreadExecutor(width)
+        try:
+            optimized, report = partition_optimize(
+                aig.clone(),
+                "rw; rf",
+                jobs=width,
+                max_gates=MAX_GATES,
+                executor=executor,
+            )
+        finally:
+            executor.close()
+        assert report.regions_rolled_back == 0
+        hashes.add(structural_hash(optimized))
+    assert len(hashes) == 1
+
+
 @pytest.mark.skipif(os.name != "posix", reason="hard worker death uses os._exit")
 def test_real_process_crash_restarts_pool_and_degrades_gracefully():
     """A worker dying via ``os._exit`` only loses its own partition."""
