@@ -15,19 +15,24 @@ vector.  Two simulation modes are provided, mirroring Algorithm 1:
   computed by STP composition, and only cut roots are evaluated
   (:meth:`StpSimulator.simulate_nodes`).
 
-Both modes run the matrix pass as a byte-table lookup.  A node's value
-over all patterns is held with one 0/1 byte per pattern (a Python int in
-the loop, ``bytes`` when stored).  Under one pattern, with fanin ``i``
-taking value ``b_i``, the STP product selects column
-``c = sum_i (1 - b_i) * 2^i`` of the structural matrix ``M``; equivalently
-``M[0, 2^k - 1 - j]`` with ``j = sum_i b_i * 2^i``.  So each LUT keeps the
-row ``R[j] = M[0, 2^k - 1 - j]``, built once from its matrix, and ``j``
-for every pattern at once is ``OR_i value_i << i``: the shifted bits are
-disjoint and stay inside their byte for up to 8 inputs.  The pass is then
-``j.to_bytes(P, "little").translate(R)``.  Wider tables (mode ``s`` cuts
-reach ``floor(log2 P)`` leaves) build ``j`` 8 inputs at a time and gather
-from ``R`` with numpy.  All signatures are packed at the end by one
-``np.packbits``.
+Both modes run the matrix pass on packed pattern words, one Python int
+per node with bit ``p`` the node's value under pattern ``p``, as the
+word-parallel AIG simulator does.  The pass follows from the STP product
+itself.  A k-LUT's structural matrix ``M`` multiplies its fanins' logic
+vectors last fanin first, ``M x_{k-1} ... x_0``, and ``M[0, c]`` is the
+output for the assignment with ``b_i = 1 - bit i of c``; so the first row
+of ``M``, reversed, is the truth table.  With ``x = δ₂¹`` (true) the
+product ``M x`` keeps the left column block of ``M`` and with ``x = δ₂²``
+(false) the right one, so ``M x = x·M_hi + ¬x·M_lo``: the blocks are the
+structural matrices of the cofactors on input ``k - 1``, and their first
+rows, reversed, are the high and low halves of the truth table.  Over all
+patterns at once, with ``x`` a pattern word, the selection is
+``lo ^ (x & (hi ^ lo))``.  Recursing into the blocks down to 2 x 1
+matrices (the constant words 0 and ``mask``) turns the LUT into a short
+op list (:func:`compile_table`): a block pair that is equal means the
+input is redundant and is folded away, a constant block becomes ``0`` or
+``mask``, and a block seen before is shared.  Each distinct LUT function
+is compiled once; mode ``s`` compiles each cut's table the same way.
 
 Two equivalent implementations of the structural-matrix composition are
 available: the literal STP-algebra path (:func:`cut_truth_table_stp` with
@@ -41,9 +46,7 @@ cross-checks the two.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping, Sequence
 
 from ..cuts import SimulationCut, klut_cone_table, simulation_cuts
 from ..networks.aig import Aig
@@ -61,6 +64,7 @@ __all__ = [
     "StpSimulator",
     "simulate_klut_stp",
     "cut_truth_table_stp",
+    "compile_table",
     "compute_pi_supports",
     "compute_local_truth_tables",
     "expand_truth_table",
@@ -82,95 +86,55 @@ def cut_limit_for_patterns(num_patterns: int, maximum: int = 16) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Byte-per-pattern column selection
+# Column selection as an op list over pattern words
 # ---------------------------------------------------------------------------
 
+#: A compiled table: ops ``(x, lo, hi)`` and the register of the output.
+Program = tuple[tuple[tuple[int, int, int], ...], int]
 
-def _matrix_row(matrix: np.ndarray) -> bytes:
-    """Column-select table of a structural matrix: byte ``j`` is ``M[0, 2^k - 1 - j]``.
+#: A LUT (or cut) ready to run: its node, its fanins (registers 2 on) and
+#: its program.
+_Compiled = tuple[int, Sequence[int], Program]
 
-    Padded to 256 bytes so that it is a ``bytes.translate`` table for LUTs
-    of up to 8 inputs.
+
+def compile_table(table: TruthTable) -> Program:
+    """Op list selecting the column of ``table``'s structural matrix for all patterns.
+
+    Registers 0 and 1 hold the constant words 0 and ``mask``, register
+    ``2 + i`` holds input ``i``'s pattern word, and op ``j`` writes
+    register ``2 + k + j`` with ``lo ^ (x & (hi ^ lo))`` of registers
+    ``(x, lo, hi)``.  The table is split on its top input, recursing from
+    the highest input down (see the module docstring); a split whose
+    halves are the constants 0 and 1 is the input itself and needs no op.
     """
-    return matrix[0, ::-1].astype(np.uint8).tobytes().ljust(256, b"\0")
+    num_vars = table.num_vars
+    ops: list[tuple[int, int, int]] = []
+    memo: dict[tuple[int, int], int] = {}
 
+    def build(bits: int, width: int) -> int:
+        while width:
+            half = 1 << (width - 1)
+            hi = bits >> half
+            lo = bits ^ (hi << half)
+            if lo != hi:
+                break
+            bits, width = lo, width - 1  # equal blocks: the input is redundant
+        else:
+            return bits  # a constant: register 0 or 1
+        key = (width, bits)
+        register = memo.get(key)
+        if register is None:
+            lo_register, hi_register = build(lo, width - 1), build(hi, width - 1)
+            if (lo_register, hi_register) == (0, 1):
+                register = width + 1
+            else:
+                register = 2 + num_vars + len(ops)
+                ops.append((width + 1, lo_register, hi_register))
+            memo[key] = register
+        return register
 
-def _spread(word: int, num_patterns: int) -> bytes:
-    """A packed signature word as one 0/1 byte per pattern."""
-    raw = np.frombuffer(word.to_bytes((num_patterns + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=num_patterns, bitorder="little").tobytes()
-
-
-def _select_columns(row: bytes, fanin_values: Sequence[int], num_patterns: int) -> bytes:
-    """One structural-matrix pass over all patterns, one 0/1 byte per pattern.
-
-    ``fanin_values`` hold one 0/1 byte per pattern each, so OR-ing fanin
-    ``i``'s value shifted by ``i`` builds every pattern's assignment ``j``
-    in its own byte without carries; ``row[j]`` is the output the STP
-    column selection yields for it.  Up to 8 inputs this is a single
-    ``bytes.translate``; wider tables gather from ``row`` with a numpy
-    index assembled 8 inputs at a time.
-    """
-    if len(fanin_values) <= 8:
-        return _byte_index(fanin_values).to_bytes(num_patterns, "little").translate(row)
-    gather = np.zeros(num_patterns, dtype=np.intp)
-    for low in range(0, len(fanin_values), 8):
-        chunk = _byte_index(fanin_values[low : low + 8]).to_bytes(num_patterns, "little")
-        gather |= np.frombuffer(chunk, dtype=np.uint8).astype(np.intp) << low
-    return np.frombuffer(row, dtype=np.uint8)[gather].tobytes()
-
-
-def _byte_index(fanin_values: Sequence[int]) -> int:
-    """``OR_i fanin_values[i] << i``: up to 8 inputs' bits, one byte per pattern."""
-    if not fanin_values:
-        return 0
-    index = fanin_values[0]
-    for position in range(1, len(fanin_values)):
-        index |= fanin_values[position] << position
-    return index
-
-
-class _ByteValues:
-    """Node values with one 0/1 byte per pattern, for one simulation run.
-
-    ``values`` is a flat list indexed by node (``None`` until simulated)
-    holding each value as a Python int for the shift/OR of
-    :func:`_byte_index`; ``buffer`` holds the same bytes, node after node,
-    so that :meth:`result` packs every signature with one ``np.packbits``.
-    Constants and PIs are stored on construction.
-    """
-
-    def __init__(self, network: KLutNetwork, patterns: PatternSet) -> None:
-        if patterns.num_inputs != network.num_pis:
-            raise ValueError(f"pattern set has {patterns.num_inputs} inputs, network has {network.num_pis}")
-        self.num_patterns = num_patterns = patterns.num_patterns
-        self.values: list[int | None] = [None] * network.num_nodes
-        self.buffer = bytearray(network.num_nodes * num_patterns)
-        for node in network.nodes():
-            if network.is_constant(node):
-                self.store(node, bytes([network.constant_value(node)]) * num_patterns)
-        for position, node in enumerate(network.pis):
-            self.store(node, _spread(patterns.input_word(position) & patterns.mask, num_patterns))
-
-    def store(self, node: int, raw: bytes) -> None:
-        """Record the value of ``node`` (one 0/1 byte per pattern)."""
-        num_patterns = self.num_patterns
-        self.buffer[node * num_patterns : (node + 1) * num_patterns] = raw
-        self.values[node] = int.from_bytes(raw, "little")
-
-    def result(self) -> SimulationResult:
-        """Signatures of every stored node."""
-        num_patterns = self.num_patterns
-        stride = (num_patterns + 7) // 8
-        rows = np.frombuffer(self.buffer, dtype=np.uint8).reshape(len(self.values), num_patterns)
-        packed = np.packbits(rows, axis=1, bitorder="little").tobytes()
-        result = SimulationResult(num_patterns)
-        result.signatures = {
-            node: int.from_bytes(packed[node * stride : (node + 1) * stride], "little")
-            for node, value in enumerate(self.values)
-            if value is not None
-        }
-        return result
+    output = build(table.bits, num_vars)
+    return tuple(ops), output
 
 
 # ---------------------------------------------------------------------------
@@ -260,31 +224,51 @@ class StpSimulator:
 
     def __init__(self, network: KLutNetwork) -> None:
         self.network = network
-        # One structural matrix per LUT, precomputed once: this is the
-        # "logic matrices as primitives of the logic network" part of the
-        # paper -- the simulator never looks at gate operators again.  Only
-        # the matrix's column-select row is kept (see _select_columns), one
-        # per distinct LUT function.
-        shared: dict[TruthTable, bytes] = {}
-        self._rows: dict[int, bytes] = {}
-        for node in network.luts():
+        self._constants = [
+            (node, network.constant_value(node)) for node in network.nodes() if network.is_constant(node)
+        ]
+        # Every LUT's structural matrix is compiled once into an op list:
+        # this is the "logic matrices as primitives of the logic network"
+        # part of the paper -- the simulator never looks at gate operators
+        # again.  One program per distinct LUT function, shared by the LUTs
+        # that compute it.
+        programs: dict[TruthTable, Program] = {}
+        self._luts: list[_Compiled] = []
+        for node in network.topological_order():
             function = network.lut_function(node)
-            row = shared.get(function)
-            if row is None:
-                row = shared[function] = _matrix_row(truth_table_to_structural_matrix(function))
-            self._rows[node] = row
+            program = programs.get(function)
+            if program is None:
+                program = programs[function] = compile_table(function)
+            self._luts.append((node, network.lut_fanins(node), program))
+
+    def _run(self, patterns: PatternSet, luts: Iterable[_Compiled]) -> list[int]:
+        """Every node's pattern word after running ``luts`` in order (0 for nodes not run)."""
+        network = self.network
+        if patterns.num_inputs != network.num_pis:
+            raise ValueError(f"pattern set has {patterns.num_inputs} inputs, network has {network.num_pis}")
+        mask = patterns.mask
+        words = [0] * network.num_nodes
+        for node, value in self._constants:
+            words[node] = mask if value else 0
+        for position, node in enumerate(network.pis):
+            words[node] = patterns.input_word(position) & mask
+        word_of = words.__getitem__
+        for node, fanins, (ops, output) in luts:
+            registers = [0, mask]
+            registers += map(word_of, fanins)
+            for x, lo, hi in ops:
+                low = registers[lo]
+                registers.append(low ^ (registers[x] & (registers[hi] ^ low)))
+            words[node] = registers[output]
+        return words
 
     # -- mode 'a': all nodes --------------------------------------------
 
     def simulate_all(self, patterns: PatternSet) -> SimulationResult:
         """Simulate every node; one structural-matrix pass per node."""
-        network = self.network
-        state = _ByteValues(network, patterns)
-        values, rows, num_patterns = state.values, self._rows, state.num_patterns
-        for node in network.topological_order():
-            fanin_values = [values[fanin] for fanin in network.fanins(node)]
-            state.store(node, _select_columns(rows[node], fanin_values, num_patterns))
-        return state.result()
+        result = SimulationResult(patterns.num_patterns)
+        result.signatures = dict(enumerate(self._run(patterns, self._luts)))
+        return result
 
     # -- mode 's': specified nodes ----------------------------------------
 
@@ -301,14 +285,16 @@ class StpSimulator:
         include every target), the PIs and the constants.
         """
         network = self.network
-        state = _ByteValues(network, patterns)
         if limit is None:
-            limit = cut_limit_for_patterns(state.num_patterns)
-        for cut in simulation_cuts(network, list(targets), limit):
-            row = _matrix_row(truth_table_to_structural_matrix(cut_truth_table_stp(network, cut)))
-            leaf_values = [state.values[leaf] for leaf in cut.leaves]
-            state.store(cut.root, _select_columns(row, leaf_values, state.num_patterns))
-        return state.result()
+            limit = cut_limit_for_patterns(patterns.num_patterns)
+        cuts = simulation_cuts(network, list(targets), limit)
+        words = self._run(
+            patterns, ((cut.root, cut.leaves, compile_table(cut_truth_table_stp(network, cut))) for cut in cuts)
+        )
+        result = SimulationResult(patterns.num_patterns)
+        sources = [node for node, _value in self._constants] + network.pis
+        result.signatures = {node: words[node] for node in sources + [cut.root for cut in cuts]}
+        return result
 
     # -- exhaustive local signatures (Section III-C) -----------------------
 

@@ -27,8 +27,12 @@ _HALF_MASKS: dict[tuple[int, int], int] = {}
 #: ``i + 1`` at 0.  Only the set for the widest table seen is kept; a
 #: narrower table uses it as it is, since ``bits & mask`` only walks the
 #: shorter operand.  A caller keeps the tuple it was handed, so a
-#: concurrent rebuild never changes the masks under it.
+#: concurrent rebuild never changes the masks under it.  Tables wider
+#: than :data:`_MAX_CACHED_SWAP_BITS` build their masks per call: the set
+#: for 24 inputs alone is 46 MB, which the cache would hold for the life
+#: of the process.
 _SWAP_MASKS: tuple[int, ...] = ()
+_MAX_CACHED_SWAP_BITS = 1 << 16
 
 
 def _periodic_mask(num_bits: int, pattern: int, period: int) -> int:
@@ -54,10 +58,12 @@ def _swap_masks(num_bits: int) -> tuple[int, ...]:
     masks = _SWAP_MASKS
     num_swaps = num_bits.bit_length() - 2
     if len(masks) < num_swaps:
-        masks = _SWAP_MASKS = tuple(
+        masks = tuple(
             _periodic_mask(num_bits, ((1 << (1 << variable)) - 1) << (1 << variable), 4 << variable)
             for variable in range(num_swaps)
         )
+        if num_bits <= _MAX_CACHED_SWAP_BITS:
+            _SWAP_MASKS = masks
     return masks
 
 

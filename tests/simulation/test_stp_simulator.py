@@ -25,7 +25,7 @@ from repro.simulation import (
     simulate_klut_per_pattern,
     simulate_klut_stp,
 )
-from repro.simulation.stp_simulator import complement_key, expand_truth_table, function_key
+from repro.simulation.stp_simulator import compile_table, complement_key, expand_truth_table, function_key
 from repro.truthtable import TruthTable
 
 
@@ -187,6 +187,92 @@ class TestSpecifiedNodeMode:
             StpSimulator(small_klut).simulate_nodes(PatternSet.random(2, 8), [0])
 
 
+def _lookup_signature(table, input_words, num_patterns):
+    """Reference: read ``table`` at each pattern's assignment, one pattern at a time."""
+    signature = 0
+    for pattern in range(num_patterns):
+        assignment = sum(((word >> pattern) & 1) << position for position, word in enumerate(input_words))
+        signature |= table.value_at(assignment) << pattern
+    return signature
+
+
+def _program_registers(program):
+    ops, output = program
+    return {output} | {register for op in ops for register in op}
+
+
+class TestCompiledTables:
+    """Each LUT's op list equals a per-pattern lookup of its table."""
+
+    @staticmethod
+    def _tables(seed):
+        rng = random.Random(seed)
+        tables = [TruthTable(arity, bits) for arity in range(4) for bits in range(1 << (1 << arity))]
+        return tables + [TruthTable(arity, rng.getrandbits(1 << arity)) for arity in range(4, 13) for _ in range(3)]
+
+    @pytest.mark.parametrize("arity", range(1, 7))
+    def test_column_blocks_are_the_top_input_cofactors(self, arity):
+        # The derivation the compiler rests on: the structural matrix's
+        # first row, reversed, is the table, and its left and right column
+        # blocks are the matrices of the high and low cofactors.
+        from repro.truthtable import truth_table_to_structural_matrix
+
+        table = TruthTable(arity, random.Random(arity).getrandbits(1 << arity))
+        matrix = truth_table_to_structural_matrix(table)
+        assert [int(value) for value in matrix[0, ::-1]] == table.to_bit_list()
+        half = 1 << (arity - 1)
+        high = TruthTable(arity - 1, table.bits >> half)
+        low = TruthTable(arity - 1, table.bits & ((1 << half) - 1))
+        assert (matrix[:, :half] == truth_table_to_structural_matrix(high)).all()
+        assert (matrix[:, half:] == truth_table_to_structural_matrix(low)).all()
+
+    @pytest.mark.parametrize("num_patterns", [0, 7, 1001])
+    def test_every_small_and_random_wide_function_matches_lookup(self, num_patterns):
+        rng = random.Random(num_patterns)
+        network = KLutNetwork()
+        pis = [network.add_pi() for _ in range(12)]
+        luts = []
+        for table in self._tables(num_patterns):
+            fanins = rng.sample(pis, table.num_vars)
+            luts.append((network.add_lut(fanins, table), fanins, table))
+        patterns = PatternSet.random(len(pis), num_patterns, seed=num_patterns + 1)
+        result = StpSimulator(network).simulate_all(patterns)
+        words = {pi: patterns.input_word(position) for position, pi in enumerate(pis)}
+        for node, fanins, table in luts:
+            expected = _lookup_signature(table, [words[fanin] for fanin in fanins], num_patterns)
+            assert result.signature(node) == expected, table
+
+    @pytest.mark.parametrize("arity", range(1, 9))
+    def test_redundant_top_input_is_never_read(self, arity):
+        rng = random.Random(arity)
+        table = TruthTable(arity - 1, rng.getrandbits(1 << (arity - 1))).extend(arity)
+        assert not table.depends_on(arity - 1)
+        assert 2 + arity - 1 not in _program_registers(compile_table(table))
+
+    @pytest.mark.parametrize("arity", range(6))
+    def test_constants_compile_to_constant_registers(self, arity):
+        assert compile_table(TruthTable.constant(False, arity)) == ((), 0)
+        assert compile_table(TruthTable.constant(True, arity)) == ((), 1)
+
+    @pytest.mark.parametrize("arity", range(1, 6))
+    def test_constant_cofactors_of_both_polarities(self, arity):
+        top = 2 + arity - 1
+        variable = TruthTable.variable(arity - 1, arity)
+        assert compile_table(variable) == ((), top)
+        assert compile_table(~variable) == (((top, 1, 0),), 2 + arity)
+        if arity < 2:
+            return
+        rest = TruthTable.variable(0, arity)
+        cases = {
+            variable & rest: (0, 2),  # low half 0
+            variable | rest: (2, 1),  # high half 1
+            ~variable & rest: (2, 0),  # high half 0
+            ~variable | rest: (1, 2),  # low half 1
+        }
+        for table, (lo, hi) in cases.items():
+            assert compile_table(table) == (((top, lo, hi),), 2 + arity), table
+
+
 class TestCutTruthTables:
     def test_word_level_matches_algebraic(self, small_klut):
         cuts = simulation_cuts(small_klut, list(small_klut.luts()), limit=4)
@@ -333,7 +419,7 @@ class TestWordLevelMatchesGather:
     @pytest.mark.parametrize("window_size", range(17, 21))
     def test_expansion_and_projection_beyond_16_leaves(self, window_size):
         # Windows wider than 16 leaves are legal (``--window-leaves`` up to
-        # the 24-input table limit) and grow the shared swap masks.
+        # the 24-input table limit) and build their swap masks uncached.
         rng = random.Random(window_size)
         window = sorted(rng.sample(range(64), window_size))
         own = rng.sample(window, rng.randint(window_size - 6, window_size - 1))

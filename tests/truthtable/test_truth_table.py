@@ -217,6 +217,21 @@ class TestWordLevelMatchesLoops:
                 expected |= 1 << assignment
         assert shrunk == TruthTable(len(kept), expected)
 
+    def test_wide_extend_leaves_swap_mask_cache_at_16_inputs(self):
+        from repro.truthtable import truth_table
+
+        wide = TruthTable.variable(0, 1).extend(20, [19])
+        assert wide == TruthTable(20, ((1 << (1 << 19)) - 1) << (1 << 19))  # input 19 is the top half
+        rng = random.Random(20)
+        positions = rng.sample(range(20), 5)
+        table = TruthTable(5, rng.getrandbits(32))
+        extended = table.extend(20, positions)
+        for assignment in rng.sample(range(1 << 20), 200):
+            own = [(assignment >> position) & 1 for position in positions]
+            assert extended.value_at(assignment) == table.evaluate(own)
+        assert len(truth_table._SWAP_MASKS) <= 15
+        assert all(mask.bit_length() <= 1 << 16 for mask in truth_table._SWAP_MASKS)
+
     @pytest.mark.parametrize("seed", range(30))
     def test_extend_with_positions(self, seed):
         rng = random.Random(seed)
