@@ -5,9 +5,9 @@ that can exploit it -- a >= 200k-gate structured-random synthetic
 (:func:`~repro.circuits.random_logic.random_aig`), the scale regime the
 streaming dispatch path is built for.  Two splits per workload:
 
-* ``jobs=1`` inline versus ``jobs=4`` over the shared warmed
-  spawned-process pool, one job per region (the headline speedup
-  number);
+* ``jobs=1`` inline versus ``jobs=4`` over the process-wide warmed
+  spawned-process pool (each worker enumerates its own exact rewrite
+  tables once), one job per region (the headline speedup number);
 * persistent per-region solver windows versus fresh solver encodes on a
   ``fraig`` sweep, isolating the solver-reuse win.
 
@@ -80,9 +80,9 @@ def _workloads():
 def test_bench_partition_parallel_suite(benchmark, request):
     """Inline/pooled and windowed/fresh splits.
 
-    The pool is created and warmed *outside* the timed region (the warm
-    NPN/structure libraries and the shared exact-table blob are a
-    one-time per-process cost the service amortizes over its lifetime),
+    The pool is created and warmed *outside* the timed region (each
+    worker's NPN/structure libraries and exact tables are a one-time
+    per-worker cost the service amortizes over its lifetime),
     so the measured numbers are steady-state dispatch/merge cost, not
     process spawn latency.
     """
@@ -167,7 +167,7 @@ def test_bench_partition_parallel_suite(benchmark, request):
             ),
             "subject": (
                 "streaming region extraction, binary wire dispatch with one "
-                "job per region, shared warm exact-tables, per-region solver "
+                "job per region, per-worker warm exact tables, per-region solver "
                 "windows"
             ),
             "method": (

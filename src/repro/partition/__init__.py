@@ -55,7 +55,7 @@ from .pool import (
 from .regions import Region, extract_region, partition_network, stream_region_networks
 from .script import wrap_script_with_jobs
 from .wire import decode_region, encode_region, wire_counts
-from .worker import run_partition_job, warm_partition_worker
+from .worker import run_partition_job
 
 __all__ = [
     "Region",
@@ -66,7 +66,6 @@ __all__ = [
     "decode_region",
     "wire_counts",
     "run_partition_job",
-    "warm_partition_worker",
     "RegionExecutor",
     "InlineExecutor",
     "ThreadExecutor",

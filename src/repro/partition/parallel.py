@@ -68,8 +68,8 @@ from .wire import decode_region, encode_region
 
 __all__ = ["RegionReport", "PartitionReport", "partition_optimize"]
 
-#: Extra collection time granted on top of the worker deadline before a
-#: worker counts as hung.
+#: Extra time granted on top of the worker deadline before a wave with
+#: no completing region counts as hung.
 _TIMEOUT_GRACE = 30.0
 
 
@@ -358,9 +358,11 @@ def partition_optimize(
         payloads.append(payload)
 
     # -- dispatch: one job per active region ----------------------------
+    # The executor times out a worker only after this long with no
+    # region completing, so a hang never holds back a healthy region.
     collect_timeout: float | None = None
     if worker_deadline is not None:
-        collect_timeout = worker_deadline * waves + _TIMEOUT_GRACE
+        collect_timeout = worker_deadline + _TIMEOUT_GRACE
     outcomes = executor.map_regions(payloads, timeout=collect_timeout) if payloads else []
     report.worker_restarts = executor.restarts - restarts_before
 

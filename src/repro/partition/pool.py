@@ -11,10 +11,13 @@ Failure handling lives here so the driver never sees an exception from
 a worker, only a typed outcome:
 
 * a worker that raises comes back as ``{"status": "worker_crashed"}``;
-* a hung worker (no result within the collection deadline) comes back
-  as ``{"status": "worker_timeout"}`` and, in process mode, gets its
-  whole pool terminated and rebuilt -- a wedged child never wedges the
-  flow;
+* a hung worker comes back as ``{"status": "worker_timeout"}``.  The
+  pool executors collect results as they complete and give up only
+  when ``timeout`` seconds pass with no region completing, so a hang
+  holds the wave for one ``timeout`` after the last healthy region, not
+  for the whole wave's budget.  In process mode the hung children are
+  terminated with their pool, and the regions still queued behind them
+  re-run on a fresh pool -- a wedged child never wedges the flow;
 * hard worker death in process mode (``os._exit``) breaks the whole
   ``ProcessPoolExecutor``; the executor rebuilds the pool and retries
   the affected payloads **one at a time** in isolation, so exactly the
@@ -22,30 +25,33 @@ a worker, only a typed outcome:
   wave neighbours still complete.  Every rebuild increments
   ``restarts`` (surfaced as the ``ppart_worker_restarts`` counter).
 
-Process pools are expensive to warm (each worker pays the NPN
-structure-library enumeration once, via
-:func:`~repro.partition.worker.warm_partition_worker`), so
-:func:`shared_process_executor` keeps one pool per worker count alive
-for the whole process and hands it to every ``ppart`` invocation --
-the same warm-worker reuse pattern the synthesis service uses.
+Process pools are expensive to start: each spawned worker imports the
+package and enumerates the exact rewrite tables once in its initializer
+(:func:`~repro.rewriting.library.warm_worker`, about 0.2-0.3 s, in parallel
+across workers).  :func:`shared_process_executor` therefore keeps one
+pool per worker count alive for the whole process and hands it to every
+``ppart`` invocation -- the same warm-worker reuse pattern the
+synthesis service uses.
 """
 
 from __future__ import annotations
 
 import atexit
-import time
 from concurrent.futures import (
+    FIRST_COMPLETED,
     CancelledError,
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
+    wait,
 )
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context
 from typing import Any, Protocol
 
-from .worker import run_partition_job, warm_partition_worker
+from ..rewriting.library import warm_worker
+from .worker import run_partition_job
 
 __all__ = [
     "RegionExecutor",
@@ -59,6 +65,54 @@ __all__ = [
 
 def _failure(payload: dict[str, Any], status: str, message: str) -> dict[str, Any]:
     return {"region": int(payload.get("region", -1)), "status": status, "message": message}
+
+
+def _collect(
+    futures: list[Future[dict[str, Any]]],
+    payloads: list[dict[str, Any]],
+    timeout: float | None,
+) -> tuple[list[dict[str, Any]], list[int], list[int]]:
+    """Gather one wave's outcomes, in payload order, as the jobs complete.
+
+    Waits for the next completion at most ``timeout`` seconds (``None``:
+    forever).  When that passes with no region completing, the wave has
+    stalled: every unfinished job is cancelled and comes back as
+    ``worker_timeout``.  A region is thus timed out only after it has
+    run ``timeout`` seconds since its worker slot freed up, however many
+    regions queued before it.
+
+    Also returns the indices whose job broke with the pool (hard worker
+    death, reported ``worker_crashed``) and the unfinished indices in
+    payload order.  Jobs start in submission order, so the first
+    ``jobs`` unfinished payloads are the ones that held the workers; any
+    after them never started.
+    """
+    outcomes: list[dict[str, Any]] = [{} for _ in futures]
+    broken: list[int] = []
+    index_of = {future: index for index, future in enumerate(futures)}
+    pending = set(futures)
+    while pending:
+        done, pending = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
+        if not done:
+            break
+        for future in done:
+            index = index_of[future]
+            try:
+                outcomes[index] = future.result()
+            except (BrokenProcessPool, CancelledError):
+                broken.append(index)
+                outcomes[index] = _failure(payloads[index], "worker_crashed", "worker process died")
+            except Exception as error:
+                outcomes[index] = _failure(
+                    payloads[index], "worker_crashed", f"{type(error).__name__}: {error}"
+                )
+    unfinished = sorted(index_of[future] for future in pending)
+    for index in unfinished:
+        futures[index].cancel()
+        outcomes[index] = _failure(
+            payloads[index], "worker_timeout", f"no region completed within {timeout}s"
+        )
+    return outcomes, sorted(broken), unfinished
 
 
 class RegionExecutor(Protocol):
@@ -117,22 +171,9 @@ class ThreadExecutor:
         self, payloads: list[dict[str, Any]], timeout: float | None = None
     ) -> list[dict[str, Any]]:
         futures = [self._pool.submit(run_partition_job, payload) for payload in payloads]
-        deadline = None if timeout is None else time.monotonic() + timeout
-        outcomes: list[dict[str, Any]] = []
-        for payload, future in zip(payloads, futures):
-            remaining = None if deadline is None else max(0.05, deadline - time.monotonic())
-            try:
-                outcomes.append(future.result(timeout=remaining))
-            except FuturesTimeoutError:
-                future.cancel()
-                outcomes.append(
-                    _failure(payload, "worker_timeout", f"no result within {timeout}s")
-                )
-            except Exception as error:
-                outcomes.append(
-                    _failure(payload, "worker_crashed", f"{type(error).__name__}: {error}")
-                )
-        return outcomes
+        # Threads cannot be killed, so regions queued behind hung
+        # workers would never run: they time out with them.
+        return _collect(futures, payloads, timeout)[0]
 
     def close(self) -> None:
         self._pool.shutdown(wait=False, cancel_futures=True)
@@ -153,16 +194,8 @@ class ProcessExecutor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            # Publish the exact-enumeration tables once in the parent so
-            # every spawned worker attaches the shared blob instead of
-            # re-enumerating (None -> workers warm up locally).
-            from ..rewriting.shared import publish_shared_library
-
             self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                mp_context=self._context,
-                initializer=warm_partition_worker,
-                initargs=(publish_shared_library(),),
+                max_workers=self.jobs, mp_context=self._context, initializer=warm_worker
             )
         return self._pool
 
@@ -191,51 +224,26 @@ class ProcessExecutor:
         self, payloads: list[dict[str, Any]], timeout: float | None = None
     ) -> list[dict[str, Any]]:
         pool = self._ensure_pool()
-        futures: list[Future[dict[str, Any]]] = [
-            pool.submit(run_partition_job, payload) for payload in payloads
-        ]
-        deadline = None if timeout is None else time.monotonic() + timeout
-        outcomes: list[dict[str, Any] | None] = [None] * len(payloads)
-        retry: list[int] = []
-        for index, future in enumerate(futures):
-            remaining = None if deadline is None else max(0.05, deadline - time.monotonic())
-            try:
-                outcomes[index] = future.result(timeout=remaining)
-            except FuturesTimeoutError:
-                future.cancel()
-                outcomes[index] = _failure(
-                    payloads[index], "worker_timeout", f"no result within {timeout}s"
-                )
-                # A hung child occupies its slot forever: nuke the pool.
-                # Later futures fail fast (broken/cancelled) and are
-                # retried in isolation below.
-                self._kill_pool()
-            except (BrokenProcessPool, CancelledError):
-                retry.append(index)
-            except Exception as error:  # pragma: no cover - defensive
-                outcomes[index] = _failure(
-                    payloads[index], "worker_crashed", f"{type(error).__name__}: {error}"
-                )
-        if retry and self._pool is not None:
-            # At least one worker died and broke the pool.
+        futures = [pool.submit(run_partition_job, payload) for payload in payloads]
+        outcomes, broken, unfinished = _collect(futures, payloads, timeout)
+        if broken or unfinished:
+            # A dead worker broke the pool, or hung ones occupy it.
             self._kill_pool()
-        for index in retry:
-            outcomes[index] = self._retry_single(payloads[index], deadline, timeout)
-        return [
-            outcome
-            if outcome is not None
-            else _failure(payloads[index], "worker_crashed", "no outcome collected")
-            for index, outcome in enumerate(outcomes)
-        ]
+        # Regions queued behind the hung ones never ran: run them again.
+        unstarted = unfinished[self.jobs :]
+        if unstarted:
+            rerun = self.map_regions([payloads[index] for index in unstarted], timeout)
+            for index, outcome in zip(unstarted, rerun):
+                outcomes[index] = outcome
+        for index in broken:
+            outcomes[index] = self._retry_single(payloads[index], timeout)
+        return outcomes
 
-    def _retry_single(
-        self, payload: dict[str, Any], deadline: float | None, timeout: float | None
-    ) -> dict[str, Any]:
+    def _retry_single(self, payload: dict[str, Any], timeout: float | None) -> dict[str, Any]:
         """Re-run one region payload alone in a fresh pool."""
         pool = self._ensure_pool()
-        remaining = None if deadline is None else max(0.05, deadline - time.monotonic())
         try:
-            return pool.submit(run_partition_job, payload).result(timeout=remaining)
+            return pool.submit(run_partition_job, payload).result(timeout=timeout)
         except FuturesTimeoutError:
             self._kill_pool()
             return _failure(payload, "worker_timeout", f"no result within {timeout}s")

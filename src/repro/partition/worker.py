@@ -53,29 +53,12 @@ from .wire import decode_region, encode_region
 
 __all__ = [
     "SimulatedWorkerCrash",
-    "warm_partition_worker",
     "run_partition_job",
 ]
 
 
 class SimulatedWorkerCrash(RuntimeError):
     """Stand-in for hard worker death where ``os._exit`` would kill the suite."""
-
-
-def warm_partition_worker(shared: Any | None = None) -> None:
-    """Pool initializer: warm the NPN/structure libraries once per worker.
-
-    Delegates to the service's :func:`~repro.service.worker.warm_worker`
-    (idempotent), so partition workers and service workers pay the
-    exact-enumeration warm-up the same single time per process.  When
-    the parent published its exact-enumeration tables as a shared
-    read-only blob, ``shared`` is the (picklable) descriptor -- the
-    worker *attaches* instead of re-enumerating, so warm-up cost and
-    per-worker RSS stop scaling with the pool size.
-    """
-    from ..service.worker import warm_worker
-
-    warm_worker(shared)
 
 
 def _fold_details(passes: list[Any]) -> dict[str, float]:

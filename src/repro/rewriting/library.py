@@ -37,13 +37,13 @@ per cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..networks.aig import Aig
 from ..truthtable import TruthTable
 from .npn import MAX_NPN_VARS, NpnTransform, npn_canonicalize
 
-__all__ = ["AigStructure", "RewriteLibrary", "default_library", "synthesize_structure"]
+__all__ = ["AigStructure", "RewriteLibrary", "default_library", "synthesize_structure", "warm_worker"]
 
 #: Support size up to which the decomposition synthesiser searches all
 #: splitting variables with the memoised cost estimator; above it a local
@@ -209,7 +209,7 @@ def _enumerate_exact(num_vars: int, max_gates: int) -> dict[int, tuple]:
     return entries
 
 
-def _materialize(entries: Mapping[int, tuple], bits: int, num_vars: int) -> AigStructure:
+def _materialize(entries: dict[int, tuple], bits: int, num_vars: int) -> AigStructure:
     """Turn one enumeration entry into an :class:`AigStructure` (with sharing)."""
     builder = _StructureBuilder(num_vars)
     memo: dict[int, int] = {}
@@ -386,10 +386,7 @@ class RewriteLibrary:
             raise ValueError(f"library limited to {MAX_NPN_VARS}-input cuts, got {num_vars}")
         self.num_vars = num_vars
         self.exact_gate_limit = exact_gate_limit
-        # Values are Mappings, not necessarily dicts: a worker that
-        # attached the parent's shared-memory blob installs read-only
-        # binary views here (see :mod:`repro.rewriting.shared`).
-        self._exact_by_arity: dict[int, Mapping[int, tuple]] = {}
+        self._exact_by_arity: dict[int, dict[int, tuple]] = {}
         self._class_structures: dict[tuple[int, int], AigStructure] = {}
         self.exact_hits = 0
         self.decomposed = 0
@@ -432,7 +429,7 @@ class RewriteLibrary:
         self._class_structures[key] = structure
         return structure
 
-    def _exact_entries(self, num_vars: int) -> Mapping[int, tuple]:
+    def _exact_entries(self, num_vars: int) -> dict[int, tuple]:
         entries = self._exact_by_arity.get(num_vars)
         if entries is None:
             entries = _enumerate_exact(num_vars, self.exact_gate_limit)
@@ -449,3 +446,31 @@ def default_library() -> RewriteLibrary:
     if _default_library is None:
         _default_library = RewriteLibrary()
     return _default_library
+
+
+_WARMED = False
+
+
+def warm_worker() -> None:
+    """Pool initializer: build the process-wide library's caches once per worker.
+
+    Forces the exact structure enumeration of every arity (the expensive
+    part of :func:`default_library`, about 0.2-0.3 s) and, through NPN
+    canonicalization of the probe tables, the transform tables -- the
+    caches every ``rw`` / ``rf`` / ``choice`` pass consults.  Both
+    spawned pools (the partition
+    :class:`~repro.partition.pool.ProcessExecutor` and ``repro serve
+    --workers N``) use it as their initializer, so each worker pays the
+    enumeration once per pool lifetime, in parallel with its siblings.
+    It lives here rather than in :mod:`repro.service` so that starting a
+    partition pool does not import the service package.  Idempotent.
+    """
+    global _WARMED
+    if _WARMED:
+        return
+    library = default_library()
+    # One probe per arity triggers that arity's exact enumeration.
+    library.structure(TruthTable(4, 0x6996))  # 4-input XOR
+    library.structure(TruthTable(3, 0xE8))  # majority-3
+    library.structure(TruthTable(2, 0x8))  # AND2
+    _WARMED = True

@@ -104,19 +104,12 @@ class SynthesisServer:
             # Spawn, not fork: by the time the first job arrives this
             # process runs an event loop, pool threads and the manager --
             # forking a worker from that state inherits held locks and
-            # deadlocks.  Spawned workers import the module fresh; the
-            # initializer hands them the parent's published
-            # exact-enumeration blob so they attach instead of
-            # re-enumerating (or warm locally when publishing failed).
-            from ..rewriting.shared import publish_shared_library
-
+            # deadlocks.  Spawned workers import the module fresh and
+            # each enumerates its own exact tables in the initializer.
             context = multiprocessing.get_context("spawn")
             self._manager = context.Manager()
             self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=context,
-                initializer=warm_worker,
-                initargs=(publish_shared_library(),),
+                max_workers=self.workers, mp_context=context, initializer=warm_worker
             )
         else:
             # Thread mode: jobs share this process's warmed libraries.

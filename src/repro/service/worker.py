@@ -5,8 +5,10 @@ Workers are plain functions so they run identically in a
 worker, true parallelism) and in a thread pool (``--workers 0``, used by
 the tests and for debugging).
 
-:func:`warm_worker` is the pool initializer: it pays the cache warm-up
-that dominates a cold CLI invocation **once per worker process** -- the
+:func:`warm_worker` (defined next to the library it warms, in
+:mod:`repro.rewriting.library`) is the pool initializer: it pays the
+cache warm-up that dominates a cold CLI invocation **once per worker
+process** -- the
 exact-enumeration NPN structure library
 (:func:`~repro.rewriting.library.default_library`) and the NPN canonical
 tables -- so every job dispatched to that worker reuses them.  The
@@ -34,8 +36,8 @@ from typing import Any, Mapping, Protocol
 from ..io import ParseError, write_aiger, write_blif
 from ..networks.klut import KLutNetwork
 from ..resilience import Budget, BudgetExceeded, VerificationFailed
+from ..rewriting.library import warm_worker
 from ..rewriting.passes import FlowStatistics, PassManager, PassStatistics
-from ..truthtable import TruthTable
 from .jobs import JobRequest, JobValidationError, event_pass
 
 __all__ = ["warm_worker", "execute_job", "EventSink"]
@@ -45,48 +47,6 @@ class EventSink(Protocol):
     """Anything with a ``put`` accepting one JSON-ready event dict."""
 
     def put(self, item: dict[str, Any]) -> None: ...  # pragma: no cover - protocol
-
-
-_WARMED = False
-
-
-def warm_worker(shared: Any | None = None) -> None:
-    """Build (or attach) the shared read-only libraries once per worker.
-
-    Forces the 4-input exact structure enumeration (the expensive part
-    of :func:`~repro.rewriting.library.default_library`) and, through
-    NPN canonicalization of the probe tables, the transform tables --
-    the caches every ``rw`` / ``rf`` / ``choice`` pass consults.
-    Idempotent; safe to call from the server process too (thread mode).
-
-    ``shared`` is an optional
-    :class:`~repro.rewriting.shared.SharedLibraryDescriptor` published
-    by the parent: the worker then *attaches* the parent's
-    exact-enumeration blob (read-only, zero-copy) instead of
-    re-enumerating, so the probes below only materialize three class
-    structures.  Attach failure silently falls back to the local
-    enumeration -- shared memory is a performance path, never a
-    correctness dependency.
-    """
-    global _WARMED
-    if shared is not None:
-        try:
-            from ..rewriting.shared import attach_shared_library
-
-            attach_shared_library(shared)
-        except Exception:
-            pass
-    if _WARMED:
-        return
-    from ..rewriting.library import default_library
-
-    library = default_library()
-    # One probe per arity triggers that arity's exact enumeration (or,
-    # with an attached blob, just a shared-table lookup).
-    library.structure(TruthTable(4, 0x6996))  # 4-input XOR
-    library.structure(TruthTable(3, 0xE8))  # majority-3
-    library.structure(TruthTable(2, 0x8))  # AND2
-    _WARMED = True
 
 
 def _job_status(flow: FlowStatistics) -> str:

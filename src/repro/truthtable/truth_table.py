@@ -125,11 +125,8 @@ class TruthTable:
         """Projection onto input ``index`` among ``num_vars`` inputs."""
         if not 0 <= index < num_vars:
             raise ValueError(f"variable index {index} out of range for {num_vars} inputs")
-        bits = 0
-        for assignment in range(1 << num_vars):
-            if (assignment >> index) & 1:
-                bits |= 1 << assignment
-        return cls(num_vars, bits)
+        block = 1 << index
+        return cls(num_vars, _periodic_mask(1 << num_vars, ((1 << block) - 1) << block, 2 * block))
 
     @classmethod
     def from_bits(cls, output_bits: Sequence[int]) -> "TruthTable":

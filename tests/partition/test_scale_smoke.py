@@ -3,8 +3,9 @@
 One structured-random network, large enough that the decomposition
 produces many regions, pushed through the exact pipeline the
 million-gate driver uses: streaming region extraction, binary wire
-dispatch (one job per region), a real two-worker spawned pool attached
-to the shared exact-table blob, per-region solver windows, merge-back.  Correctness
+dispatch (one job per region), a real two-worker spawned pool whose
+workers warm their own exact tables, per-region solver windows,
+merge-back.  Correctness
 is checked by bitwise simulation against the input (the per-region
 merges are each verification-gated inside ``partition_optimize``; the
 simulation cross-check catches merge-order bugs end to end without

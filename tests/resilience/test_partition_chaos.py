@@ -73,10 +73,9 @@ def test_worker_fault_blast_radius_is_one_partition(seed: int, monkeypatch):
         optimized, report = partition_optimize(
             aig,
             "rw; rf",
-            # ``jobs`` only drives the wave/deadline arithmetic here (the
-            # injected executor bounds real concurrency at 3): one wave
-            # keeps the collection deadline at region_timeout + grace =
-            # 3.0s, safely below the injected 10s hang -- otherwise the
+            # The injected executor bounds real concurrency at 3.  The
+            # collection timeout, region_timeout + grace = 3.0s, stays
+            # safely below the injected 10s hang -- otherwise the
             # sleeping worker wakes up and innocently merges.
             jobs=len(regions),
             max_gates=MAX_GATES,
@@ -167,6 +166,65 @@ def test_hung_region_at_pool_width_costs_only_itself(monkeypatch):
     assert outcome.equivalent
 
 
+def test_hung_region_is_timed_out_one_deadline_after_the_last_healthy_region(monkeypatch):
+    """A hang holds the flow for one region deadline plus grace, not for every wave.
+
+    Two threads serve 18 regions (nine waves); the first region hangs.
+    The executor must give up on it one ``region_timeout + grace`` after
+    the last healthy region completes -- a shared deadline of
+    ``region_timeout * waves + grace`` would hold the flow for about
+    5 s instead.
+    """
+    import time
+
+    from repro.partition import pool as pool_module
+
+    region_timeout = grace = 0.5
+    monkeypatch.setattr(parallel_module, "_TIMEOUT_GRACE", grace)
+    healthy_done: list[float] = []
+    run_job = pool_module.run_partition_job
+
+    def timed_job(payload):
+        outcome = run_job(payload)
+        if "fault" not in payload:
+            healthy_done.append(time.monotonic())
+        return outcome
+
+    monkeypatch.setattr(pool_module, "run_partition_job", timed_job)
+    aig = _workload(32)
+    regions = partition_network(aig, max_gates=MAX_GATES)
+    eligible = [region.index for region in regions if region.outputs]
+    assert len(eligible) >= 12
+    faulted = eligible[0]
+    executor = ThreadExecutor(2)
+    try:
+        optimized, report = partition_optimize(
+            aig,
+            "rw",
+            jobs=2,
+            max_gates=MAX_GATES,
+            executor=executor,
+            region_timeout=region_timeout,
+            fault_plan={faulted: "timeout"},
+            fault_sleep=10.0,
+        )
+        returned = time.monotonic()
+    finally:
+        executor.close()
+    by_index = {region.index: region for region in report.regions}
+    assert by_index[faulted].status == "worker_failed"
+    for index in eligible:
+        if index != faulted:
+            assert by_index[index].status in ("merged", "unchanged"), (
+                f"region {index}: {by_index[index].status} ({by_index[index].failure})"
+            )
+    assert len(healthy_done) == len(eligible) - 1
+    held = returned - max(healthy_done)
+    assert held < region_timeout + grace + 0.75, f"flow held {held:.2f}s after the last healthy region"
+    outcome = check_combinational_equivalence(aig, optimized)
+    assert outcome.equivalent
+
+
 @pytest.mark.parametrize("fault", ["crash-soft", "exception"])
 def test_soft_fault_on_a_single_worker_costs_only_its_own_region(fault: str) -> None:
     """Every region queues through one worker; one faults; the rest commit."""
@@ -244,5 +302,42 @@ def test_real_process_crash_restarts_pool_and_degrades_gracefully():
     assert by_index[regions[1].index].status == "worker_failed"
     healthy = [r for i, r in by_index.items() if i != regions[1].index]
     assert all(r.status in ("merged", "unchanged") for r in healthy)
+    outcome = check_combinational_equivalence(aig, optimized)
+    assert outcome.equivalent
+
+
+def test_hung_process_workers_are_killed_and_queued_regions_rerun(monkeypatch):
+    """Both spawned workers hang: their regions time out, the queue behind them still runs."""
+    from repro.partition.pool import ProcessExecutor
+
+    monkeypatch.setattr(parallel_module, "_TIMEOUT_GRACE", 5.0)
+    aig = _workload(7)
+    regions = partition_network(aig, max_gates=MAX_GATES)
+    eligible = [region.index for region in regions if region.outputs]
+    assert len(eligible) >= 4
+    hung = set(eligible[:2])
+    executor = ProcessExecutor(2)
+    try:
+        optimized, report = partition_optimize(
+            aig,
+            "rw",
+            jobs=2,
+            max_gates=MAX_GATES,
+            executor=executor,
+            region_timeout=1.0,
+            fault_plan={index: "timeout" for index in hung},
+            fault_sleep=60.0,
+        )
+    finally:
+        executor.close()
+    assert report.worker_restarts == 1
+    by_index = {region.index: region for region in report.regions}
+    for index in eligible:
+        if index in hung:
+            assert by_index[index].status == "worker_failed"
+        else:
+            assert by_index[index].status in ("merged", "unchanged"), (
+                f"region {index}: {by_index[index].status} ({by_index[index].failure})"
+            )
     outcome = check_combinational_equivalence(aig, optimized)
     assert outcome.equivalent

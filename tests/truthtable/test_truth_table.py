@@ -217,6 +217,13 @@ class TestWordLevelMatchesLoops:
                 expected |= 1 << assignment
         assert shrunk == TruthTable(len(kept), expected)
 
+    @pytest.mark.parametrize("num_vars", range(1, 17))
+    def test_variable_projection(self, num_vars):
+        for index in range(num_vars):
+            # Output bit of every assignment, most significant assignment first.
+            expected = "".join(str((assignment >> index) & 1) for assignment in reversed(range(1 << num_vars)))
+            assert TruthTable.variable(index, num_vars) == TruthTable(num_vars, int(expected, 2))
+
     def test_wide_extend_leaves_swap_mask_cache_at_16_inputs(self):
         from repro.truthtable import truth_table
 
