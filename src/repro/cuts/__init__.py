@@ -11,8 +11,8 @@ rewriting and the simulation layer all consume the same pieces:
   incremental maintenance against :meth:`~repro.networks.aig.Aig.substitute`
   events, with dead-cone/revival bookkeeping (``repro/cuts/engine.py``);
 * :class:`CutFunctionCache` -- fused cut functions memoised under
-  structural signatures, with NPN-canonical lookup; it is consulted
-  once per kept cut, never for a dropped candidate
+  structural signatures; it is consulted once per kept cut, never for
+  a dropped candidate
   (``repro/cuts/cache.py``);
 * :func:`aig_cone_table` / :func:`klut_cone_table` -- the validating
   reference cone walkers (``repro/cuts/cone.py``);

@@ -9,11 +9,6 @@ netlists repeat local structures constantly (adder chains, shifter
 stages, decoder slices), so a signature-keyed cache turns most merges
 into one dictionary lookup.  The hit rate is reported by the mapper and
 the ``repro map`` CLI.
-
-The cache also memoises NPN-canonical lookup of cut functions (arity
-<= 4): rewriting prices one library structure per NPN class, so the
-class of a repeated cut function resolves without re-running the
-768-transform search.
 """
 
 from __future__ import annotations
@@ -21,38 +16,6 @@ from __future__ import annotations
 from ..truthtable import TruthTable
 
 __all__ = ["CutFunctionCache"]
-
-#: Memoised source-index tuples for table expansion, keyed by
-#: ``(positions, num_vars)``: entry ``a`` is the fanin-table assignment
-#: matching merged-table assignment ``a``.
-_EXPAND_SOURCES: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-
-
-def _expand_sources(positions: tuple[int, ...], num_vars: int) -> tuple[int, ...]:
-    key = (positions, num_vars)
-    sources = _EXPAND_SOURCES.get(key)
-    if sources is None:
-        gathered = []
-        for assignment in range(1 << num_vars):
-            source = 0
-            for index, position in enumerate(positions):
-                if (assignment >> position) & 1:
-                    source |= 1 << index
-            gathered.append(source)
-        sources = tuple(gathered)
-        _EXPAND_SOURCES[key] = sources
-    return sources
-
-
-def _expand_bits(bits: int, positions: tuple[int, ...], num_vars: int) -> int:
-    """Re-express table ``bits`` over ``num_vars`` inputs, input ``i`` moving to ``positions[i]``."""
-    if positions == tuple(range(num_vars)):
-        return bits
-    out = 0
-    for assignment, source in enumerate(_expand_sources(positions, num_vars)):
-        if (bits >> source) & 1:
-            out |= 1 << assignment
-    return out
 
 
 class CutFunctionCache:
@@ -69,10 +32,7 @@ class CutFunctionCache:
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self.npn_hits = 0
-        self.npn_misses = 0
         self._tables: dict[tuple[int, ...], TruthTable] = {}
-        self._npn: dict[tuple[int, int], TruthTable] = {}
         self._complements: dict[tuple[int, int], TruthTable] = {}
 
     # -- fused merge tables -------------------------------------------------
@@ -106,8 +66,8 @@ class CutFunctionCache:
         self.misses += 1
         num_vars = len(leaves)
         full = (1 << (1 << num_vars)) - 1
-        bits0 = _expand_bits(table0.bits, pos0, num_vars)
-        bits1 = _expand_bits(table1.bits, pos1, num_vars)
+        bits0 = table0.extend(num_vars, pos0).bits
+        bits1 = table1.extend(num_vars, pos1).bits
         if comp0:
             bits0 ^= full
         if comp1:
@@ -134,30 +94,6 @@ class CutFunctionCache:
             self._complements[key] = cached
         return cached
 
-    # -- NPN-canonical lookup -----------------------------------------------
-
-    def npn_canonical(self, table: TruthTable) -> TruthTable | None:
-        """NPN-canonical representative of a cut function, memoised.
-
-        Functions wider than the exact-canonicalization bound (4 inputs)
-        report ``None``.  Repeated functions -- the common case -- skip
-        the transform search entirely.
-        """
-        # Imported lazily: repro.rewriting itself builds on repro.cuts.
-        from ..rewriting.npn import MAX_NPN_VARS, npn_canonicalize
-
-        if table.num_vars > MAX_NPN_VARS:
-            return None
-        key = (table.num_vars, table.bits)
-        cached = self._npn.get(key)
-        if cached is not None:
-            self.npn_hits += 1
-            return cached
-        self.npn_misses += 1
-        representative, _transform = npn_canonicalize(table)
-        self._npn[key] = representative
-        return representative
-
     # -- statistics ---------------------------------------------------------
 
     @property
@@ -178,14 +114,10 @@ class CutFunctionCache:
             "misses": float(self.misses),
             "hit_rate": self.hit_rate,
             "entries": float(self.num_entries),
-            "npn_hits": float(self.npn_hits),
-            "npn_misses": float(self.npn_misses),
         }
 
     def clear(self) -> None:
         """Drop all memoised tables and reset the counters."""
         self._tables.clear()
-        self._npn.clear()
         self._complements.clear()
         self.hits = self.misses = 0
-        self.npn_hits = self.npn_misses = 0

@@ -96,8 +96,9 @@ def klut_cone_table(
 
     ``compose(function, fanin_tables, num_vars)`` combines one LUT's
     function with its fanin tables; the default uses
-    :meth:`TruthTable.compose`, and the STP simulator passes its
-    word-level minterm composition so both paths share this one walker.
+    :meth:`TruthTable.compose`, and the STP simulator passes one that
+    runs the LUT's compiled op list on the fanin tables' bits, so both
+    paths share this one walker.
     Leaf validation matches :func:`aig_cone_table`.
     """
     leaf_positions = {leaf: index for index, leaf in enumerate(leaves)}

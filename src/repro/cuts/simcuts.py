@@ -9,8 +9,8 @@ boundaries so that no value is recomputed.
 
 Cut functions are computed by the shared k-LUT cone walker
 (:func:`repro.cuts.cone.klut_cone_table`); the STP simulator passes its
-own word-level minterm composition into the same walker instead of
-keeping a private copy.
+compiled op lists into the same walker as the composition step instead
+of keeping a private copy.
 """
 
 from __future__ import annotations
@@ -199,8 +199,8 @@ def simulation_cuts(network: "LogicNetwork", targets: Sequence[int], limit: int)
 def cut_truth_table(network: "KLutNetwork", root: int, leaves: Sequence[int]) -> TruthTable:
     """Truth table of ``root`` as a function of ``leaves`` on a k-LUT network.
 
-    This is the reference (composition-based) construction; the STP
-    simulator computes the same function through structural-matrix
-    products, and the two are cross-checked in the test suite.
+    This is the reference construction by :meth:`TruthTable.compose`;
+    the STP simulator computes the same function by running each LUT's
+    compiled op list, and the two are cross-checked in the test suite.
     """
     return klut_cone_table(network, root, leaves)

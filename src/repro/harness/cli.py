@@ -59,6 +59,7 @@ from ..simulation import (
     PatternSet,
     klut_po_signatures,
     aig_po_signatures,
+    po_signatures,
     simulate_aig,
     simulate_klut_per_pattern,
     simulate_klut_stp,
@@ -645,11 +646,7 @@ def map_main(argv: list[str] | None = None) -> int:
     verified: bool | None = None
     if not arguments.no_verify:
         patterns = PatternSet.random(aig.num_pis, arguments.patterns, arguments.seed)
-        aig_signatures = aig_po_signatures(aig, simulate_aig(aig, patterns))
-        klut_signatures = klut_po_signatures(
-            result.network, simulate_klut_per_pattern(result.network, patterns)
-        )
-        verified = aig_signatures == klut_signatures
+        verified = po_signatures(aig, patterns) == po_signatures(result.network, patterns)
         if verified:
             print(f"verification: {patterns.num_patterns} word-parallel patterns agree on all outputs")
 

@@ -246,12 +246,7 @@ def simulation_equivalent(
     k-LUT network.  This is the verification-gated-commit check -- cheap
     enough to run per pass, unlike a full CEC.
     """
-    from .simulation.bitwise import (
-        aig_po_signatures,
-        klut_po_signatures,
-        simulate_aig,
-        simulate_klut_minterm,
-    )
+    from .simulation.bitwise import po_signatures
     from .simulation.patterns import PatternSet
 
     if reference.num_pis != candidate.num_pis or reference.num_pos != candidate.num_pos:
@@ -260,15 +255,7 @@ def simulation_equivalent(
         patterns = PatternSet.exhaustive(reference.num_pis)
     else:
         patterns = PatternSet.random(reference.num_pis, num_patterns, seed)
-
-    def signatures(network: "Aig | KLutNetwork") -> list[int]:
-        from .networks.klut import KLutNetwork
-
-        if isinstance(network, KLutNetwork):
-            return klut_po_signatures(network, simulate_klut_minterm(network, patterns))
-        return aig_po_signatures(network, simulate_aig(network, patterns))
-
-    return signatures(reference) == signatures(candidate)
+    return po_signatures(reference, patterns) == po_signatures(candidate, patterns)
 
 
 class NetworkCheckpoint:

@@ -104,6 +104,7 @@ from ..resilience import (
     simulation_equivalent,
 )
 from ..sat.circuit import CircuitSolver
+from ..simulation.bitwise import po_signatures
 from ..simulation.patterns import PatternSet
 from ..sweeping.cec import check_combinational_equivalence
 from ..sweeping.constant_prop import propagate_constant_candidates
@@ -566,20 +567,6 @@ class FlowStatistics:
         return "\n".join(lines)
 
 
-def _po_signatures(network: Network, patterns: PatternSet) -> list[int]:
-    """Word-parallel PO signatures of either network kind."""
-    from ..simulation.bitwise import (
-        aig_po_signatures,
-        klut_po_signatures,
-        simulate_aig,
-        simulate_klut_minterm,
-    )
-
-    if isinstance(network, KLutNetwork):
-        return klut_po_signatures(network, simulate_klut_minterm(network, patterns))
-    return aig_po_signatures(network, simulate_aig(network, patterns))
-
-
 def _networks_equivalent(reference: Network, candidate: Network) -> bool | None:
     """Kind-generic equivalence verdict between two pipeline networks.
 
@@ -601,7 +588,7 @@ def _networks_equivalent(reference: Network, candidate: Network) -> bool | None:
         patterns = PatternSet.exhaustive(reference.num_pis)
     else:
         patterns = PatternSet.random(reference.num_pis, 256, seed=1)
-    return _po_signatures(reference, patterns) == _po_signatures(candidate, patterns)
+    return po_signatures(reference, patterns) == po_signatures(candidate, patterns)
 
 
 def _verify_status(verdict: bool | None) -> str:
@@ -625,11 +612,11 @@ class PassManager:
         Forwarded to the SAT-based passes (``fraig``, ``stp``, ``cp``).
     window_size:
         Persistent-solver window size forwarded to the sweeping passes
-        (``fraig``, ``stp``, ``choice``): ``None`` keeps the default
-        fresh-encode behaviour, ``1`` keeps one ``CircuitSolver`` alive
-        for the whole sweep, ``N`` retires it every ``N`` windows.  The
-        partition worker sets this so each region job holds exactly one
-        solver window for its whole inner script.
+        (``fraig``, ``stp``, ``choice``): ``None`` keeps one persistent
+        CDCL solver for the whole sweep, ``1`` encodes afresh for every
+        query (the reference oracle), ``N`` retires the solver and starts
+        a fresh one every ``N`` solver queries.  The partition worker
+        forwards the ``window`` option of ``ppart`` here.
     lut_size, cut_limit:
         LUT size and priority-cut limit of the ``map`` pass; the
         mapped-network passes inherit ``lut_size`` as their fan-in

@@ -22,9 +22,9 @@ from .bitwise import (
     simulate_aig_words,
     simulate_aig_nodes,
     simulate_klut_per_pattern,
-    simulate_klut_minterm,
     aig_po_signatures,
     klut_po_signatures,
+    po_signatures,
     node_truth_tables,
 )
 from .incremental import IncrementalAigSimulator
@@ -32,6 +32,7 @@ from .stp_simulator import (
     StpSimulator,
     simulate_klut_stp,
     cut_truth_table_stp,
+    cut_truth_table_algebraic,
     compute_pi_supports,
     compute_local_truth_tables,
     expand_truth_table,
@@ -51,14 +52,15 @@ __all__ = [
     "simulate_aig_words",
     "simulate_aig_nodes",
     "simulate_klut_per_pattern",
-    "simulate_klut_minterm",
     "aig_po_signatures",
     "klut_po_signatures",
+    "po_signatures",
     "node_truth_tables",
     "IncrementalAigSimulator",
     "StpSimulator",
     "simulate_klut_stp",
     "cut_truth_table_stp",
+    "cut_truth_table_algebraic",
     "compute_pi_supports",
     "compute_local_truth_tables",
     "expand_truth_table",

@@ -10,10 +10,11 @@ These are the baselines the paper compares the STP simulator against
   pattern bit individually and looking it up in the node's truth table
   ("TL"): the slow path the paper observes in off-the-shelf simulators,
   because bitwise AND/OR/XOR words do not directly implement an arbitrary
-  k-input LUT;
-* :func:`simulate_klut_minterm` -- k-LUT simulation by expanding every LUT
-  into a sum of minterms over packed words; included as a second baseline
-  and as a cross-check oracle.
+  k-input LUT.
+
+Word-parallel k-LUT simulation is the STP simulator's
+(:class:`~repro.simulation.stp_simulator.StpSimulator`);
+:func:`po_signatures` picks the word-parallel simulator by network kind.
 """
 
 from __future__ import annotations
@@ -25,15 +26,16 @@ from ..networks.klut import KLutNetwork
 from ..truthtable import TruthTable
 from .patterns import PatternSet
 from .signatures import SimulationResult
+from .stp_simulator import StpSimulator
 
 __all__ = [
     "simulate_aig",
     "simulate_aig_words",
     "simulate_aig_nodes",
     "simulate_klut_per_pattern",
-    "simulate_klut_minterm",
     "aig_po_signatures",
     "klut_po_signatures",
+    "po_signatures",
     "node_truth_tables",
 ]
 
@@ -181,40 +183,6 @@ def simulate_klut_per_pattern(network: KLutNetwork, patterns: PatternSet) -> Sim
     return result
 
 
-def simulate_klut_minterm(network: KLutNetwork, patterns: PatternSet) -> SimulationResult:
-    """Word-parallel k-LUT simulation by sum-of-minterm expansion.
-
-    Every LUT output word is assembled as an OR over its satisfying
-    assignments, each assignment contributing an AND of (possibly
-    complemented) fanin words -- ``O(k * 2^k)`` word operations per node.
-    """
-    if patterns.num_inputs != network.num_pis:
-        raise ValueError(f"pattern set has {patterns.num_inputs} inputs, network has {network.num_pis}")
-    mask = patterns.mask
-    result = SimulationResult(patterns.num_patterns)
-    signatures = result.signatures
-    for node in network.nodes():
-        if network.is_constant(node):
-            signatures[node] = mask if network.constant_value(node) else 0
-    for position, node in enumerate(network.pis):
-        signatures[node] = patterns.input_word(position) & mask
-    for node in network.topological_order():
-        function = network.lut_function(node)
-        fanin_words = [signatures[f] for f in network.lut_fanins(node)]
-        output = 0
-        for assignment in range(function.num_bits):
-            if not function.value_at(assignment):
-                continue
-            term = mask
-            for position, word in enumerate(fanin_words):
-                term &= word if (assignment >> position) & 1 else (word ^ mask)
-                if not term:
-                    break
-            output |= term
-        signatures[node] = output
-    return result
-
-
 def klut_po_signatures(network: KLutNetwork, result: SimulationResult) -> list[int]:
     """Signatures of the primary outputs of a k-LUT network."""
     outputs = []
@@ -224,6 +192,17 @@ def klut_po_signatures(network: KLutNetwork, result: SimulationResult) -> list[i
             signature ^= result.mask
         outputs.append(signature)
     return outputs
+
+
+def po_signatures(network: Aig | KLutNetwork, patterns: PatternSet) -> list[int]:
+    """Word-parallel primary-output signatures of either network kind.
+
+    An AIG is simulated by :func:`simulate_aig`, a k-LUT network by the
+    STP simulator's compiled op lists.
+    """
+    if isinstance(network, KLutNetwork):
+        return klut_po_signatures(network, StpSimulator(network).simulate_all(patterns))
+    return aig_po_signatures(network, simulate_aig(network, patterns))
 
 
 def node_truth_tables(aig: Aig, nodes: Sequence[int] | None = None) -> dict[int, TruthTable]:

@@ -34,17 +34,19 @@ input is redundant and is folded away, a constant block becomes ``0`` or
 ``mask``, and a block seen before is shared.  Each distinct LUT function
 is compiled once; mode ``s`` compiles each cut's table the same way.
 
-Two equivalent implementations of the structural-matrix composition are
-available: the literal STP-algebra path (:func:`cut_truth_table_stp` with
-``use_stp_algebra=True``) builds the canonical form with swap and
-power-reducing matrices exactly as in Section II-B, and the word-level
-path computes the same matrix with Kronecker-structured integer
-arithmetic, which is what makes large cuts practical.  The test suite
-cross-checks the two.
+A cut's structural matrix is composed by the same op lists
+(:func:`cut_truth_table_stp`): each LUT of the cut runs its program on
+its fanins' truth tables, whose bits are the patterns of an exhaustive
+pattern set over the cut's leaves.  The literal STP-algebra composition
+(:func:`cut_truth_table_algebraic`) builds the canonical form with swap
+and power-reducing matrices exactly as in Section II-B; it is
+exponential in the leaf count, and the test suite uses it as the
+reference the op lists are checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Mapping, Sequence
 
@@ -64,6 +66,7 @@ __all__ = [
     "StpSimulator",
     "simulate_klut_stp",
     "cut_truth_table_stp",
+    "cut_truth_table_algebraic",
     "compile_table",
     "compute_pi_supports",
     "compute_local_truth_tables",
@@ -97,6 +100,7 @@ Program = tuple[tuple[tuple[int, int, int], ...], int]
 _Compiled = tuple[int, Sequence[int], Program]
 
 
+@functools.lru_cache(maxsize=4096)
 def compile_table(table: TruthTable) -> Program:
     """Op list selecting the column of ``table``'s structural matrix for all patterns.
 
@@ -106,6 +110,8 @@ def compile_table(table: TruthTable) -> Program:
     ``(x, lo, hi)``.  The table is split on its top input, recursing from
     the highest input down (see the module docstring); a split whose
     halves are the constants 0 and 1 is the input itself and needs no op.
+    Programs are memoised per function, so LUTs that compute the same
+    function share one.
     """
     num_vars = table.num_vars
     ops: list[tuple[int, int, int]] = []
@@ -142,45 +148,36 @@ def compile_table(table: TruthTable) -> Program:
 # ---------------------------------------------------------------------------
 
 
-def cut_truth_table_stp(
-    network: KLutNetwork,
-    cut: SimulationCut,
-    use_stp_algebra: bool = False,
-) -> TruthTable:
+def cut_truth_table_stp(network: KLutNetwork, cut: SimulationCut) -> TruthTable:
     """Function of a cut root over its leaves, computed through STP composition.
 
-    With ``use_stp_algebra`` the canonical form is assembled with the
-    literal matrix algebra of Section II-B (swap matrix, power-reducing
-    matrix); this is exponential in the leaf count and intended for small
-    cuts and cross-checking.  The default path computes the identical
-    structural matrix with Kronecker-structured word arithmetic.
+    The shared cone walker (:func:`~repro.cuts.klut_cone_table`) drives
+    the traversal and validates the leaves; each LUT runs its compiled op
+    list (:func:`compile_table`) on its fanins' tables, the exhaustive
+    pattern words of the cut's leaves.
     """
-    leaves = list(cut.leaves)
-    if use_stp_algebra:
-        return _cut_truth_table_algebraic(network, cut)
-    # The shared cone walker drives the traversal; only the word-level
-    # minterm composition (the structural-matrix product) is local.
-    return klut_cone_table(network, cut.root, leaves, compose=_compose_minterms)
+    return klut_cone_table(network, cut.root, cut.leaves, compose=_compose_program)
 
 
-def _compose_minterms(function: TruthTable, fanins: Sequence[TruthTable], num_vars: int) -> TruthTable:
-    """Word-level composition: OR over satisfying LUT assignments of fanin ANDs."""
-    full = (1 << (1 << num_vars)) - 1
-    bits = 0
-    for assignment in range(function.num_bits):
-        if not function.value_at(assignment):
-            continue
-        term = full
-        for position, fanin in enumerate(fanins):
-            term &= fanin.bits if (assignment >> position) & 1 else (~fanin.bits & full)
-            if not term:
-                break
-        bits |= term
-    return TruthTable(num_vars, bits)
+def _compose_program(function: TruthTable, fanins: Sequence[TruthTable], num_vars: int) -> TruthTable:
+    """``function`` of the ``fanins`` tables: its op list run on their bits."""
+    ops, output = compile_table(function)
+    registers = [0, (1 << (1 << num_vars)) - 1]
+    registers += [fanin.bits for fanin in fanins]
+    for x, lo, hi in ops:
+        low = registers[lo]
+        registers.append(low ^ (registers[x] & (registers[hi] ^ low)))
+    return TruthTable(num_vars, registers[output])
 
 
-def _cut_truth_table_algebraic(network: KLutNetwork, cut: SimulationCut) -> TruthTable:
-    """Literal STP-algebra computation of a cut function (small cuts only)."""
+def cut_truth_table_algebraic(network: KLutNetwork, cut: SimulationCut) -> TruthTable:
+    """Function of a cut root over its leaves, by the literal STP algebra of Section II-B.
+
+    The canonical form is assembled with the swap and power-reducing
+    matrices; this is exponential in the leaf count, so cuts are limited
+    to 12 leaves.  It is the reference :func:`cut_truth_table_stp` is
+    checked against.
+    """
     leaves = list(cut.leaves)
     if len(leaves) > 12:
         raise ValueError(f"algebraic STP composition limited to 12 leaves, cut has {len(leaves)}")
@@ -227,19 +224,14 @@ class StpSimulator:
         self._constants = [
             (node, network.constant_value(node)) for node in network.nodes() if network.is_constant(node)
         ]
-        # Every LUT's structural matrix is compiled once into an op list:
-        # this is the "logic matrices as primitives of the logic network"
-        # part of the paper -- the simulator never looks at gate operators
-        # again.  One program per distinct LUT function, shared by the LUTs
-        # that compute it.
-        programs: dict[TruthTable, Program] = {}
-        self._luts: list[_Compiled] = []
-        for node in network.topological_order():
-            function = network.lut_function(node)
-            program = programs.get(function)
-            if program is None:
-                program = programs[function] = compile_table(function)
-            self._luts.append((node, network.lut_fanins(node), program))
+        # Every LUT's structural matrix is compiled into an op list: this
+        # is the "logic matrices as primitives of the logic network" part
+        # of the paper -- the simulator never looks at gate operators
+        # again.  LUTs that compute the same function share one program.
+        self._luts: list[_Compiled] = [
+            (node, network.lut_fanins(node), compile_table(network.lut_function(node)))
+            for node in network.topological_order()
+        ]
 
     def _run(self, patterns: PatternSet, luts: Iterable[_Compiled]) -> list[int]:
         """Every node's pattern word after running ``luts`` in order (0 for nodes not run)."""
@@ -288,8 +280,11 @@ class StpSimulator:
         if limit is None:
             limit = cut_limit_for_patterns(patterns.num_patterns)
         cuts = simulation_cuts(network, list(targets), limit)
+        # Cut tables bypass the program cache: a 16-leaf cut's program can
+        # take megabytes, and cuts rarely repeat a function.
+        compile_cut = compile_table.__wrapped__
         words = self._run(
-            patterns, ((cut.root, cut.leaves, compile_table(cut_truth_table_stp(network, cut))) for cut in cuts)
+            patterns, ((cut.root, cut.leaves, compile_cut(cut_truth_table_stp(network, cut))) for cut in cuts)
         )
         result = SimulationResult(patterns.num_patterns)
         sources = [node for node, _value in self._constants] + network.pis

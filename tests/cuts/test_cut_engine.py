@@ -183,19 +183,6 @@ class TestCutFunctionCache:
         CutEngine(aig, k=4, cache=cache).enumerate_all()
         assert cache.misses == misses_first  # second run fully cached
 
-    def test_npn_canonical_lookup(self):
-        cache = CutFunctionCache()
-        and2 = TruthTable.from_function(lambda a, b: a and b, 2)
-        or2 = TruthTable.from_function(lambda a, b: a or b, 2)
-        rep_and = cache.npn_canonical(and2)
-        rep_or = cache.npn_canonical(or2)
-        assert rep_and == rep_or  # AND and OR share an NPN class
-        assert cache.npn_misses == 2
-        cache.npn_canonical(and2)
-        assert cache.npn_hits == 1
-        wide = TruthTable.constant(False, 5)
-        assert cache.npn_canonical(wide) is None
-
     def test_clear_resets_counters(self):
         cache = CutFunctionCache()
         table = TruthTable.variable(0, 1)

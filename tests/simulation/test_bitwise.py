@@ -8,12 +8,13 @@ from repro.circuits.random_logic import random_aig
 from repro.networks import Aig, map_aig_to_klut
 from repro.simulation import (
     PatternSet,
+    StpSimulator,
     aig_po_signatures,
     klut_po_signatures,
     node_truth_tables,
+    po_signatures,
     simulate_aig,
     simulate_aig_nodes,
-    simulate_klut_minterm,
     simulate_klut_per_pattern,
 )
 
@@ -58,18 +59,18 @@ class TestKlutSimulation:
         lut_result = simulate_klut_per_pattern(small_klut, patterns)
         assert aig_po_signatures(small_aig, aig_result) == klut_po_signatures(small_klut, lut_result)
 
-    def test_minterm_matches_per_pattern(self, small_klut):
+    def test_word_parallel_matches_per_pattern(self, small_klut):
         patterns = PatternSet.random(small_klut.num_pis, 64, seed=5)
         per_pattern = simulate_klut_per_pattern(small_klut, patterns)
-        minterm = simulate_klut_minterm(small_klut, patterns)
+        word_parallel = StpSimulator(small_klut).simulate_all(patterns)
         for node in small_klut.luts():
-            assert per_pattern.signature(node) == minterm.signature(node)
+            assert per_pattern.signature(node) == word_parallel.signature(node)
 
     def test_input_count_checked(self, small_klut):
         with pytest.raises(ValueError):
             simulate_klut_per_pattern(small_klut, PatternSet.random(1, 4))
         with pytest.raises(ValueError):
-            simulate_klut_minterm(small_klut, PatternSet.random(1, 4))
+            po_signatures(small_klut, PatternSet.random(1, 4))
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -79,6 +80,5 @@ class TestKlutSimulation:
         patterns = PatternSet.random(6, 32, seed=seed + 1)
         aig_result = simulate_aig(aig, patterns)
         lut_result = simulate_klut_per_pattern(klut, patterns)
-        minterm_result = simulate_klut_minterm(klut, patterns)
         assert aig_po_signatures(aig, aig_result) == klut_po_signatures(klut, lut_result)
-        assert klut_po_signatures(klut, lut_result) == klut_po_signatures(klut, minterm_result)
+        assert po_signatures(aig, patterns) == po_signatures(klut, patterns) == klut_po_signatures(klut, lut_result)

@@ -11,17 +11,17 @@ from hypothesis import strategies as st
 from repro.circuits.random_logic import random_aig
 from repro.circuits.sweep_workloads import inject_redundancy
 from repro.networks import Aig, KLutNetwork, map_aig_to_klut
-from repro.cuts import simulation_cuts
+from repro.cuts import cut_truth_table, simulation_cuts
 from repro.simulation import (
     PatternSet,
     StpSimulator,
     compute_local_truth_tables,
     compute_pi_supports,
     cut_limit_for_patterns,
+    cut_truth_table_algebraic,
     cut_truth_table_stp,
     klut_po_signatures,
     simulate_aig,
-    simulate_klut_minterm,
     simulate_klut_per_pattern,
     simulate_klut_stp,
 )
@@ -116,7 +116,7 @@ def _lut_trees(seed: int, num_pis: int = 12) -> KLutNetwork:
 
 
 class TestAllNodeOracles:
-    """Every node's STP signature equals both k-LUT baselines."""
+    """Every node's STP signature equals the per-pattern k-LUT baseline."""
 
     @pytest.mark.parametrize("num_patterns", [0, 1, 7, 8, 1001, 1024])
     @pytest.mark.parametrize("seed", range(3))
@@ -127,10 +127,9 @@ class TestAllNodeOracles:
         patterns = PatternSet.random(network.num_pis, num_patterns, seed=seed + 100)
         stp = StpSimulator(network).simulate_all(patterns)
         per_pattern = simulate_klut_per_pattern(network, patterns)
-        minterm = simulate_klut_minterm(network, patterns)
         assert stp.signatures.keys() == set(network.nodes())
         for node in network.nodes():
-            assert stp.signature(node) == per_pattern.signature(node) == minterm.signature(node), node
+            assert stp.signature(node) == per_pattern.signature(node), node
 
     @pytest.mark.parametrize("num_patterns", [1, 1001])
     def test_mapped_network_matches_baselines(self, num_patterns):
@@ -139,8 +138,8 @@ class TestAllNodeOracles:
             network, _ = map_aig_to_klut(aig, k=k)
             patterns = PatternSet.random(network.num_pis, num_patterns, seed=k)
             stp = StpSimulator(network).simulate_all(patterns)
-            minterm = simulate_klut_minterm(network, patterns)
-            assert stp.signatures == minterm.signatures
+            per_pattern = simulate_klut_per_pattern(network, patterns)
+            assert stp.signatures == per_pattern.signatures
 
 
 class TestSpecifiedNodeMode:
@@ -273,20 +272,59 @@ class TestCompiledTables:
             assert compile_table(table) == (((top, lo, hi),), 2 + arity), table
 
 
+def _leaf_paths(network, cut):
+    """Number of paths from the cut root to its leaves."""
+    leaves = set(cut.leaves)
+
+    def paths(node):
+        if node in leaves:
+            return 1
+        return sum(paths(fanin) for fanin in network.lut_fanins(node)) if network.is_lut(node) else 0
+
+    return paths(cut.root)
+
+
 class TestCutTruthTables:
     def test_word_level_matches_algebraic(self, small_klut):
         cuts = simulation_cuts(small_klut, list(small_klut.luts()), limit=4)
         for cut in cuts:
-            word_level = cut_truth_table_stp(small_klut, cut)
-            algebraic = cut_truth_table_stp(small_klut, cut, use_stp_algebra=True)
-            assert word_level == algebraic
+            assert cut_truth_table_stp(small_klut, cut) == cut_truth_table_algebraic(small_klut, cut)
+
+    @pytest.mark.parametrize(
+        "network_of",
+        [pytest.param(lambda seed=seed: _hand_built_network(seed), id=f"hand-built-{seed}") for seed in range(3)]
+        + [
+            pytest.param(
+                lambda k=k: map_aig_to_klut(random_aig(num_pis=10, num_gates=120, num_pos=6, seed=k), k=k)[0],
+                id=f"mapped-k{k}",
+            )
+            for k in range(2, 7)
+        ],
+    )
+    def test_composed_tables_match_both_references(self, network_of):
+        # The algebraic reference multiplies matrices of 2^n columns, with n
+        # the number of leaf occurrences in its unnormalised form (one per
+        # root-to-leaf path): one 12-leaf cut takes about 40 s and 9 paths
+        # take up to a second.  So it checks the cuts with at most 8 paths.
+        network = network_of()
+        leaf_counts, algebraic_leaf_counts = set(), set()
+        for limit, targets in itertools.product((4, 8, 12, 16), (network.po_nodes(), list(network.luts()))):
+            for cut in simulation_cuts(network, targets, limit):
+                table = cut_truth_table_stp(network, cut)
+                assert table == cut_truth_table(network, cut.root, cut.leaves), cut
+                leaf_counts.add(len(cut.leaves))
+                if _leaf_paths(network, cut) <= 8:
+                    assert table == cut_truth_table_algebraic(network, cut), cut
+                    algebraic_leaf_counts.add(len(cut.leaves))
+        assert max(leaf_counts) > 4
+        assert max(algebraic_leaf_counts) >= 4
 
     def test_algebraic_leaf_limit(self, small_klut):
         from repro.cuts import SimulationCut
 
         wide_cut = SimulationCut(next(iter(small_klut.luts())), tuple(range(13)), ())
         with pytest.raises(ValueError):
-            cut_truth_table_stp(small_klut, wide_cut, use_stp_algebra=True)
+            cut_truth_table_algebraic(small_klut, wide_cut)
 
     def test_exhaustive_truth_tables(self, fig1_klut):
         nodes = fig1_klut.fig1_nodes

@@ -1,6 +1,6 @@
 """Tests for the combinational equivalence checker."""
 
-from repro.circuits.arithmetic import ripple_carry_adder
+from repro.circuits.arithmetic import carry_select_adder, ripple_carry_adder
 from repro.networks import Aig
 from repro.networks.transforms import rebuild_strashed
 from repro.sweeping import check_combinational_equivalence
@@ -75,6 +75,22 @@ class TestCec:
         result = check_combinational_equivalence(a, b)
         assert not result.equivalent
         assert result.failing_output == 1
+
+    def test_internal_equalities_then_a_counterexample_on_one_output(self):
+        golden = ripple_carry_adder(width=12)
+        revised = carry_select_adder(width=12, block=4)
+        # Output 9 now differs only on the all-ones input, which the random
+        # screen misses: the miter proves the adders' internal equalities
+        # and outputs 0-8, then SAT finds the counterexample.
+        wrong = 9
+        all_ones = revised.add_and_multi([Aig.literal(pi) for pi in revised.pis])
+        revised.set_po(wrong, revised.add_xor(revised.pos[wrong], all_ones))
+        result = check_combinational_equivalence(golden, revised)
+        assert result.status == "sat_counterexample"
+        assert result.failing_output == wrong
+        assert result.sat_calls > wrong + 1  # the internal proofs are counted
+        assert result.counterexample == (1,) * golden.num_pis
+        assert golden.evaluate(result.counterexample) != revised.evaluate(result.counterexample)
 
     def test_swept_adder_equivalence(self):
         """End-to-end: sweeping an adder workload preserves its function."""
