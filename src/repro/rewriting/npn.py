@@ -9,11 +9,15 @@ DAG-aware AIG rewriting (ABC's ``rewrite``, mockturtle's cut rewriting).
 
 For the arities the rewriter uses (``k <= 4``) the canonical form is
 computed *exactly*, by enumerating all ``k! * 2^k * 2`` transforms and
-taking the one whose transformed bit pattern is numerically smallest.
-Per-arity source-index tables are precomputed once, so applying one
-transform is a ``2^k``-step bit gather, and results are memoised per
-function, so repeated cut functions (ubiquitous in real netlists)
-canonicalise in one dictionary lookup.
+taking the one whose transformed bit pattern is numerically smallest;
+ties go to the first transform in enumeration order (permutations, then
+input-negation masks, then output phase).  Each transform is a fixed
+permutation of the ``2^k <= 16`` truth-table bits, precomputed once per
+arity as two 256-entry byte tables, so applying it is two lookups and an
+OR: ``low[bits & 255] | high[bits >> 8]``.  The tables are stored as
+``array('H')`` (about 0.5 MB over all arities) rather than tuples of Python
+ints.  Results are memoised per function, so repeated cut functions
+(ubiquitous in real netlists) canonicalise in one dictionary lookup.
 
 Conventions
 -----------
@@ -34,6 +38,7 @@ transform when instantiating a stored structure (see
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -82,23 +87,39 @@ def _source_indices(permutation: tuple[int, ...], negations: int) -> tuple[int, 
     return tuple(sources)
 
 
+def _byte_table(contributions: list[int]) -> array[int]:
+    """``table[v]``: the OR of ``contributions[i]`` over the set bits ``i`` of ``v``.
+
+    Filled by the lowest-set-bit recurrence, one OR per entry.
+    """
+    table = [0] * (1 << len(contributions))
+    for value in range(1, len(table)):
+        rest = value & (value - 1)
+        table[value] = table[rest] | contributions[(value ^ rest).bit_length() - 1]
+    return array("H", table)
+
+
 @lru_cache(maxsize=MAX_NPN_VARS + 1)
-def _transform_tables(num_vars: int) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
-    """All ``n! * 2^n`` (permutation, negation-mask, source-index) triples."""
-    tables = []
+def _gather_tables(num_vars: int) -> dict[tuple[tuple[int, ...], int], tuple[array[int], array[int]]]:
+    """Byte tables ``(low, high)`` of all ``n! * 2^n`` (permutation, negation-mask) pairs.
+
+    A transform moves bit ``_source_indices(...)[a]`` of a truth table to
+    bit ``a``, so its gather is ``low[bits & 255] | high[bits >> 8]``.
+    The dictionary iterates in enumeration order: permutations, then masks.
+    """
+    num_bits = 1 << num_vars
+    low_bits = min(num_bits, 8)
+    tables: dict[tuple[tuple[int, ...], int], tuple[array[int], array[int]]] = {}
     for permutation in permutations(range(num_vars)):
         for negations in range(1 << num_vars):
-            tables.append((permutation, negations, _source_indices(permutation, negations)))
+            contributions = [0] * num_bits
+            for assignment, source in enumerate(_source_indices(permutation, negations)):
+                contributions[source] = 1 << assignment
+            tables[permutation, negations] = (
+                _byte_table(contributions[:low_bits]),
+                _byte_table(contributions[low_bits:]),
+            )
     return tables
-
-
-def _gather(bits: int, sources: tuple[int, ...]) -> int:
-    """Permute the bit pattern of a truth table through a source-index table."""
-    out = 0
-    for assignment, source in enumerate(sources):
-        if (bits >> source) & 1:
-            out |= 1 << assignment
-    return out
 
 
 def apply_npn_transform(table: TruthTable, transform: NpnTransform) -> TruthTable:
@@ -107,10 +128,10 @@ def apply_npn_transform(table: TruthTable, transform: NpnTransform) -> TruthTabl
         raise ValueError(
             f"transform arity {transform.num_vars} does not match table arity {table.num_vars}"
         )
-    sources = _source_indices(transform.permutation, transform.input_negations)
-    bits = _gather(table.bits, sources)
+    low, high = _gather_tables(table.num_vars)[transform.permutation, transform.input_negations]
+    bits = low[table.bits & 255] | high[table.bits >> 8]
     if transform.output_negation:
-        bits = ~bits & ((1 << table.num_bits) - 1)
+        bits ^= (1 << table.num_bits) - 1
     return TruthTable(table.num_vars, bits)
 
 
@@ -135,16 +156,16 @@ def npn_canonicalize(table: TruthTable) -> tuple[TruthTable, NpnTransform]:
     if cached is not None:
         return cached
     full = (1 << table.num_bits) - 1
-    best_bits: int | None = None
-    best: NpnTransform | None = None
-    for permutation, negations, sources in _transform_tables(table.num_vars):
-        gathered = _gather(table.bits, sources)
-        for output_negation in (False, True):
-            bits = (~gathered & full) if output_negation else gathered
-            if best_bits is None or bits < best_bits:
-                best_bits = bits
-                best = NpnTransform(permutation, negations, output_negation)
-    assert best_bits is not None and best is not None
+    tables = _gather_tables(table.num_vars)
+    low_byte, high_byte = table.bits & 255, table.bits >> 8
+    gathered = [low[low_byte] | high[high_byte] for low, high in tables.values()]
+    # The smallest pattern over every transform and both output phases,
+    # and the first (transform, phase) in enumeration order reaching it:
+    # no transform reaches it in both phases, since ``full`` is nonzero.
+    best_bits = min(min(gathered), full ^ max(gathered))
+    index = next(i for i, bits in enumerate(gathered) if bits == best_bits or bits ^ full == best_bits)
+    permutation, negations = list(tables)[index]
+    best = NpnTransform(permutation, negations, gathered[index] != best_bits)
     result = (TruthTable(table.num_vars, best_bits), best)
     _canonical_cache[key] = result
     return result

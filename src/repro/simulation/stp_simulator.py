@@ -40,8 +40,8 @@ its fanins' truth tables, whose bits are the patterns of an exhaustive
 pattern set over the cut's leaves.  The literal STP-algebra composition
 (:func:`cut_truth_table_algebraic`) builds the canonical form with swap
 and power-reducing matrices exactly as in Section II-B; it is
-exponential in the leaf count, and the test suite uses it as the
-reference the op lists are checked against.
+exponential in the number of root-to-leaf paths, and the test suite uses
+it as the reference the op lists are checked against.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ __all__ = [
     "simulate_klut_stp",
     "cut_truth_table_stp",
     "cut_truth_table_algebraic",
+    "count_leaf_paths",
     "compile_table",
     "compute_pi_supports",
     "compute_local_truth_tables",
@@ -170,17 +171,50 @@ def _compose_program(function: TruthTable, fanins: Sequence[TruthTable], num_var
     return TruthTable(num_vars, registers[output])
 
 
+#: Ceiling on the leaves and on the root-to-leaf paths of an algebraic
+#: composition: its matrices have ``2^n`` columns for ``n`` of either.
+_ALGEBRAIC_LIMIT = 12
+
+
+def count_leaf_paths(network: KLutNetwork, cut: SimulationCut) -> int:
+    """Number of paths from the cut root down to its leaves.
+
+    The unnormalised STP form of the root holds one variable factor per
+    path, so this, not the leaf count, sizes the algebraic composition's
+    matrices.  Paths ending at a constant or an unlisted input count 0.
+    """
+    leaves = set(cut.leaves)
+
+    @functools.cache
+    def paths(node: int) -> int:
+        if node in leaves:
+            return 1
+        if not network.is_lut(node):
+            return 0
+        return sum(paths(fanin) for fanin in network.lut_fanins(node))
+
+    return paths(cut.root)
+
+
 def cut_truth_table_algebraic(network: KLutNetwork, cut: SimulationCut) -> TruthTable:
     """Function of a cut root over its leaves, by the literal STP algebra of Section II-B.
 
     The canonical form is assembled with the swap and power-reducing
-    matrices; this is exponential in the leaf count, so cuts are limited
-    to 12 leaves.  It is the reference :func:`cut_truth_table_stp` is
-    checked against.
+    matrices; this is exponential in the number of root-to-leaf paths
+    (:func:`count_leaf_paths`), so cuts are limited to 12 leaves and 12
+    paths, checked before any matrix is built.  It is the reference
+    :func:`cut_truth_table_stp` is checked against.
     """
     leaves = list(cut.leaves)
-    if len(leaves) > 12:
-        raise ValueError(f"algebraic STP composition limited to 12 leaves, cut has {len(leaves)}")
+    if len(leaves) > _ALGEBRAIC_LIMIT:
+        raise ValueError(
+            f"algebraic STP composition limited to {_ALGEBRAIC_LIMIT} leaves, cut has {len(leaves)}"
+        )
+    num_paths = count_leaf_paths(network, cut)
+    if num_paths > _ALGEBRAIC_LIMIT:
+        raise ValueError(
+            f"algebraic STP composition limited to {_ALGEBRAIC_LIMIT} root-to-leaf paths, cut has {num_paths}"
+        )
     leaf_names = {leaf: f"v{index}" for index, leaf in enumerate(leaves)}
     memo: dict[int, STPForm] = {}
 

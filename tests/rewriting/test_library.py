@@ -8,9 +8,11 @@ from repro.networks import Aig
 from repro.rewriting.library import (
     AigStructure,
     RewriteLibrary,
+    _transform_structure,
     default_library,
     synthesize_structure,
 )
+from repro.rewriting.npn import npn_canonicalize
 from repro.truthtable import TruthTable
 
 
@@ -71,6 +73,24 @@ class TestLibraryCorrectness:
         for _ in range(500):
             library.structure(TruthTable(4, rng.getrandbits(16)))
         assert library.num_cached_classes <= 222
+
+    def test_function_memo(self):
+        # Every 3-input function and seeded random 4-input functions: the
+        # memoised structure is the transformed class structure, and a
+        # repeated lookup is a hit that builds no class structure.
+        library = RewriteLibrary()
+        rng = random.Random(13)
+        tables = [TruthTable(3, bits) for bits in range(256)]
+        tables += [TruthTable(4, rng.getrandbits(16)) for _ in range(300)]
+        for table in tables:
+            structure = library.structure(table)
+            assert structure.truth_table() == table
+            representative, transform = npn_canonicalize(table)
+            stored = library._representative_structure(representative)
+            assert structure == _transform_structure(stored, transform)
+            misses = library.exact_hits + library.decomposed
+            assert library.structure(TruthTable(table.num_vars, table.bits)) is structure
+            assert library.exact_hits + library.decomposed == misses
 
     def test_oversized_arity_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Tests for the exact NPN canonicalization."""
 
 import random
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
 
@@ -11,6 +13,62 @@ from repro.rewriting.npn import (
     npn_classes,
 )
 from repro.truthtable import TruthTable
+
+
+# ---------------------------------------------------------------------------
+# Reference: the bit-loop canonicaliser the byte-table gather replaced
+# ---------------------------------------------------------------------------
+
+
+def _sources(permutation, negations):
+    """For each assignment of ``g = t(f)``, the assignment of ``f`` it reads."""
+    sources = []
+    for assignment in range(1 << len(permutation)):
+        source = 0
+        for j, variable in enumerate(permutation):
+            if ((assignment >> variable) ^ (negations >> j)) & 1:
+                source |= 1 << j
+        sources.append(source)
+    return sources
+
+
+def _gather(bits, sources):
+    """Permute a truth table's bits one assignment at a time."""
+    out = 0
+    for assignment, source in enumerate(sources):
+        if (bits >> source) & 1:
+            out |= 1 << assignment
+    return out
+
+
+@lru_cache(maxsize=None)
+def _reference_transforms(num_vars):
+    """Every (permutation, negation mask, sources) triple in the canonicaliser's order."""
+    return [
+        (permutation, negations, _sources(permutation, negations))
+        for permutation in permutations(range(num_vars))
+        for negations in range(1 << num_vars)
+    ]
+
+
+def _reference_canonicalize(table, transforms=None):
+    """Smallest transformed pattern, first transform reaching it under strict ``<``."""
+    full = (1 << table.num_bits) - 1
+    best_bits, best = None, None
+    for permutation, negations, sources in transforms or _reference_transforms(table.num_vars):
+        gathered = _gather(table.bits, sources)
+        for output_negation in (False, True):
+            bits = (~gathered & full) if output_negation else gathered
+            if best_bits is None or bits < best_bits:
+                best_bits, best = bits, NpnTransform(permutation, negations, output_negation)
+    return TruthTable(table.num_vars, best_bits), best
+
+
+def _oracle_tables():
+    """Every function of arity 0-3 and 2,000 seeded random 4-input functions."""
+    rng = random.Random(2023)
+    tables = [TruthTable(n, bits) for n in range(4) for bits in range(1 << (1 << n))]
+    return tables + [TruthTable(4, rng.getrandbits(16)) for _ in range(2000)]
 
 
 class TestTransform:
@@ -97,3 +155,34 @@ class TestCanonicalize:
         first = npn_canonicalize(table)
         second = npn_canonicalize(TruthTable(4, 0xCAFE))
         assert first is second
+
+
+class TestByteTableGather:
+    """The byte-table gather against the bit loop it replaced."""
+
+    def test_same_representative_and_transform(self):
+        for table in _oracle_tables():
+            assert npn_canonicalize(table) == _reference_canonicalize(table), table
+
+    def test_apply_matches_bit_loop(self):
+        rng = random.Random(17)
+        for _ in range(500):
+            num_vars = rng.randrange(5)
+            table = TruthTable(num_vars, rng.getrandbits(1 << num_vars))
+            permutation = tuple(rng.sample(range(num_vars), num_vars))
+            transform = NpnTransform(permutation, rng.getrandbits(num_vars) if num_vars else 0, rng.random() < 0.5)
+            expected = _gather(table.bits, _sources(permutation, transform.input_negations))
+            if transform.output_negation:
+                expected ^= (1 << table.num_bits) - 1
+            assert apply_npn_transform(table, transform).bits == expected
+
+    def test_oracle_sees_enumeration_order(self):
+        # A canonicaliser walking the transforms in reverse finds the same
+        # representatives but, on symmetric functions, other transforms:
+        # the oracle above pins the order, not just the class.
+        and3 = TruthTable.from_function(lambda a, b, c: a and b and c, 3)
+        reversed_order = _reference_transforms(3)[::-1]
+        forward, backward = _reference_canonicalize(and3), _reference_canonicalize(and3, reversed_order)
+        assert forward[0] == backward[0]
+        assert forward[1] != backward[1]
+        assert npn_canonicalize(and3) == forward

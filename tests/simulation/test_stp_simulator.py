@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.circuits.random_logic import random_aig
 from repro.circuits.sweep_workloads import inject_redundancy
 from repro.networks import Aig, KLutNetwork, map_aig_to_klut
-from repro.cuts import cut_truth_table, simulation_cuts
+from repro.cuts import SimulationCut, cut_truth_table, simulation_cuts
 from repro.simulation import (
     PatternSet,
     StpSimulator,
@@ -25,7 +25,13 @@ from repro.simulation import (
     simulate_klut_per_pattern,
     simulate_klut_stp,
 )
-from repro.simulation.stp_simulator import compile_table, complement_key, expand_truth_table, function_key
+from repro.simulation.stp_simulator import (
+    compile_table,
+    complement_key,
+    count_leaf_paths,
+    expand_truth_table,
+    function_key,
+)
 from repro.truthtable import TruthTable
 
 
@@ -272,18 +278,6 @@ class TestCompiledTables:
             assert compile_table(table) == (((top, lo, hi),), 2 + arity), table
 
 
-def _leaf_paths(network, cut):
-    """Number of paths from the cut root to its leaves."""
-    leaves = set(cut.leaves)
-
-    def paths(node):
-        if node in leaves:
-            return 1
-        return sum(paths(fanin) for fanin in network.lut_fanins(node)) if network.is_lut(node) else 0
-
-    return paths(cut.root)
-
-
 class TestCutTruthTables:
     def test_word_level_matches_algebraic(self, small_klut):
         cuts = simulation_cuts(small_klut, list(small_klut.luts()), limit=4)
@@ -313,18 +307,28 @@ class TestCutTruthTables:
                 table = cut_truth_table_stp(network, cut)
                 assert table == cut_truth_table(network, cut.root, cut.leaves), cut
                 leaf_counts.add(len(cut.leaves))
-                if _leaf_paths(network, cut) <= 8:
+                if count_leaf_paths(network, cut) <= 8:
                     assert table == cut_truth_table_algebraic(network, cut), cut
                     algebraic_leaf_counts.add(len(cut.leaves))
         assert max(leaf_counts) > 4
         assert max(algebraic_leaf_counts) >= 4
 
     def test_algebraic_leaf_limit(self, small_klut):
-        from repro.cuts import SimulationCut
-
         wide_cut = SimulationCut(next(iter(small_klut.luts())), tuple(range(13)), ())
         with pytest.raises(ValueError):
             cut_truth_table_algebraic(small_klut, wide_cut)
+
+    def test_algebraic_path_limit(self):
+        # A 9-leaf cut whose cone reconverges into 18 root-to-leaf paths:
+        # without the path guard numpy asks for a 32768 x 32768 matrix.
+        network = map_aig_to_klut(random_aig(num_pis=10, num_gates=120, num_pos=6, seed=5), k=5)[0]
+        # The cut simulation_cuts(network, network.po_nodes(), 12) gives node 23.
+        cut = SimulationCut(23, (15, 6, 9, 10, 19, 18, 14, 3, 4), (13, 22, 21, 11, 16, 20))
+        assert cut in simulation_cuts(network, network.po_nodes(), 12)
+        assert count_leaf_paths(network, cut) == 18
+        with pytest.raises(ValueError, match="18"):
+            cut_truth_table_algebraic(network, cut)
+        assert cut_truth_table_stp(network, cut) == cut_truth_table(network, cut.root, cut.leaves)
 
     def test_exhaustive_truth_tables(self, fig1_klut):
         nodes = fig1_klut.fig1_nodes
