@@ -10,12 +10,13 @@ Both walkers *validate* the leaf set.  A leaf set "cuts" a cone when
 every path from the root to a primary input passes through a leaf; a
 set that does not produces a table that silently misrepresents the
 root's function (the root still depends on nodes the table does not
-mention).  Reaching an unlisted PI therefore raises, and -- unless
-``allow_unused_leaves`` is set -- so does listing a leaf the cone walk
-never reaches, which is how stale or mismatched leaf sets used to slip
-through as don't-care inputs.  Window-style callers (the STP sweeper's
-shared simulation windows) legitimately pass a superset of the support
-and opt out with ``allow_unused_leaves=True``.
+mention).  Reaching an unlisted PI therefore raises, and so does listing
+a leaf the cone walk never reaches, which is how stale or mismatched
+leaf sets used to slip through as don't-care inputs.  Window-style AIG
+callers (the redundancy injection of :mod:`repro.circuits.sweep_workloads`)
+legitimately pass a superset of the support and opt out with
+``aig_cone_table(..., allow_unused_leaves=True)``; every k-LUT caller
+passes an exact cut.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ def klut_cone_table(
     root: int,
     leaves: Sequence[int],
     compose: Callable[[TruthTable, Sequence[TruthTable], int], TruthTable] | None = None,
-    allow_unused_leaves: bool = False,
 ) -> TruthTable:
     """Truth table of k-LUT node ``root`` as a function of ``leaves``.
 
@@ -99,7 +99,8 @@ def klut_cone_table(
     :meth:`TruthTable.compose`, and the STP simulator passes one that
     runs the LUT's compiled op list on the fanin tables' bits, so both
     paths share this one walker.
-    Leaf validation matches :func:`aig_cone_table`.
+    Leaf validation matches :func:`aig_cone_table` without
+    ``allow_unused_leaves``: every listed leaf must be reached.
     """
     leaf_positions = {leaf: index for index, leaf in enumerate(leaves)}
     num_vars = len(leaves)
@@ -128,12 +129,10 @@ def klut_cone_table(
         return result
 
     table = table_of(root)
-    if not allow_unused_leaves:
-        unused = [leaf for leaf in leaves if leaf not in memo]
-        if unused:
-            raise ValueError(
-                f"leaves {unused} are not part of the cone of node {root}: "
-                "the leaf set does not cut the cone (pass allow_unused_leaves=True "
-                "for window semantics where extra leaves are don't-cares)"
-            )
+    unused = [leaf for leaf in leaves if leaf not in memo]
+    if unused:
+        raise ValueError(
+            f"leaves {unused} are not part of the cone of node {root}: "
+            "the leaf set does not cut the cone"
+        )
     return table

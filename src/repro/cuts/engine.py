@@ -80,14 +80,11 @@ class CutEngine:
     use_choices:
         Merge cut sets across the network's choice classes: every class
         member's served set is its own structural cuts plus the
-        phase-complemented cuts of the other members (capped at
-        ``choice_limit``).  With ``attach=True`` the engine also
-        registers a choice listener so class changes invalidate exactly
-        the affected members.
-    choice_limit:
-        Bound on a class-merged cut set (``2 * cut_limit`` when
-        omitted); a member's own cuts take priority, borrowed cuts fill
-        the remainder smallest-first.
+        phase-complemented cuts of the other members, capped at
+        ``2 * cut_limit``: a member's own cuts take priority, borrowed
+        cuts fill the remainder smallest-first.  With ``attach=True`` the
+        engine also registers a choice listener so class changes
+        invalidate exactly the affected members.
     budget:
         Optional :class:`repro.resilience.Budget`; the enumeration loops
         poll its deadline every :data:`BUDGET_POLL_STRIDE` nodes and
@@ -107,7 +104,6 @@ class CutEngine:
         cache: CutFunctionCache | None = None,
         attach: bool = False,
         use_choices: bool = False,
-        choice_limit: int | None = None,
         budget: "Budget | None" = None,
     ) -> None:
         if k < 1:
@@ -120,7 +116,6 @@ class CutEngine:
         self.cache = cache if cache is not None else CutFunctionCache()
         self._with_tables = compute_tables
         self.use_choices = use_choices
-        self.choice_limit = choice_limit if choice_limit is not None else 2 * cut_limit
         # The constant node's cut has no leaves; its zero-input constant
         # table expands into "constant false over the merged leaves".
         constant_table = TruthTable.constant(False, 0) if compute_tables else None
@@ -261,7 +256,7 @@ class CutEngine:
         cuts borrowed from the other members follow smallest-first, with
         their fused tables complemented through the relative phases, and
         each member's *trivial* cut stays private (a borrowed wire would
-        alias the class).  The result is capped at ``choice_limit``.
+        alias the class).  The result is capped at ``2 * cut_limit``.
         """
         own = self._own[node]
         combined = [cut for cut in own if cut.leaves != (node,)]
@@ -287,7 +282,7 @@ class CutEngine:
                 seen.add(cut.leaves)
                 borrowed.append((cut, phase))
         borrowed.sort(key=lambda entry: entry[0].size)
-        room = max(0, self.choice_limit - 1 - len(combined))
+        room = max(0, 2 * self.cut_limit - 1 - len(combined))
         # Complement only the borrowed tables that survive the cap.
         for cut, phase in borrowed[:room]:
             if cut.table is not None and phase:

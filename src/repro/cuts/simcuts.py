@@ -59,16 +59,12 @@ def simulation_cuts_generic(
     fanins_of: Callable[[int], Iterable[int]],
     is_source: Callable[[int], bool],
     limit: int,
-    extra_boundary: Iterable[int] = (),
 ) -> list[SimulationCut]:
     """Partition the TFI of ``targets`` into tree cuts with at most ``limit`` leaves.
 
     ``is_source`` marks nodes that already carry values (PIs, constants);
-    they never become cut roots.  ``extra_boundary`` can force additional
-    nodes to be cut boundaries (the STP sweeper uses this to keep all
-    members of an equivalence class visible).  Cuts are returned in
-    topological order (a cut only consumes leaves that are sources or roots
-    of earlier cuts).
+    they never become cut roots.  Cuts are returned in topological order (a
+    cut only consumes leaves that are sources or roots of earlier cuts).
     """
     if limit < 1:
         raise ValueError("cut leaf limit must be at least 1")
@@ -93,7 +89,7 @@ def simulation_cuts_generic(
         for fanin in fanins_of(node):
             fanout_in_cone[fanin] = fanout_in_cone.get(fanin, 0) + 1
 
-    boundary: set[int] = set(targets) | set(extra_boundary)
+    boundary: set[int] = set(targets)
     boundary.update(node for node, count in fanout_in_cone.items() if count >= 2)
 
     def expand(root: int) -> tuple[list[int], list[int]]:

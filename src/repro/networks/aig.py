@@ -395,51 +395,6 @@ class Aig(IncrementalNetworkMixin):
             return [self.node_of(f) for f in self.fanins(node)]
         return []
 
-    def _choice_merge_creates_cycle(self, members: Sequence[int]) -> bool:
-        """AIG-specialised override of the collapsed-acyclicity walk.
-
-        Performs the exact same choice-closed TFI traversal as the
-        generic mixin version (same visit order, same outcome, same
-        ``CHOICE_TFI_LIMIT`` bound) but reads the fanin fields directly
-        instead of going through ``gate_fanin_nodes``.  ``add_choice``
-        itself now answers through the incremental class ranks
-        (``_choice_merge_allowed``); this walk remains the exact oracle
-        the choice fuzz suite compares the ranks against.
-        """
-        nodes = self._nodes
-        num_pis = len(self._pis)
-        num_nodes = len(nodes)
-        choice_repr = self._choice_repr
-        choice_members = self._choice_members
-        limit = self.CHOICE_TFI_LIMIT
-        targets = set(members)
-        visited: set[int] = set()
-        stack: list[int] = []
-        for member in members:
-            if num_pis < member < num_nodes:
-                entry = nodes[member]
-                stack.append(entry.fanin0 >> 1)
-                stack.append(entry.fanin1 >> 1)
-        while stack:
-            node = stack.pop()
-            if node in visited:
-                continue
-            visited.add(node)
-            if node in targets:
-                return True
-            if len(visited) > limit:
-                return True
-            if num_pis < node < num_nodes:
-                entry = nodes[node]
-                stack.append(entry.fanin0 >> 1)
-                stack.append(entry.fanin1 >> 1)
-            representative = choice_repr.get(node)
-            if representative is not None:
-                for other in choice_members[representative]:
-                    if other not in visited:
-                        stack.append(other)
-        return False
-
     def gate_fanin_nodes(self, node: int) -> list[int]:
         """Fanin node indices of ``node`` (empty for PIs and the constant)."""
         return self._gate_fanin_nodes(node)

@@ -484,7 +484,8 @@ class IncrementalNetworkMixin:
         ``add_choice`` answers through the incremental rank structure
         (:meth:`_choice_merge_allowed`) instead; this exhaustive walk is
         retained as the reference the fuzz suite checks the ranks
-        against.
+        against, and as the answer on a cyclic collapsed graph, for
+        every network kind.
         """
         targets = set(members)
         visited: set[int] = set()
@@ -521,8 +522,7 @@ class IncrementalNetworkMixin:
     # strictly increases ranks), so merging them is safe without any
     # traversal; unequal ranks only require a forward walk from the
     # lower-ranked class, pruned at the higher rank.  The exhaustive walk
-    # is kept (above, plus the AIG's specialised override) as the test
-    # oracle.
+    # is kept (above) as the test oracle and the cyclic fallback.
 
     def _choice_ranks_build(self) -> bool:
         """Compute the collapsed-graph ranks for every existing gate.

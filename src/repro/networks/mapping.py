@@ -535,7 +535,6 @@ def technology_map(
     cut_limit: int = 8,
     area_rounds: int = 2,
     cache: CutFunctionCache | None = None,
-    use_choices: bool | None = None,
     budget: "Budget | None" = None,
 ) -> MappingResult:
     """Map an AIG into a k-LUT network with the multi-pass mapper.
@@ -548,13 +547,11 @@ def technology_map(
     A shared :class:`~repro.cuts.cache.CutFunctionCache` can be passed
     to reuse fused cut functions across multiple mapping runs.
 
-    ``use_choices`` controls choice-aware mapping on a choice-carrying
-    network: ``None`` (default) enables it automatically whenever the
-    network records choice classes, ``False`` forces a plain run.  The
-    choice-aware run selects among all recorded implementations in all
-    passes and is guarded by a plain fallback run, so its result never
-    has more LUTs or a larger depth than plain mapping (the emitted
-    k-LUT network is always choice-free).
+    A network that records choice classes is mapped choice-aware: the
+    run selects among all recorded implementations in all passes and is
+    guarded by a plain fallback run, so its result never has more LUTs
+    or a larger depth than plain mapping (the emitted k-LUT network is
+    always choice-free).
 
     ``budget`` (:class:`repro.resilience.Budget`) makes the run
     deadline-aware: cut enumeration and every selection pass poll the
@@ -570,11 +567,10 @@ def technology_map(
     # Snapshot the (possibly shared) cache counters so the statistics
     # report this run's lookups, not the cache's lifetime totals.
     hits_before, misses_before = shared_cache.hits, shared_cache.misses
-    with_choices = aig.has_choices if use_choices is None else bool(use_choices) and aig.has_choices
 
     stats = MappingStats(k=k, cut_limit=cut_limit)
     stats.passes.extend(["depth", "area-flow", "exact-area"][: area_rounds + 1])
-    if not with_choices:
+    if not aig.has_choices:
         mapper = _Mapper(aig, k, cut_limit, shared_cache, use_choices=False, budget=budget)
         stats.cuts_enumerated = sum(len(cuts) for cuts in mapper.all_cuts.values())
         selection, pass_luts = _map_passes(mapper, area_rounds)
@@ -620,7 +616,7 @@ def technology_map(
     return MappingResult(network, node_map, stats)
 
 
-def map_aig_to_klut(aig: Aig, k: int = 6, cut_limit: int = 8) -> tuple[KLutNetwork, dict[int, int]]:
+def map_aig_to_klut(aig: Aig, k: int = 6) -> tuple[KLutNetwork, dict[int, int]]:
     """Map an AIG into a k-LUT network (full multi-pass flow).
 
     Returns the LUT network together with a map from AIG node index to
@@ -629,5 +625,5 @@ def map_aig_to_klut(aig: Aig, k: int = 6, cut_limit: int = 8) -> tuple[KLutNetwo
     the k-LUT network's ``negated`` PO flag.  See :func:`technology_map`
     for the statistics-carrying entry point.
     """
-    result = technology_map(aig, k=k, cut_limit=cut_limit)
+    result = technology_map(aig, k=k)
     return result.network, result.node_map

@@ -199,7 +199,7 @@ def partition_network(aig: Aig, max_gates: int = 400, strategy: str = "window") 
     return regions
 
 
-def extract_region(aig: Aig, region: Region, name: str | None = None) -> Aig:
+def extract_region(aig: Aig, region: Region) -> Aig:
     """Materialise ``region`` as a standalone sub-network.
 
     The sub-network has one PI per boundary input (in ``region.inputs``
@@ -210,7 +210,7 @@ def extract_region(aig: Aig, region: Region, name: str | None = None) -> Aig:
     order, which every registered pass does -- merge-back zips the
     optimized POs against ``region.outputs`` positionally.
     """
-    sub = Aig(name if name is not None else f"{aig.name}.part{region.index}")
+    sub = Aig(f"{aig.name}.part{region.index}")
     literal_map: dict[int, int] = {0: 0}
     for node in region.inputs:
         literal_map[node] = sub.add_pi(f"i{node}")
@@ -240,23 +240,9 @@ def stream_region_networks(
     encodes each yielded sub-network to compact wire bytes and drops it
     before advancing the generator).
 
-    Every yielded sub-network is structurally identical to
-    ``extract_region(aig, region)`` -- same PI/PO order and names, same
-    gate numbering -- which the streaming fuzz suite asserts.  The
-    parent must not be mutated while the generator is live.
+    Each yielded sub-network is ``extract_region(aig, region)``, which
+    the streaming fuzz suite asserts.  The parent must not be mutated
+    while the generator is live.
     """
     for region in regions:
-        sub = Aig(f"{aig.name}.part{region.index}")
-        literal_map: dict[int, int] = {0: 0}
-        for node in region.inputs:
-            literal_map[node] = sub.add_pi(f"i{node}")
-        for node in region.gates:
-            fanin0, fanin1 = aig.fanins(node)
-            literal_map[node] = sub.add_and(
-                literal_map[fanin0 >> 1] ^ (fanin0 & 1),
-                literal_map[fanin1 >> 1] ^ (fanin1 & 1),
-            )
-        for node in region.outputs:
-            sub.add_po(literal_map[node], f"o{node}")
-        del literal_map
-        yield region, sub
+        yield region, extract_region(aig, region)

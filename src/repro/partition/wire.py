@@ -30,7 +30,6 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from typing import Sequence
 
 from ..networks.aig import Aig
 
@@ -96,12 +95,7 @@ def wire_counts(data: bytes) -> tuple[int, int, int]:
     return num_pis, num_ands, num_pos
 
 
-def decode_region(
-    data: bytes,
-    name: str = "region",
-    pi_names: Sequence[str] | None = None,
-    po_names: Sequence[str] | None = None,
-) -> Aig:
+def decode_region(data: bytes, name: str = "region") -> Aig:
     """Rebuild a region sub-network from wire bytes (no text parse).
 
     Gates replay through the strashing ``add_and`` constructor; on a
@@ -120,7 +114,7 @@ def decode_region(
     words = _from_le(data[_HEADER.size :])
     sub = Aig(name)
     for index in range(num_pis):
-        sub.add_pi(pi_names[index] if pi_names is not None else f"i{index}")
+        sub.add_pi(f"i{index}")
     limit = 2 * (1 + num_pis)
     for gate in range(num_ands):
         fanin0 = words[2 * gate]
@@ -140,5 +134,5 @@ def decode_region(
         literal = words[base + index]
         if literal >= limit:
             raise ValueError(f"PO {index} references literal {literal} beyond the network")
-        sub.add_po(literal, po_names[index] if po_names is not None else f"o{index}")
+        sub.add_po(literal, f"o{index}")
     return sub

@@ -13,17 +13,11 @@ the machinery already in the tree:
 2. **refactoring choices** -- the MFFC resynthesiser contributes a
    restructured cone per wide reconvergent region the 4-cuts cannot
    see;
-3. **snapshot choices** -- whole synthesis snapshots (an AND-tree
-   balanced variant and a ``resyn2``-style restructuring of the input)
-   are instantiated over the subject network's PIs through the
-   strashing constructor, so shared structure deduplicates and only the
-   genuinely different cones materialise;
-4. **fraig choices** -- the SAT sweeper proves candidate equivalences
+3. **fraig choices** -- the SAT sweeper proves candidate equivalences
    exactly as in a normal sweep but *records* every proven pair as a
    choice class instead of substituting it, so reconvergent structures
-   -- and the snapshot cones, which simulate identically to their
-   subject counterparts -- become alternatives of one another
-   (complemented equivalences included).
+   become alternatives of one another (complemented equivalences
+   included).
 
 The subject network is never mutated -- every stage only adds dangling
 alternative structures and class links -- so the pass is functionally
@@ -44,7 +38,6 @@ from typing import TYPE_CHECKING
 
 from ..networks.aig import Aig
 from ..sweeping.fraig import FraigSweeper
-from .balance import balance
 from .library import RewriteLibrary
 from .refactor import refactor
 from .rewrite import rewrite
@@ -53,47 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from ..resilience import Budget
 
 __all__ = ["ChoiceReport", "compute_choices"]
-
-
-def _resyn2(aig: Aig, library: RewriteLibrary | None) -> Aig:
-    """The canonical ``resyn2`` snapshot, via the pass pipeline.
-
-    Runs the one recipe defined in ``passes.NAMED_SCRIPTS`` (imported
-    lazily -- the :class:`PassManager` imports this module the same
-    way), so the snapshot stage can never drift from the flow users
-    run.
-    """
-    from .passes import PassManager
-
-    result, _stats = PassManager("resyn2", library=library).run(aig)
-    assert isinstance(result, Aig)
-    return result
-
-
-def _append_snapshot(work: Aig, snapshot: Aig) -> int:
-    """Instantiate a snapshot's gates over ``work``'s PIs (no POs added).
-
-    The snapshot must have the same primary inputs (count and order) as
-    the subject network.  Gates are re-created through the strashing
-    constructor, so structure shared with the subject -- or with an
-    earlier snapshot -- deduplicates and only genuinely different cones
-    materialise as dangling logic for the fraig stage to link.  Returns
-    the number of gates actually created.
-    """
-    if snapshot.num_pis != work.num_pis:
-        raise ValueError(
-            f"snapshot has {snapshot.num_pis} PIs but the subject network has {work.num_pis}"
-        )
-    created_before = work.num_ands
-    literal_map: dict[int, int] = {0: 0}
-    for snapshot_pi, work_pi in zip(snapshot.pis, work.pis):
-        literal_map[snapshot_pi] = Aig.literal(work_pi)
-    for node in snapshot.topological_order():
-        fanin0, fanin1 = snapshot.fanins(node)
-        new0 = literal_map[fanin0 >> 1] ^ (fanin0 & 1)
-        new1 = literal_map[fanin1 >> 1] ^ (fanin1 & 1)
-        literal_map[node] = work.add_and(new0, new1)
-    return work.num_ands - created_before
 
 
 @dataclass
@@ -106,7 +58,6 @@ class ChoiceReport:
     choice_alternatives: int = 0
     rewrite_recorded: int = 0
     refactor_recorded: int = 0
-    snapshot_gates: int = 0
     fraig_recorded: int = 0
     fraig_skipped: int = 0
     sat_calls: int = 0
@@ -128,7 +79,6 @@ class ChoiceReport:
             "choice_alternatives": float(self.choice_alternatives),
             "rewrite_recorded": float(self.rewrite_recorded),
             "refactor_recorded": float(self.refactor_recorded),
-            "snapshot_gates": float(self.snapshot_gates),
             "fraig_recorded": float(self.fraig_recorded),
             "fraig_skipped": float(self.fraig_skipped),
             "sat_calls": float(self.sat_calls),
@@ -142,10 +92,6 @@ def compute_choices(
     seed: int = 1,
     conflict_limit: int | None = 10_000,
     library: RewriteLibrary | None = None,
-    with_rewrite: bool = True,
-    with_refactor: bool = True,
-    with_snapshots: bool = False,
-    with_fraig: bool = True,
     budget: "Budget | None" = None,
     window_size: int | None = None,
 ) -> tuple[Aig, ChoiceReport]:
@@ -155,51 +101,36 @@ def compute_choices(
     -- every gate reachable from a primary output -- is structurally
     identical to the input's; only dangling alternative structures and
     their class links are added, so the result is trivially equivalent
-    to the input and existing choices of the input survive.  The stages
-    can be disabled individually (``with_rewrite`` / ``with_refactor`` /
-    ``with_snapshots`` / ``with_fraig``); without the fraig stage the
-    snapshot cones stay unlinked, so ``with_snapshots`` only pays off
-    together with ``with_fraig``.  ``window_size`` is the fraig stage's
-    solver-window policy (``None`` = one persistent incremental solver,
-    ``1`` = fresh-encode-per-query oracle).
+    to the input and existing choices of the input survive.
+    ``window_size`` is the fraig stage's solver-window policy (``None`` =
+    one persistent incremental solver, ``1`` = fresh-encode-per-query
+    oracle).
     """
     start = time.perf_counter()
     report = ChoiceReport(gates_before=aig.num_ands)
-    work = aig
-    if with_rewrite:
-        if budget is not None:
-            budget.checkpoint("choice")
-        work, rewrite_report = rewrite(work, record_choices=True, library=library)
-        report.rewrite_recorded = rewrite_report.choices_recorded
-    if with_refactor:
-        if budget is not None:
-            budget.checkpoint("choice")
-        work, refactor_report = refactor(work, record_choices=True)
-        report.refactor_recorded = refactor_report.choices_recorded
-    if work is aig:
-        work = aig.clone()
-    if with_snapshots and with_fraig:
-        if budget is not None:
-            budget.checkpoint("choice")
-        balanced, _balance_report = balance(aig)
-        report.snapshot_gates += _append_snapshot(work, balanced)
-        report.snapshot_gates += _append_snapshot(work, _resyn2(aig, library))
-    if with_fraig:
-        work, sweep_stats = FraigSweeper(
-            work,
-            num_patterns=num_patterns,
-            seed=seed,
-            conflict_limit=conflict_limit,
-            record_choices=True,
-            budget=budget,
-            window_size=window_size,
-        ).run()
-        report.fraig_recorded = int(sweep_stats.extra.get("choices_recorded", 0.0))
-        report.fraig_skipped = int(sweep_stats.extra.get("choice_skipped", 0.0))
-        report.sat_calls = sweep_stats.total_sat_calls
-        report.sat_time = sweep_stats.sat_time
-        report.solver_statistics = dict(sweep_stats.solver_statistics)
-        report.window_reuse_rate = sweep_stats.extra.get("window_reuse_rate", 0.0)
+    if budget is not None:
+        budget.checkpoint("choice")
+    work, rewrite_report = rewrite(aig, record_choices=True, library=library)
+    report.rewrite_recorded = rewrite_report.choices_recorded
+    if budget is not None:
+        budget.checkpoint("choice")
+    work, refactor_report = refactor(work, record_choices=True)
+    report.refactor_recorded = refactor_report.choices_recorded
+    work, sweep_stats = FraigSweeper(
+        work,
+        num_patterns=num_patterns,
+        seed=seed,
+        conflict_limit=conflict_limit,
+        record_choices=True,
+        budget=budget,
+        window_size=window_size,
+    ).run()
+    report.fraig_recorded = int(sweep_stats.extra.get("choices_recorded", 0.0))
+    report.fraig_skipped = int(sweep_stats.extra.get("choice_skipped", 0.0))
+    report.sat_calls = sweep_stats.total_sat_calls
+    report.sat_time = sweep_stats.sat_time
+    report.solver_statistics = dict(sweep_stats.solver_statistics)
+    report.window_reuse_rate = sweep_stats.extra.get("window_reuse_rate", 0.0)
     report.gates_after = work.num_ands
     report.choice_classes = work.num_choice_classes
     report.choice_alternatives = work.num_choice_alternatives

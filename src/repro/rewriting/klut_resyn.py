@@ -50,6 +50,9 @@ from .mffc import collect_mffc
 
 __all__ = ["LutResynReport", "lut_resynthesize"]
 
+#: Cones of more LUTs than this are skipped.
+_MAX_CONE = 32
+
 
 @dataclass
 class LutResynReport:
@@ -129,7 +132,6 @@ def lut_resynthesize(
     network: KLutNetwork,
     k: int | None = None,
     max_leaves: int = 10,
-    max_cone: int = 32,
     zero_gain: bool = False,
 ) -> tuple[KLutNetwork, LutResynReport]:
     """One MFFC-resynthesis pass over a copy of a mapped network.
@@ -137,7 +139,7 @@ def lut_resynthesize(
     ``k`` bounds the fan-in of every LUT the pass creates; it defaults
     to the network's current maximum fan-in (so resynthesis never
     exceeds the mapper's LUT size).  Cones wider than ``max_leaves``
-    boundary inputs or larger than ``max_cone`` LUTs are skipped.
+    boundary inputs or larger than 32 LUTs are skipped.
     Returns the resynthesised, dangling-cleaned network and a report.
     """
     if max_leaves < 2:
@@ -164,7 +166,7 @@ def lut_resynthesize(
         if live_count(node) == 0:
             continue  # dangling (or referenced only by dead cones)
         report.nodes_visited += 1
-        mffc = collect_mffc(work, node, max_size=max_cone, fanout_count=live_count)
+        mffc = collect_mffc(work, node, max_size=_MAX_CONE, fanout_count=live_count)
         if mffc is None or len(mffc) < 2:
             continue
         leaves: list[int] = []

@@ -16,7 +16,7 @@ those subgraphs:
 Library construction is a two-stage hybrid:
 
 1. *Bounded exhaustive enumeration*: every function reachable by an AIG
-   of at most ``exact_gate_limit`` AND gates (default 6, ~15k of the
+   of at most ``RewriteLibrary.exact_gate_limit`` AND gates (6, ~15k of the
    65536 4-input functions, built in ~0.15 s) is discovered by
    breadth-first bottom-up enumeration over function pairs, recording the
    first -- hence smallest within the enumeration's pairing model -- AND
@@ -387,11 +387,13 @@ class RewriteLibrary:
     ``decomposed`` count class misses only.
     """
 
-    def __init__(self, num_vars: int = 4, exact_gate_limit: int = 6) -> None:
+    #: The exhaustive stage enumerates every AIG of at most this many gates.
+    exact_gate_limit = 6
+
+    def __init__(self, num_vars: int = 4) -> None:
         if num_vars > MAX_NPN_VARS:
             raise ValueError(f"library limited to {MAX_NPN_VARS}-input cuts, got {num_vars}")
         self.num_vars = num_vars
-        self.exact_gate_limit = exact_gate_limit
         self._exact_by_arity: dict[int, dict[int, tuple]] = {}
         self._class_structures: dict[tuple[int, int], AigStructure] = {}
         self._function_structures: dict[tuple[int, int], AigStructure] = {}

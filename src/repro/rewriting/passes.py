@@ -617,13 +617,13 @@ class PassManager:
         query (the reference oracle), ``N`` retires the solver and starts
         a fresh one every ``N`` solver queries.  The partition worker
         forwards the ``window`` option of ``ppart`` here.
-    lut_size, cut_limit:
-        LUT size and priority-cut limit of the ``map`` pass; the
-        mapped-network passes inherit ``lut_size`` as their fan-in
-        bound.  When ``lut_size`` is omitted, ``map`` uses k = 6 and the
-        mapped-network passes bound themselves by the network's own
-        maximum fan-in -- so a klut-only script on an externally mapped
-        network never creates LUTs wider than the mapper did.
+    lut_size:
+        LUT size of the ``map`` pass; the mapped-network passes inherit
+        it as their fan-in bound.  When ``lut_size`` is omitted, ``map``
+        uses k = 6 and the mapped-network passes bound themselves by the
+        network's own maximum fan-in -- so a klut-only script on an
+        externally mapped network never creates LUTs wider than the
+        mapper did.
     verify_each:
         Verify every pass against its input network (CEC between AIGs,
         word-parallel simulation once the flow is mapped) and record the
@@ -662,7 +662,6 @@ class PassManager:
         conflict_limit: int | None = 10_000,
         window_size: int | None = None,
         lut_size: int | None = None,
-        cut_limit: int = 8,
         verify_each: bool = False,
         library: RewriteLibrary | None = None,
         on_error: str = "raise",
@@ -692,7 +691,6 @@ class PassManager:
         self.conflict_limit = conflict_limit
         self.window_size = window_size
         self.lut_size = lut_size
-        self.cut_limit = cut_limit
         self.verify_each = verify_each
         self.library = library
         self.on_error = on_error
@@ -952,9 +950,7 @@ class PassManager:
         from ..networks.mapping import technology_map
 
         k = self.lut_size if self.lut_size is not None else 6
-        result = technology_map(
-            self._as_aig(network), k=k, cut_limit=self.cut_limit, budget=budget
-        )
+        result = technology_map(self._as_aig(network), k=k, budget=budget)
         return result.network, result.stats.as_details()
 
     def _lut_resyn(self, network: Network, zero_gain: bool) -> tuple[Network, dict[str, float]]:

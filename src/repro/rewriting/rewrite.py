@@ -150,7 +150,6 @@ def _instantiate(
 def rewrite(
     aig: Aig,
     cut_size: int = 4,
-    cut_limit: int = 8,
     zero_gain: bool = False,
     library: RewriteLibrary | None = None,
     record_choices: bool = False,
@@ -181,7 +180,7 @@ def rewrite(
     start = time.perf_counter()
     work = aig.clone()
     report = RewriteReport(gates_before=work.num_ands)
-    engine = CutEngine(work, k=cut_size, cut_limit=cut_limit, attach=True)
+    engine = CutEngine(work, k=cut_size, attach=True)
 
     try:
         for node in work.topological_order():

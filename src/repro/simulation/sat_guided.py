@@ -26,6 +26,12 @@ from .patterns import PatternSet
 
 __all__ = ["SatGuidedPatterns", "sat_guided_patterns"]
 
+#: A signature with at most this many minority values counts as biased
+#: in round 2.
+_BIAS_THRESHOLD = 1
+#: Re-simulate after this many new patterns rather than after every query.
+_RESIMULATION_INTERVAL = 8
+
 
 @dataclass
 class SatGuidedPatterns:
@@ -55,18 +61,13 @@ def sat_guided_patterns(
     solver: CircuitSolver | None = None,
     num_random: int = 64,
     seed: int = 1,
-    bias_threshold: int = 1,
     max_queries_per_round: int = 16,
-    resimulation_interval: int = 8,
     conflict_limit: int | None = 1_000,
 ) -> SatGuidedPatterns:
     """Generate the two-round SAT-guided pattern sets ``(Sc, Se)``.
 
-    ``bias_threshold`` is the number of minority values below which a
-    signature counts as "biased" in round 2.  ``max_queries_per_round``
-    bounds the SAT effort, as the paper does through its runtime budget;
-    re-simulation happens every ``resimulation_interval`` new patterns
-    rather than after every query.
+    ``max_queries_per_round`` bounds the SAT effort, as the paper does
+    through its runtime budget.
     """
     if solver is None:
         solver = CircuitSolver(aig)
@@ -92,7 +93,7 @@ def sat_guided_patterns(
         elif outcome.status is EquivalenceStatus.NOT_EQUIVALENT and outcome.counterexample is not None:
             patterns_c.add_pattern(outcome.counterexample)
             pending_patterns += 1
-            if pending_patterns >= resimulation_interval:
+            if pending_patterns >= _RESIMULATION_INTERVAL:
                 result = simulate_aig(aig, patterns_c)
                 pending_patterns = 0
 
@@ -109,7 +110,7 @@ def sat_guided_patterns(
         ones = bin(result.signature(node)).count("1")
         zeros = result.num_patterns - ones
         minority_value = ones <= zeros
-        if min(ones, zeros) > bias_threshold:
+        if min(ones, zeros) > _BIAS_THRESHOLD:
             continue
         round_queries += 1
         queries += 1
@@ -119,7 +120,7 @@ def sat_guided_patterns(
         elif outcome.status is EquivalenceStatus.NOT_EQUIVALENT and outcome.counterexample is not None:
             patterns_e.add_pattern(outcome.counterexample)
             pending_patterns += 1
-            if pending_patterns >= resimulation_interval:
+            if pending_patterns >= _RESIMULATION_INTERVAL:
                 result = simulate_aig(aig, patterns_e)
                 pending_patterns = 0
 

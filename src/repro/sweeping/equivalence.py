@@ -90,7 +90,6 @@ class EquivalenceClasses:
         cls,
         aig: Aig,
         result: SimulationResult,
-        include_constant_class: bool = True,
         nodes: Iterable[int] | None = None,
     ) -> "EquivalenceClasses":
         """Group AND nodes by canonical (polarity-free) signature.
@@ -107,13 +106,13 @@ class EquivalenceClasses:
             if not result.has_node(node):
                 continue
             constant = result.is_constant(node)
-            if include_constant_class and constant is not None:
+            if constant is not None:
                 constant_members.append((node, constant))
                 continue
             key, _inverted = result.canonical(node)
             groups.setdefault(key, []).append(node)
 
-        if include_constant_class and constant_members:
+        if constant_members:
             constant_class = EquivalenceClass(representative=0, members=[0], polarity={0: False})
             for node, value in constant_members:
                 constant_class.members.append(node)

@@ -61,7 +61,6 @@ class StpSweeper(SweepEngine):
         tfi_limit: int = 1000,
         window_leaves: int = 16,
         use_sat_guided_patterns: bool = True,
-        pattern_queries: int = 8,
         budget: "Budget | None" = None,
         window_size: int | None = None,
     ) -> None:
@@ -69,7 +68,6 @@ class StpSweeper(SweepEngine):
         self.tfi_limit = tfi_limit
         self.window_leaves = window_leaves
         self.use_sat_guided_patterns = use_sat_guided_patterns
-        self.pattern_queries = pattern_queries
 
     def run(self) -> tuple[Aig, SweepStatistics]:
         """Sweep a copy of the network; returns the swept AIG and statistics."""

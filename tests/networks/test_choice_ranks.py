@@ -2,8 +2,9 @@
 
 ``add_choice`` answers "would this merge make the choice-collapsed graph
 cyclic?" through incrementally maintained class-level topological ranks
-(:meth:`_choice_merge_allowed`); the old per-link collapsed-graph walk
-(:meth:`_choice_merge_creates_cycle`) is retained as the exact oracle.
+(:meth:`_choice_merge_allowed`); the per-link collapsed-graph walk of
+``IncrementalNetworkMixin`` (:meth:`_choice_merge_creates_cycle`), which
+AIGs share with every other network kind, is retained as the exact oracle.
 The fuzz here interleaves merges, class removals, new gates and
 topologically-safe substitutes, and asserts after every link that the
 rank decision agrees with the oracle and that the rank invariant holds:

@@ -4,16 +4,18 @@ For each of 40 seeds a redundant random workload runs one of the
 rotating ``choice``-carrying scripts; the result must stay
 simulation-equivalent to the input (exhaustively -- the workloads are
 small), every recorded class member must simulate to its
-representative up to the recorded phase, and mapping from a choice
-network must produce a k-LUT network that is exhaustively equivalent to
-the source AIG and never worse than mapping without the choices.
+representative up to the recorded phase, ``compute_choices`` must leave
+the PO-reachable subject logic structurally identical to the input's,
+and mapping from a choice network must produce a k-LUT network that is
+exhaustively equivalent to the source AIG and never worse than mapping
+without the choices.
 """
 
 import pytest
 
 from repro.circuits.random_logic import random_aig
 from repro.circuits.sweep_workloads import inject_redundancy
-from repro.networks import Aig, technology_map
+from repro.networks import Aig, cleanup_dangling, structural_hash, technology_map
 from repro.rewriting import compute_choices, optimize
 from repro.simulation import (
     PatternSet,
@@ -88,6 +90,17 @@ def test_choice_members_simulate_to_their_representative(seed):
                 f"member {node} diverges from representative {representative} "
                 f"on assignment {assignment:b}"
             )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_choices_leave_the_subject_logic_structurally_identical(seed):
+    workload = _workload(seed)
+    augmented, _report = compute_choices(workload)
+    subject = augmented.clone()
+    subject.clear_choices()
+    cleaned, _literal_map = cleanup_dangling(subject)
+    reference, _literal_map = cleanup_dangling(workload)
+    assert structural_hash(cleaned) == structural_hash(reference)
 
 
 @pytest.mark.parametrize("seed", SEEDS[::4])
