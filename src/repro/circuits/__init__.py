@@ -45,7 +45,6 @@ from .sweep_workloads import (
     SWEEP_WORKLOADS,
     inject_redundancy,
     sweep_workload,
-    sweep_workload_suite,
 )
 
 __all__ = [
@@ -80,5 +79,4 @@ __all__ = [
     "SWEEP_WORKLOADS",
     "inject_redundancy",
     "sweep_workload",
-    "sweep_workload_suite",
 ]

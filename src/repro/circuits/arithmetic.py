@@ -42,7 +42,6 @@ __all__ = [
     "equal_words",
     "mux_words",
     "shift_left_words",
-    "shift_right_words",
 ]
 
 
@@ -115,15 +114,6 @@ def shift_left_words(aig: Aig, word: Sequence[int], amount: Sequence[int]) -> li
         shifted = [LIT_FALSE] * (1 << stage) + current[: len(current) - (1 << stage)]
         if (1 << stage) >= len(current):
             shifted = [LIT_FALSE] * len(current)
-        current = mux_words(aig, select, shifted, current)
-    return current
-
-
-def shift_right_words(aig: Aig, word: Sequence[int], amount: Sequence[int]) -> list[int]:
-    """Logical right shift of ``word`` by the binary-encoded ``amount``."""
-    current = list(word)
-    for stage, select in enumerate(amount):
-        shifted = current[(1 << stage):] + [LIT_FALSE] * min(1 << stage, len(current))
         current = mux_words(aig, select, shifted, current)
     return current
 

@@ -30,11 +30,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..networks.aig import Aig, LIT_FALSE
-from ..networks.mapping import aig_node_truth_table
+from ..cuts import aig_cone_table
 from ..truthtable import TruthTable
 from . import arithmetic, control, random_logic
 
-__all__ = ["SWEEP_WORKLOADS", "inject_redundancy", "sweep_workload", "sweep_workload_suite"]
+__all__ = ["SWEEP_WORKLOADS", "inject_redundancy", "sweep_workload"]
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def inject_redundancy(
         leaves = _small_cut(work, node, cut_size)
         if not leaves or len(leaves) > cut_size:
             continue
-        table = aig_node_truth_table(work, node, leaves, allow_unused_leaves=True)
+        table = aig_cone_table(work, node, leaves, allow_unused_leaves=True)
         style = "shannon" if rng.random() < 0.5 else "sop"
         duplicate = _rebuild_from_truth_table(work, table, leaves, style)
         if Aig.node_of(duplicate) == node or Aig.node_of(duplicate) == 0:
@@ -175,7 +175,7 @@ def inject_redundancy(
         leaves = _small_cut(work, node, cut_size)
         if not leaves or len(leaves) > cut_size:
             continue
-        table = aig_node_truth_table(work, node, leaves, allow_unused_leaves=True)
+        table = aig_cone_table(work, node, leaves, allow_unused_leaves=True)
         if table.is_constant():
             continue
         # Build a structurally different complement and AND it with the node:
@@ -337,8 +337,3 @@ def sweep_workload(name: str) -> Aig:
     )
     return workload
 
-
-def sweep_workload_suite(names: list[str] | None = None) -> dict[str, Aig]:
-    """Construct several (by default all) sweep workloads."""
-    selected = names if names is not None else list(SWEEP_WORKLOADS)
-    return {name: sweep_workload(name) for name in selected}

@@ -7,7 +7,7 @@ rewriting and the simulation layer all consume the same pieces:
   merge/dominance implementation, which selects the priority cuts
   smallest-first and only then fuses a truth table for each cut it
   keeps (``repro/cuts/cut.py``);
-* :class:`CutEngine` / :func:`enumerate_cuts` -- static enumeration and
+* :class:`CutEngine` -- static enumeration and
   incremental maintenance against :meth:`~repro.networks.aig.Aig.substitute`
   events, with dead-cone/revival bookkeeping (``repro/cuts/engine.py``);
 * :class:`CutFunctionCache` -- fused cut functions memoised under
@@ -23,7 +23,7 @@ rewriting and the simulation layer all consume the same pieces:
 from .cache import CutFunctionCache
 from .cone import aig_cone_table, klut_cone_table
 from .cut import Cut, merge_cut_sets, trivial_cut
-from .engine import CutEngine, enumerate_cuts
+from .engine import CutEngine
 from .simcuts import SimulationCut, cut_truth_table, simulation_cuts, simulation_cuts_generic
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "SimulationCut",
     "aig_cone_table",
     "cut_truth_table",
-    "enumerate_cuts",
     "klut_cone_table",
     "merge_cut_sets",
     "simulation_cuts",

@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from ..networks.aig import Aig
     from ..resilience import Budget
 
-__all__ = ["CutEngine", "enumerate_cuts"]
+__all__ = ["CutEngine"]
 
 
 class CutEngine:
@@ -437,12 +437,3 @@ class CutEngine:
         result.update(self.cache.stats())
         return result
 
-
-def enumerate_cuts(aig: Aig, k: int = 6, cut_limit: int = 8) -> dict[int, list[Cut]]:
-    """Priority-cut enumeration: up to ``cut_limit`` k-feasible cuts per node.
-
-    Compatibility wrapper over :class:`CutEngine` (static mode, fused
-    tables included); every node keeps its trivial cut and cuts are
-    propagated in topological order exactly as before.
-    """
-    return CutEngine(aig, k=k, cut_limit=cut_limit).enumerate_all()

@@ -7,7 +7,7 @@ pattern counts, by the pytest-benchmark targets under ``benchmarks/``.
 """
 
 from .cli import main, optimize_main, read_network, simulate_main, sweep_main, write_network
-from .reporting import format_table, geometric_mean, improvement, rows_to_csv
+from .reporting import format_table, geometric_mean, improvement
 from .table1 import Table1Row, format_table1, run_table1
 from .table2 import Table2Row, format_table2, run_single_comparison, run_table2
 
@@ -21,7 +21,6 @@ __all__ = [
     "format_table",
     "geometric_mean",
     "improvement",
-    "rows_to_csv",
     "Table1Row",
     "format_table1",
     "run_table1",

@@ -66,7 +66,7 @@ from ..simulation import (
 )
 from ..rewriting import FlowStatistics, NAMED_SCRIPTS, PassManager, PassStatistics
 from ..sweeping import FraigSweeper, StpSweeper, check_combinational_equivalence
-from .table2 import sweep_option_error
+from .table2 import SWEEP_OPTION_MINIMUMS, option_error
 
 __all__ = [
     "simulate_main",
@@ -172,8 +172,9 @@ def simulate_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--csv", default=None, help="write per-output signatures to this CSV file")
     arguments = parser.parse_args(argv)
 
-    if arguments.patterns < 1:
-        print(f"--patterns must be >= 1, got {arguments.patterns}", file=sys.stderr)
+    error = option_error(arguments, {"patterns": 1})
+    if error is not None:
+        print(error, file=sys.stderr)
         return EXIT_USAGE
     aig = _load_network(arguments.input)
     if aig is None:
@@ -246,7 +247,7 @@ def sweep_main(argv: list[str] | None = None) -> int:
     )
     arguments = parser.parse_args(argv)
 
-    error = sweep_option_error(arguments)
+    error = option_error(arguments, SWEEP_OPTION_MINIMUMS)
     if error is not None:
         print(error, file=sys.stderr)
         return EXIT_USAGE
@@ -470,6 +471,10 @@ def optimize_main(argv: list[str] | None = None) -> int:
     )
     arguments = parser.parse_args(argv)
 
+    error = option_error(arguments, {"lut_size": 2, "patterns": 0})
+    if error is not None:
+        print(error, file=sys.stderr)
+        return EXIT_USAGE
     aig = _load_network(arguments.input)
     if aig is None:
         return EXIT_USAGE
@@ -593,6 +598,10 @@ def map_main(argv: list[str] | None = None) -> int:
     )
     arguments = parser.parse_args(argv)
 
+    error = option_error(arguments, {"patterns": 1})
+    if error is not None:
+        print(error, file=sys.stderr)
+        return EXIT_USAGE
     aig = _load_network(arguments.input)
     if aig is None:
         return EXIT_USAGE

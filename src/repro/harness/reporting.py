@@ -2,17 +2,15 @@
 
 The paper summarises each table with geometric means and "average
 geometric mean improvement" rows; these helpers compute the same
-aggregates and render plain-text tables and CSV files.
+aggregates and render plain-text tables.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
-__all__ = ["geometric_mean", "improvement", "format_table", "rows_to_csv"]
+__all__ = ["geometric_mean", "improvement", "format_table"]
 
 
 def geometric_mean(values: Sequence[float]) -> float:
@@ -63,14 +61,3 @@ def _cell(value: object) -> str:
         return f"{value:,}"
     return str(value)
 
-
-def rows_to_csv(rows: Sequence[Mapping[str, object]]) -> str:
-    """Serialise a list of uniform dictionaries to CSV text."""
-    if not rows:
-        return ""
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()

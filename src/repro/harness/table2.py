@@ -23,15 +23,15 @@ from ..sweeping.stats import SweepStatistics
 from ..sweeping.stp_sweeper import StpSweeper
 from .reporting import format_table, geometric_mean
 
-__all__ = ["Table2Row", "run_table2", "format_table2", "sweep_option_error", "main"]
+__all__ = ["Table2Row", "run_table2", "format_table2", "option_error", "main"]
 
 #: Smallest accepted value of each numeric sweep option, shared with ``repro sweep``.
 SWEEP_OPTION_MINIMUMS = {"patterns": 0, "tfi_limit": 1, "window_leaves": 0}
 
 
-def sweep_option_error(arguments: argparse.Namespace) -> str | None:
-    """One-line message for the first sweep option below its minimum, else ``None``."""
-    for name, minimum in SWEEP_OPTION_MINIMUMS.items():
+def option_error(arguments: argparse.Namespace, minimums: dict[str, int]) -> str | None:
+    """One-line message for the first option below its minimum, else ``None``."""
+    for name, minimum in minimums.items():
         value = getattr(arguments, name)
         if value < minimum:
             return f"--{name.replace('_', '-')} must be >= {minimum}, got {value}"
@@ -249,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         help="optimization script run on every workload before sweeping (e.g. 'rw', 'resyn2')",
     )
     arguments = parser.parse_args(argv)
-    error = sweep_option_error(arguments)
+    error = option_error(arguments, SWEEP_OPTION_MINIMUMS)
     if error is not None:
         print(error, file=sys.stderr)
         return 2

@@ -20,10 +20,9 @@ simulation-cut partitioning -- are written against the protocol and run
 on either container.
 
 The package also holds generic traversal helpers, AIG-to-k-LUT mapping
-and structural transforms (cleanup, substitution, constant
-propagation).  Cut computation (including the paper's simulation-cut
-algorithm of Section III-B) lives in the shared :mod:`repro.cuts`
-engine and is re-exported here for compatibility.
+and structural transforms (cleanup, re-hashing).  Cut computation
+(including the paper's simulation-cut algorithm of Section III-B) lives
+in the shared :mod:`repro.cuts` engine.
 """
 
 from .aig import Aig, AigNode, LIT_FALSE, LIT_TRUE
@@ -37,11 +36,9 @@ from .traversal import (
     transitive_fanout,
     fanout_counts,
 )
-from ..cuts import Cut, SimulationCut, enumerate_cuts, simulation_cuts, cut_truth_table
 from .mapping import (
     MappingResult,
     MappingStats,
-    aig_node_truth_table,
     map_aig_to_klut,
     technology_map,
 )
@@ -50,7 +47,6 @@ from .transforms import (
     cleanup_dangling,
     cleanup_dangling_klut,
     rebuild_strashed,
-    propagate_constants,
     network_statistics,
     NetworkStatistics,
 )
@@ -73,22 +69,15 @@ __all__ = [
     "transitive_fanin",
     "transitive_fanout",
     "fanout_counts",
-    "Cut",
-    "SimulationCut",
-    "enumerate_cuts",
-    "simulation_cuts",
-    "cut_truth_table",
     "map_aig_to_klut",
     "technology_map",
     "MappingResult",
     "MappingStats",
-    "aig_node_truth_table",
     "structural_hash",
     "structural_digest",
     "cleanup_dangling",
     "cleanup_dangling_klut",
     "rebuild_strashed",
-    "propagate_constants",
     "network_statistics",
     "NetworkStatistics",
 ]

@@ -219,14 +219,6 @@ class Aig(IncrementalNetworkMixin):
         """OR of two literals (built from AND by De Morgan)."""
         return self.negate(self.add_and(self.negate(a), self.negate(b)))
 
-    def add_nand(self, a: int, b: int) -> int:
-        """NAND of two literals."""
-        return self.negate(self.add_and(a, b))
-
-    def add_nor(self, a: int, b: int) -> int:
-        """NOR of two literals."""
-        return self.add_and(self.negate(a), self.negate(b))
-
     def add_xor(self, a: int, b: int) -> int:
         """XOR of two literals (two-level AND/OR construction)."""
         return self.add_or(self.add_and(a, self.negate(b)), self.add_and(self.negate(a), b))
@@ -511,10 +503,6 @@ class Aig(IncrementalNetworkMixin):
             value1 = values[self.node_of(fanin1)] ^ self.is_complemented(fanin1)
             values[node] = value0 and value1
         return [values[self.node_of(po)] ^ self.is_complemented(po) for po in self._pos]
-
-    def literal_value(self, literal: int, node_values: dict[int, bool]) -> bool:
-        """Value of a literal given a node-value map."""
-        return node_values[self.node_of(literal)] ^ self.is_complemented(literal)
 
     # ------------------------------------------------------------------
     # Mutation used by SAT-sweeping

@@ -239,17 +239,6 @@ class KLutNetwork(IncrementalNetworkMixin):
             raise ValueError(f"node {node} is not a LUT")
         return entry.function
 
-    def set_lut_function(self, node: int, function: TruthTable) -> None:
-        """Replace the function of a LUT node (arity must match the fanins)."""
-        entry = self._nodes[node]
-        if entry.kind != _KIND_LUT:
-            raise ValueError(f"node {node} is not a LUT")
-        if function.num_vars != len(entry.fanins):
-            raise ValueError(
-                f"function has {function.num_vars} inputs but the LUT has {len(entry.fanins)} fanins"
-            )
-        entry.function = function
-
     def fanins(self, node: int) -> tuple[int, ...]:
         """Fanins of any node (empty for PIs and constants)."""
         return self._nodes[node].fanins

@@ -47,10 +47,9 @@ yields more LUTs or a deeper network than plain mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from ..cuts import Cut, CutEngine, CutFunctionCache, aig_cone_table
-from ..truthtable import TruthTable
 from .aig import Aig
 from .klut import KLutNetwork
 
@@ -62,42 +61,9 @@ __all__ = [
     "MappingResult",
     "technology_map",
     "map_aig_to_klut",
-    "aig_node_truth_table",
-    "aig_literal_truth_table",
 ]
 
 _INFINITY = float("inf")
-
-
-def aig_node_truth_table(
-    aig: Aig,
-    node: int,
-    leaves: Sequence[int],
-    allow_unused_leaves: bool = False,
-) -> TruthTable:
-    """Truth table of an AIG node as a function of the cut ``leaves``.
-
-    ``leaves`` are node indices; leaf ``i`` becomes input ``i`` of the
-    resulting table.  The cone between ``node`` and the leaves must be
-    bounded by the leaves; a leaf set that does not actually cut the
-    cone (an unlisted PI reached, an out-of-range leaf, or a listed leaf
-    the cone never reaches) raises :class:`ValueError` instead of
-    silently producing a table over the wrong support.  Window-style
-    callers that intentionally pass a superset of the support opt out
-    with ``allow_unused_leaves=True``.
-    """
-    return aig_cone_table(aig, node, leaves, allow_unused_leaves=allow_unused_leaves)
-
-
-def aig_literal_truth_table(
-    aig: Aig,
-    literal: int,
-    leaves: Sequence[int],
-    allow_unused_leaves: bool = False,
-) -> TruthTable:
-    """Truth table of a literal (node plus complement) over the cut ``leaves``."""
-    table = aig_cone_table(aig, aig.node_of(literal), leaves, allow_unused_leaves=allow_unused_leaves)
-    return ~table if aig.is_complemented(literal) else table
 
 
 # ---------------------------------------------------------------------------

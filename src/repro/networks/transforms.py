@@ -21,7 +21,6 @@ __all__ = [
     "cleanup_dangling",
     "cleanup_dangling_klut",
     "rebuild_strashed",
-    "propagate_constants",
     "network_statistics",
     "NetworkStatistics",
 ]
@@ -141,16 +140,6 @@ def cleanup_dangling(network: Aig | KLutNetwork) -> tuple[Aig | KLutNetwork, dic
     if isinstance(network, KLutNetwork):
         return cleanup_dangling_klut(network)
     return rebuild_strashed(network)
-
-
-def propagate_constants(aig: Aig) -> tuple[Aig, dict[int, int]]:
-    """Propagate constant fanins through the network.
-
-    The strashing constructor already simplifies gates with constant
-    fanins, so constant propagation is a rebuild; the alias exists because
-    Algorithm 2 of the paper calls this step out explicitly (line 3).
-    """
-    return rebuild_strashed(aig)
 
 
 @dataclass(frozen=True)

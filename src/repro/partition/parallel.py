@@ -54,11 +54,9 @@ acyclicity check and is safe by construction.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from ..io import ParseError, read_aiger
 from ..networks.aig import Aig
 from ..networks.transforms import cleanup_dangling
 from ..resilience import Budget, BudgetExceeded, NetworkCheckpoint, simulation_equivalent
@@ -130,7 +128,6 @@ class PartitionReport:
     regions: list[RegionReport] = field(default_factory=list)
     worker_restarts: int = 0
     choices_recorded: int = 0
-    wall_clock: float = 0.0
     #: Total wire bytes shipped to workers (the compact binary payloads).
     wire_bytes: int = 0
 
@@ -278,12 +275,10 @@ def partition_optimize(
     if window_size is not None and window_size < 1:
         raise ValueError(f"window_size must be >= 1, got {window_size}")
     script_text = script if isinstance(script, str) else "; ".join(script)
-    started = time.perf_counter()
     work = network.clone()
     regions = partition_network(work, max_gates=max_gates, strategy=strategy)
     report = PartitionReport(jobs=jobs, strategy=strategy, max_gates=max_gates, merge=merge)
     if not regions:
-        report.wall_clock = time.perf_counter() - started
         return work, report
 
     if executor is None:
@@ -393,12 +388,8 @@ def partition_optimize(
         if budget is not None:
             budget.spend_conflicts(int(outcome.get("conflicts_spent", 0) or 0))
         try:
-            result_wire = outcome.get("wire")
-            if result_wire is not None:
-                optimized = decode_region(bytes(result_wire), name=f"region{region.index}")
-            else:
-                optimized = read_aiger(str(outcome.get("aag", "")))
-        except (ParseError, ValueError) as error:
+            optimized = decode_region(bytes(outcome.get("wire", b"")), name=f"region{region.index}")
+        except ValueError as error:
             region_report.status = "worker_failed"
             region_report.failure = f"unparseable worker result: {error}"
             continue
@@ -463,5 +454,4 @@ def partition_optimize(
         cleaned, _literal_map = cleanup_dangling(work)
         assert isinstance(cleaned, Aig)
         work = cleaned
-    report.wall_clock = time.perf_counter() - started
     return work, report

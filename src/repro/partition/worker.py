@@ -7,17 +7,16 @@ thread pool, and inline in the parent (``jobs=1``) -- the inline path
 IS the deterministic reference the determinism tests compare the pools
 against.
 
-The worker parses the serialized region -- compact binary wire bytes
-(``"wire"``, the scale path: no AAG text render or parse on either
-side) or AIGER text (``"aag"``) -- runs the requested pass script under
-its own :class:`~repro.resilience.Budget` (a wall-clock deadline plus
-the region's share of the flow's conflict pool, both handed down by the
-parent) with ``on_error="rollback"``, and returns the optimized region
-in the same serialization it arrived in, together with its flattened
-pass details -- the ``sat_``-prefixed CDCL counters become the parent's
-*per-partition* solver statistics.  A ``"window"`` payload key threads
-the PR 8 persistent-solver window size through to the region's own
-:class:`~repro.rewriting.passes.PassManager`, so one region job keeps
+The worker decodes the region from its compact binary wire bytes
+(``"wire"``: no AAG text render or parse on either side), runs the
+requested pass script under its own :class:`~repro.resilience.Budget`
+(a wall-clock deadline plus the region's share of the flow's conflict
+pool, both handed down by the parent) with ``on_error="rollback"``, and
+returns the optimized region as wire bytes too, together with its
+flattened pass details -- the ``sat_``-prefixed CDCL counters become
+the parent's *per-partition* solver statistics.  A ``"window"`` payload
+key threads the persistent-solver window size through to the region's
+own :class:`~repro.rewriting.passes.PassManager`, so one region job keeps
 one ``CircuitSolver`` window alive for its whole inner script (retired
 with the job).  The worker never verifies its own result; the parent
 re-checks every returned cone against the original extraction before
@@ -45,7 +44,6 @@ import os
 import time
 from typing import Any, Mapping
 
-from ..io import ParseError, read_aiger, write_aiger
 from ..networks.aig import Aig
 from ..resilience import Budget, BudgetExceeded
 from ..rewriting.passes import PassManager
@@ -122,13 +120,9 @@ def run_partition_job(payload: Mapping[str, Any]) -> dict[str, Any]:
         time.sleep(float(payload.get("fault_sleep", 3600.0)))
 
     started = time.perf_counter()
-    wire = payload.get("wire")
     try:
-        if wire is not None:
-            sub = decode_region(bytes(wire), name=f"region{region_index}")
-        else:
-            sub = read_aiger(str(payload["aag"]))
-    except (ParseError, ValueError, KeyError) as error:
+        sub = decode_region(bytes(payload["wire"]), name=f"region{region_index}")
+    except (ValueError, KeyError) as error:
         return {"region": region_index, "status": "invalid", "message": str(error)}
 
     deadline = payload.get("deadline")
@@ -169,7 +163,7 @@ def run_partition_job(payload: Mapping[str, Any]) -> dict[str, Any]:
 
     details = _fold_details(flow.passes)
     details["passes_ok"] = float(sum(1 for stats in flow.passes if stats.status == "ok"))
-    result: dict[str, Any] = {
+    return {
         "region": region_index,
         "status": "ok",
         "gates_before": int(flow.gates_before),
@@ -178,9 +172,5 @@ def run_partition_job(payload: Mapping[str, Any]) -> dict[str, Any]:
         "conflicts_spent": int(budget.conflicts_spent) if budget is not None else 0,
         "budget_exhausted": bool(flow.budget_exhausted),
         "details": details,
+        "wire": encode_region(_compact(optimized)),
     }
-    if wire is not None:
-        result["wire"] = encode_region(_compact(optimized))
-    else:
-        result["aag"] = write_aiger(optimized).decode("ascii")
-    return result

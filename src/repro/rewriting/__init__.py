@@ -31,7 +31,7 @@ Layering:
 
 from .npn import NpnTransform, npn_canonicalize, apply_npn_transform, npn_classes
 from .library import AigStructure, RewriteLibrary, default_library, synthesize_structure
-from .mffc import collect_mffc, mffc_size
+from .mffc import collect_mffc
 from .rewrite import RewriteReport, rewrite
 from .balance import BalanceReport, balance
 from .refactor import RefactorReport, refactor
@@ -59,7 +59,6 @@ __all__ = [
     "default_library",
     "synthesize_structure",
     "collect_mffc",
-    "mffc_size",
     "RewriteReport",
     "rewrite",
     "BalanceReport",

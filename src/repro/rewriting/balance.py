@@ -17,7 +17,6 @@ containing only the PO-reachable logic.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass
 
 from ..networks.aig import Aig
@@ -35,7 +34,6 @@ class BalanceReport:
     depth_after: int = 0
     trees_flattened: int = 0
     widest_tree: int = 0
-    total_time: float = 0.0
 
     def as_details(self) -> dict[str, float]:
         """Flat numeric view for per-pass statistics."""
@@ -54,7 +52,6 @@ def balance(aig: Aig) -> tuple[Aig, BalanceReport]:
     construction) and a report.  The result is functionally equivalent:
     only associativity/commutativity of AND is used.
     """
-    start = time.perf_counter()
     report = BalanceReport(
         gates_before=aig.num_ands,
         depth_before=aig.depth(),
@@ -131,5 +128,4 @@ def balance(aig: Aig) -> tuple[Aig, BalanceReport]:
 
     report.gates_after = balanced.num_ands
     report.depth_after = balanced.depth()
-    report.total_time = time.perf_counter() - start
     return balanced, report

@@ -37,7 +37,6 @@ against the source AIG.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from ..cuts import klut_cone_table
@@ -68,7 +67,6 @@ class LutResynReport:
     wires_folded: int = 0
     zero_gain_applied: int = 0
     estimated_gain: int = 0
-    total_time: float = 0.0
 
     def as_details(self) -> dict[str, float]:
         """Flat numeric view for per-pass statistics."""
@@ -144,7 +142,6 @@ def lut_resynthesize(
     """
     if max_leaves < 2:
         raise ValueError("max_leaves must be at least 2")
-    start = time.perf_counter()
     work = network.clone()
     effective_k = k if k is not None else max(2, work.max_fanin_size())
     if effective_k < 2:
@@ -228,5 +225,4 @@ def lut_resynthesize(
 
     cleaned, _node_map = cleanup_dangling_klut(work)
     report.luts_after = cleaned.num_luts
-    report.total_time = time.perf_counter() - start
     return cleaned, report

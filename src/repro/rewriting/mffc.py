@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 
 from ..networks.protocol import LogicNetwork
 
-__all__ = ["collect_mffc", "mffc_size"]
+__all__ = ["collect_mffc"]
 
 
 def collect_mffc(
@@ -71,9 +71,3 @@ def collect_mffc(
                 stack.append(fanin)
     return mffc
 
-
-def mffc_size(network: LogicNetwork, root: int, leaves: Iterable[int] = ()) -> int:
-    """Number of gates in the MFFC of ``root`` (bounded by ``leaves``)."""
-    cone = collect_mffc(network, root, leaves)
-    assert cone is not None
-    return len(cone)

@@ -233,6 +233,14 @@ def pass_base_name(name: str) -> str:
     return name.split("(", 1)[0].strip()
 
 
+#: The error text for a ``ppart`` token without arguments; it lists every
+#: option :func:`parse_ppart` accepts.
+PPART_USAGE = (
+    "ppart needs arguments: ppart(<aig passes>, jobs=N"
+    "[, max_gates=M, strategy=window|level, merge=substitute|choice, window=W])"
+)
+
+
 def parse_script(script: str | Sequence[str]) -> list[str]:
     """Expand a script into the flat list of canonical pass names.
 
@@ -257,10 +265,7 @@ def parse_script(script: str | Sequence[str]) -> list[str]:
                 f"unknown pass {token!r}; only the ppart meta-pass takes arguments"
             )
         if token == "ppart":
-            raise ValueError(
-                "ppart needs arguments: ppart(<aig passes>, jobs=N"
-                "[, max_gates=M, strategy=window|level, merge=substitute|choice])"
-            )
+            raise ValueError(PPART_USAGE)
         token = _ALIASES.get(token, token)
         if token in NAMED_SCRIPTS:
             result.extend(parse_script(NAMED_SCRIPTS[token]))
@@ -334,10 +339,7 @@ def parse_ppart(token: str) -> PpartSpec:
         raise ValueError(f"not a ppart token: {token!r}")
     rest = text[len("ppart") :].strip()
     if not (rest.startswith("(") and rest.endswith(")")):
-        raise ValueError(
-            "ppart needs arguments: ppart(<aig passes>, jobs=N"
-            "[, max_gates=M, strategy=window|level, merge=substitute|choice])"
-        )
+        raise ValueError(PPART_USAGE)
     inner = rest[1:-1]
     if "(" in inner or ")" in inner:
         raise ValueError("ppart arguments cannot nest parentheses (nested ppart is not allowed)")
@@ -527,11 +529,6 @@ class FlowStatistics:
         """The passes that failed and were rolled back."""
         return [stats for stats in self.passes if stats.status == "failed"]
 
-    @property
-    def skipped_passes(self) -> list[PassStatistics]:
-        """The passes that never ran."""
-        return [stats for stats in self.passes if stats.status == "skipped"]
-
     def as_dict(self) -> dict[str, object]:
         """JSON-serializable view (for the future service layer)."""
         return {
@@ -705,7 +702,6 @@ class PassManager:
         network: Network,
         verify: bool = False,
         budget: Budget | None = None,
-        on_error: str | None = None,
         progress: Callable[[PassStatistics], None] | None = None,
     ) -> tuple[Network, FlowStatistics]:
         """Run every pass of the script on (a copy of) ``network``.
@@ -718,8 +714,7 @@ class PassManager:
         recorded in ``FlowStatistics.verified`` / ``verify_status``.
 
         ``budget`` bounds the whole flow (deadline, shared conflict
-        pool, mutation cap); ``on_error`` overrides the constructor's
-        error policy for this run.  With ``on_error="rollback"`` the
+        pool, mutation cap).  With ``on_error="rollback"`` the
         returned network is always derived from committed passes only --
         a failing pass is rolled back and the flow continues (or, on
         flow-deadline exhaustion, returns early with the remaining
@@ -731,9 +726,6 @@ class PassManager:
         per-pass NDJSON events from.  Exceptions raised by the callback
         propagate to the caller.
         """
-        policy = self.on_error if on_error is None else on_error
-        if policy not in ("raise", "rollback"):
-            raise ValueError(f"on_error must be 'raise' or 'rollback', got {policy!r}")
         start_kind = network_kind(network)
         validate_script(self.passes, start_kind)
         flow = FlowStatistics(
@@ -743,7 +735,7 @@ class PassManager:
             kind_before=start_kind,
         )
         start = time.perf_counter()
-        transactional = policy == "rollback" or self.verify_commit
+        transactional = self.on_error == "rollback" or self.verify_commit
         runners = self._runners()
         current: Network = network
 
@@ -824,7 +816,7 @@ class PassManager:
                     stats.failure = f"{type(error).__name__}: {error}"
                 if checkpoint is not None:
                     current = checkpoint.restore()
-                if policy == "raise":
+                if self.on_error == "raise":
                     settle(stats)
                     raise
                 # Rolled back: the pass had no effect on the network.

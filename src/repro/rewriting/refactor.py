@@ -15,7 +15,6 @@ the incremental substitute.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from ..cuts import CutEngine, aig_cone_table
@@ -40,7 +39,6 @@ class RefactorReport:
     zero_gain_applied: int = 0
     estimated_gain: int = 0
     choices_recorded: int = 0
-    total_time: float = 0.0
 
     def as_details(self) -> dict[str, float]:
         """Flat numeric view for per-pass statistics."""
@@ -77,7 +75,6 @@ def refactor(
     """
     if max_leaves < 2:
         raise ValueError("max_leaves must be at least 2")
-    start = time.perf_counter()
     work = aig.clone()
     report = RefactorReport(gates_before=work.num_ands)
     # The engine is used purely for its dead-cone/revival bookkeeping;
@@ -132,9 +129,7 @@ def refactor(
         # Additive mode: no cleanup -- the subject graph must stay
         # bit-identical (see repro.rewriting.rewrite).
         report.gates_after = work.num_ands
-        report.total_time = time.perf_counter() - start
         return work, report
     cleaned, _literal_map = cleanup_dangling(work)
     report.gates_after = cleaned.num_ands
-    report.total_time = time.perf_counter() - start
     return cleaned, report

@@ -27,7 +27,6 @@ substitution is function-preserving (see :mod:`repro.cuts.engine`).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from ..cuts import CutEngine
@@ -61,7 +60,6 @@ class RewriteReport:
     dead_revived: int = 0
     choices_recorded: int = 0
     cut_cache_hit_rate: float = 0.0
-    total_time: float = 0.0
 
     def as_details(self) -> dict[str, float]:
         """Flat numeric view for per-pass statistics."""
@@ -177,7 +175,6 @@ def rewrite(
     lib = library if library is not None else default_library()
     if cut_size > lib.num_vars:
         raise ValueError(f"cut size {cut_size} exceeds the library arity {lib.num_vars}")
-    start = time.perf_counter()
     work = aig.clone()
     report = RewriteReport(gates_before=work.num_ands)
     engine = CutEngine(work, k=cut_size, attach=True)
@@ -251,9 +248,7 @@ def rewrite(
         # mapper's plain fallback relies on the subject graph staying
         # bit-identical to the input's.
         report.gates_after = work.num_ands
-        report.total_time = time.perf_counter() - start
         return work, report
     cleaned, _literal_map = cleanup_dangling(work)
     report.gates_after = cleaned.num_ands
-    report.total_time = time.perf_counter() - start
     return cleaned, report

@@ -4,29 +4,24 @@ SAT-sweeping needs an incremental SAT solver with assumptions, conflict
 limits (for the "unDET" outcome of Algorithm 2) and counter-example
 extraction.  The package provides a complete CDCL implementation (watched
 literals, VSIDS, phase saving, Luby restarts, first-UIP learning, clause
-database reduction), a small DPLL solver used as a cross-check oracle, the
-Tseitin transformation of AIGs, and :class:`~repro.sat.circuit.CircuitSolver`,
-the circuit-level equivalence-query interface the sweepers use.
+database reduction), a small DPLL solver used as a cross-check oracle, and
+:class:`~repro.sat.circuit.CircuitSolver`, the circuit-level
+equivalence-query interface the sweepers use, which Tseitin-encodes each
+queried cone lazily.
 """
 
-from .cnf import CnfFormula, clause_to_string, negate_literal
+from .cnf import CnfFormula
 from .dpll import DpllSolver, dpll_solve
 from .cdcl import CdclSolver, SolverResult, SolverStatistics
-from .tseitin import tseitin_encode, TseitinEncoding, miter_cnf
 from .circuit import CircuitSolver, EquivalenceOutcome, EquivalenceStatus
 
 __all__ = [
     "CnfFormula",
-    "clause_to_string",
-    "negate_literal",
     "DpllSolver",
     "dpll_solve",
     "CdclSolver",
     "SolverResult",
     "SolverStatistics",
-    "tseitin_encode",
-    "TseitinEncoding",
-    "miter_cnf",
     "CircuitSolver",
     "EquivalenceOutcome",
     "EquivalenceStatus",

@@ -127,11 +127,6 @@ _LBD_SHIFT = 2
 _LBD_CAP = 1023
 
 
-def _code(literal: int) -> int:
-    """DIMACS literal -> coded literal (2 * var + sign)."""
-    return (literal << 1) if literal > 0 else ((-literal) << 1) | 1
-
-
 def _decode(coded: int) -> int:
     """Coded literal -> DIMACS literal."""
     return -(coded >> 1) if coded & 1 else (coded >> 1)

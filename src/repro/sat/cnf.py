@@ -1,4 +1,4 @@
-"""CNF formulas and DIMACS serialisation.
+"""CNF formulas.
 
 Literals follow the DIMACS convention: variables are positive integers,
 a negative integer denotes the negation of the corresponding variable.
@@ -6,23 +6,10 @@ a negative integer denotes the negation of the corresponding variable.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-__all__ = ["CnfFormula", "negate_literal", "clause_to_string"]
-
-
-def negate_literal(literal: int) -> int:
-    """Negation of a DIMACS literal."""
-    if literal == 0:
-        raise ValueError("0 is not a valid DIMACS literal")
-    return -literal
-
-
-def clause_to_string(clause: Sequence[int]) -> str:
-    """DIMACS rendering of one clause (terminated by 0)."""
-    return " ".join(str(lit) for lit in clause) + " 0"
+__all__ = ["CnfFormula"]
 
 
 @dataclass
@@ -76,56 +63,6 @@ class CnfFormula:
             if not satisfied:
                 return False
         return True
-
-    # ------------------------------------------------------------------
-    # DIMACS
-    # ------------------------------------------------------------------
-
-    def to_dimacs(self, comments: Sequence[str] = ()) -> str:
-        """Serialise to DIMACS text."""
-        lines = [f"c {comment}" for comment in comments]
-        lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
-        lines.extend(clause_to_string(clause) for clause in self.clauses)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_dimacs(cls, text: str) -> "CnfFormula":
-        """Parse a DIMACS document."""
-        formula = cls()
-        declared_vars = 0
-        pending: list[int] = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("c") or line.startswith("%"):
-                continue
-            if line.startswith("p"):
-                fields = line.split()
-                if len(fields) < 4 or fields[1] != "cnf":
-                    raise ValueError(f"invalid DIMACS problem line: {line!r}")
-                declared_vars = int(fields[2])
-                continue
-            for token in line.split():
-                literal = int(token)
-                if literal == 0:
-                    formula.add_clause(pending)
-                    pending = []
-                else:
-                    pending.append(literal)
-        if pending:
-            formula.add_clause(pending)
-        formula.num_vars = max(formula.num_vars, declared_vars)
-        return formula
-
-    def write_dimacs(self, path: str | os.PathLike, comments: Sequence[str] = ()) -> None:
-        """Write the formula to a DIMACS file."""
-        with open(path, "w", encoding="ascii") as handle:
-            handle.write(self.to_dimacs(comments))
-
-    @classmethod
-    def read_dimacs(cls, path: str | os.PathLike) -> "CnfFormula":
-        """Read a DIMACS file."""
-        with open(path, "r", encoding="ascii") as handle:
-            return cls.from_dimacs(handle.read())
 
     def copy(self) -> "CnfFormula":
         """Deep copy of the formula."""

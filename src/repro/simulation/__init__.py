@@ -12,10 +12,8 @@ from .patterns import PatternSet
 from .signatures import (
     SimulationResult,
     signature_to_bits,
-    signature_from_bits,
     signature_to_string,
     canonical_signature,
-    signature_toggle_rate,
 )
 from .bitwise import (
     simulate_aig,
@@ -25,7 +23,6 @@ from .bitwise import (
     aig_po_signatures,
     klut_po_signatures,
     po_signatures,
-    node_truth_tables,
 )
 from .incremental import IncrementalAigSimulator
 from .stp_simulator import (
@@ -44,10 +41,8 @@ __all__ = [
     "PatternSet",
     "SimulationResult",
     "signature_to_bits",
-    "signature_from_bits",
     "signature_to_string",
     "canonical_signature",
-    "signature_toggle_rate",
     "simulate_aig",
     "simulate_aig_words",
     "simulate_aig_nodes",
@@ -55,7 +50,6 @@ __all__ = [
     "aig_po_signatures",
     "klut_po_signatures",
     "po_signatures",
-    "node_truth_tables",
     "IncrementalAigSimulator",
     "StpSimulator",
     "simulate_klut_stp",

@@ -19,11 +19,10 @@ Word-parallel k-LUT simulation is the STP simulator's
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..networks.aig import Aig
 from ..networks.klut import KLutNetwork
-from ..truthtable import TruthTable
 from .patterns import PatternSet
 from .signatures import SimulationResult
 from .stp_simulator import StpSimulator
@@ -36,7 +35,6 @@ __all__ = [
     "aig_po_signatures",
     "klut_po_signatures",
     "po_signatures",
-    "node_truth_tables",
 ]
 
 
@@ -204,15 +202,3 @@ def po_signatures(network: Aig | KLutNetwork, patterns: PatternSet) -> list[int]
         return klut_po_signatures(network, StpSimulator(network).simulate_all(patterns))
     return aig_po_signatures(network, simulate_aig(network, patterns))
 
-
-def node_truth_tables(aig: Aig, nodes: Sequence[int] | None = None) -> dict[int, TruthTable]:
-    """Global truth tables of AIG nodes via exhaustive word-parallel simulation.
-
-    Only practical for small input counts (the pattern set is exhaustive
-    over all PIs); used as an oracle in tests and by the equivalence
-    checker on small circuits.
-    """
-    patterns = PatternSet.exhaustive(aig.num_pis)
-    result = simulate_aig(aig, patterns)
-    targets = list(nodes) if nodes is not None else list(aig.nodes())
-    return {node: TruthTable(aig.num_pis, result.signature(node)) for node in targets}

@@ -23,7 +23,7 @@ full-network update amortises to one word-parallel pass per block.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..networks.aig import Aig
 from .patterns import PatternSet
@@ -84,21 +84,6 @@ class IncrementalAigSimulator:
             raise ValueError("pattern block input count does not match the AIG")
         self._flush()
         self._absorb_block(block)
-
-    def resimulate(self) -> SimulationResult:
-        """Recompute every signature from scratch (used after network edits)."""
-        if self._pending:
-            self.patterns.extend(PatternSet.from_patterns(self._pending))
-            self._pending = []
-        self._words = simulate_aig_words(self.aig, self.patterns)
-        self._result_cache = None
-        return self.result
-
-    def signatures_of(self, nodes: Iterable[int]) -> dict[int, int]:
-        """Current signatures of selected nodes."""
-        self._flush()
-        words = self._words
-        return {node: words[node] for node in nodes}
 
     # ------------------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 __all__ = ["PatternSet"]
 
@@ -129,14 +129,6 @@ class PatternSet:
         if not 0 <= index < self.num_patterns:
             raise IndexError(f"pattern index {index} out of range")
         return tuple((self.words[i] >> index) & 1 for i in range(self.num_inputs))
-
-    def iter_patterns(self) -> Iterator[tuple[int, ...]]:
-        """Iterate over all patterns."""
-        return (self.pattern(i) for i in range(self.num_patterns))
-
-    def pattern_string(self, index: int) -> str:
-        """The ``index``-th pattern as a bit string (input 0 first)."""
-        return "".join(str(b) for b in self.pattern(index))
 
     # ------------------------------------------------------------------
     # Mutation

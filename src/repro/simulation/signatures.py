@@ -8,38 +8,26 @@ compares whole signatures at once.
 
 :class:`SimulationResult` bundles the signatures of every node of one
 simulation run and offers the queries the sweeper needs: per-node access,
-constant detection, polarity-canonical signatures (equivalence up to
-complementation) and toggle rates (used by the SAT-guided pattern
-generator of Section IV-A).
+constant detection and polarity-canonical signatures (equivalence up to
+complementation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = [
     "SimulationResult",
     "signature_to_bits",
-    "signature_from_bits",
     "signature_to_string",
     "canonical_signature",
-    "signature_toggle_rate",
 ]
 
 
 def signature_to_bits(signature: int, num_patterns: int) -> list[int]:
     """Unpack a signature into a list of bits (pattern 0 first)."""
     return [(signature >> i) & 1 for i in range(num_patterns)]
-
-
-def signature_from_bits(bits: Iterable[int | bool]) -> int:
-    """Pack a list of bits (pattern 0 first) into a signature integer."""
-    signature = 0
-    for position, bit in enumerate(bits):
-        if bit:
-            signature |= 1 << position
-    return signature
 
 
 def signature_to_string(signature: int, num_patterns: int) -> str:
@@ -58,15 +46,6 @@ def canonical_signature(signature: int, num_patterns: int) -> tuple[int, bool]:
     if signature & 1:
         return (~signature) & mask, True
     return signature & mask, False
-
-
-def signature_toggle_rate(signature: int, num_patterns: int) -> float:
-    """Toggle rate of a signature (footnote 1 of the paper)."""
-    if num_patterns < 2:
-        return 0.0
-    bits = signature_to_bits(signature, num_patterns)
-    toggles = sum(1 for a, b in zip(bits, bits[1:]) if a != b)
-    return toggles / num_patterns
 
 
 @dataclass
@@ -125,18 +104,6 @@ class SimulationResult:
     def canonical(self, node: int) -> tuple[int, bool]:
         """Polarity-canonical signature of ``node``."""
         return canonical_signature(self.signatures[node], self.num_patterns)
-
-    def toggle_rate(self, node: int) -> float:
-        """Toggle rate of the node's signature."""
-        return signature_toggle_rate(self.signatures[node], self.num_patterns)
-
-    def group_by_canonical(self, nodes: Iterable[int] | None = None) -> dict[int, list[int]]:
-        """Group nodes whose canonical signatures coincide (candidate classes)."""
-        groups: dict[int, list[int]] = {}
-        for node in nodes if nodes is not None else self.signatures:
-            key, _inverted = self.canonical(node)
-            groups.setdefault(key, []).append(node)
-        return groups
 
     def merge(self, other: Mapping[int, int]) -> None:
         """Absorb signatures from another node-to-signature map."""

@@ -67,16 +67,6 @@ class Expression:
         """Evaluate the expression under a variable assignment."""
         raise NotImplementedError
 
-    def to_raw_stp(self) -> STPForm:
-        """Convert into an (un-normalised) STP form, variables possibly repeated.
-
-        The raw form keeps one variable slot per *occurrence*, so its matrix
-        grows exponentially with the expression size; it exists to exercise
-        the textbook normalisation procedure on small formulas.  Use
-        :meth:`to_stp` for anything non-trivial.
-        """
-        raise NotImplementedError
-
     def _to_canonical_stp(self) -> STPForm:
         """Bottom-up canonical construction (normalised at every node).
 
@@ -125,9 +115,6 @@ class Variable(Expression):
             raise KeyError(f"assignment missing variable {self.name!r}")
         return bool(assignment[self.name])
 
-    def to_raw_stp(self) -> STPForm:
-        return variable_form(self.name)
-
     def _to_canonical_stp(self) -> STPForm:
         return variable_form(self.name)
 
@@ -147,9 +134,6 @@ class Constant(Expression):
     def evaluate(self, assignment: Mapping[str, bool | int]) -> bool:
         return self.value
 
-    def to_raw_stp(self) -> STPForm:
-        return constant_form(self.value)
-
     def _to_canonical_stp(self) -> STPForm:
         return constant_form(self.value)
 
@@ -168,9 +152,6 @@ class NotOp(Expression):
 
     def evaluate(self, assignment: Mapping[str, bool | int]) -> bool:
         return not self.operand.evaluate(assignment)
-
-    def to_raw_stp(self) -> STPForm:
-        return apply_unary(M_NOT, self.operand.to_raw_stp())
 
     def _to_canonical_stp(self) -> STPForm:
         return apply_unary(M_NOT, self.operand._to_canonical_stp())
@@ -213,13 +194,6 @@ class BinaryOp(Expression):
         if self.operator == "implies":
             return (not a) or b
         raise AssertionError(f"unhandled operator {self.operator}")
-
-    def to_raw_stp(self) -> STPForm:
-        return apply_binary(
-            OPERATOR_MATRICES[self.operator],
-            self.left.to_raw_stp(),
-            self.right.to_raw_stp(),
-        )
 
     def _to_canonical_stp(self) -> STPForm:
         combined = apply_binary(

@@ -21,7 +21,7 @@ All matrices are small dense ``numpy`` integer arrays.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,8 +30,6 @@ __all__ = [
     "FALSE_VECTOR",
     "bool_to_vector",
     "vector_to_bool",
-    "vectors_to_bits",
-    "bits_to_vectors",
     "is_logic_vector",
     "is_logic_matrix",
     "identity",
@@ -86,16 +84,6 @@ def vector_to_bool(vector: np.ndarray) -> bool:
     if flat[0] == 0 and flat[1] == 1:
         return False
     raise ValueError(f"not a logic vector: {flat.tolist()}")
-
-
-def bits_to_vectors(bits: Iterable[int | bool]) -> list[np.ndarray]:
-    """Convert an iterable of bits into a list of logic vectors."""
-    return [bool_to_vector(bool(b)) for b in bits]
-
-
-def vectors_to_bits(vectors: Iterable[np.ndarray]) -> list[int]:
-    """Convert logic vectors back into integer bits (1 for True)."""
-    return [int(vector_to_bool(v)) for v in vectors]
 
 
 def is_logic_vector(array: np.ndarray) -> bool:

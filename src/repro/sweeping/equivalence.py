@@ -160,19 +160,10 @@ class EquivalenceClasses:
         cls_ = self._classes.get(self.CONSTANT_CLASS)
         return cls_ if cls_ is not None and not cls_.is_singleton() else None
 
-    def class_id_of(self, node: int) -> int | None:
-        """Identifier of the class containing ``node`` (``None`` if singleton)."""
-        return self._class_of.get(node)
-
     def class_of(self, node: int) -> EquivalenceClass | None:
         """The class containing ``node``, or ``None``."""
         class_id = self._class_of.get(node)
         return self._classes.get(class_id) if class_id is not None else None
-
-    def members_of(self, node: int) -> list[int]:
-        """Members of the class of ``node`` (empty when the node is unclassified)."""
-        cls_ = self.class_of(node)
-        return list(cls_.members) if cls_ is not None else []
 
     def same_class(self, a: int, b: int) -> bool:
         """True when two nodes are currently candidate-equivalent."""

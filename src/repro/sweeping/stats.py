@@ -115,20 +115,6 @@ class SweepStatistics:
         self.extra["window_reuse_rate"] = solver.window_reuse_rate
         return swept
 
-    def as_row(self) -> dict[str, object]:
-        """Table II row view of this run."""
-        return {
-            "benchmark": self.name,
-            "pi/po": f"{self.num_pis}/{self.num_pos}",
-            "lev": self.depth,
-            "gate": self.gates_before,
-            "result": self.gates_after,
-            "sat_calls": self.satisfiable_sat_calls,
-            "total_sat_calls": self.total_sat_calls,
-            "simulation_s": round(self.simulation_time, 4),
-            "total_s": round(self.total_time, 4),
-        }
-
     def __str__(self) -> str:
         skipped = self.extra.get("dangling_skipped")
         proofs = self.extra.get("exhaustive_proofs")

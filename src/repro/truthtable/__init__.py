@@ -11,11 +11,8 @@ from .operations import (
     tt_majority,
     tt_mux,
     truth_table_to_structural_matrix,
-    structural_matrix_to_truth_table,
     truth_table_to_stp_form,
     stp_form_to_truth_table,
-    toggle_rate,
-    hamming_distance,
 )
 
 __all__ = [
@@ -29,9 +26,6 @@ __all__ = [
     "tt_majority",
     "tt_mux",
     "truth_table_to_structural_matrix",
-    "structural_matrix_to_truth_table",
     "truth_table_to_stp_form",
     "stp_form_to_truth_table",
-    "toggle_rate",
-    "hamming_distance",
 ]

@@ -1,4 +1,4 @@
-"""Free functions on truth tables: standard gates, STP bridging, metrics."""
+"""Free functions on truth tables: standard gates and STP bridging."""
 
 from __future__ import annotations
 
@@ -20,11 +20,8 @@ __all__ = [
     "tt_majority",
     "tt_mux",
     "truth_table_to_structural_matrix",
-    "structural_matrix_to_truth_table",
     "truth_table_to_stp_form",
     "stp_form_to_truth_table",
-    "toggle_rate",
-    "hamming_distance",
 ]
 
 
@@ -79,15 +76,6 @@ def truth_table_to_structural_matrix(table: TruthTable) -> np.ndarray:
     return structural_matrix_from_truth_table(list(reversed(table.to_bit_list())))
 
 
-def structural_matrix_to_truth_table(matrix: np.ndarray) -> TruthTable:
-    """Inverse of :func:`truth_table_to_structural_matrix`."""
-    array = np.asarray(matrix)
-    columns = array.shape[1]
-    num_vars = columns.bit_length() - 1
-    bits = [int(array[0, columns - 1 - assignment]) for assignment in range(columns)]
-    return TruthTable(num_vars, sum(bit << index for index, bit in enumerate(bits)))
-
-
 def truth_table_to_stp_form(table: TruthTable, variables: Sequence[str] | None = None) -> STPForm:
     """Convert a truth table into an STP canonical form over named variables.
 
@@ -133,21 +121,3 @@ def stp_form_to_truth_table(form: STPForm) -> TruthTable:
         bits |= 1 << tt_index
     return TruthTable(n, bits)
 
-
-def toggle_rate(bits: Sequence[int]) -> float:
-    """Ratio of bit toggles over the bit-string length (paper, footnote 1).
-
-    A *toggle* is a position where consecutive bits differ.  An empty or
-    single-bit sequence has toggle rate 0.
-    """
-    if len(bits) < 2:
-        return 0.0
-    toggles = sum(1 for a, b in zip(bits, bits[1:]) if bool(a) != bool(b))
-    return toggles / len(bits)
-
-
-def hamming_distance(left: TruthTable, right: TruthTable) -> int:
-    """Number of assignments on which two same-arity functions differ."""
-    if left.num_vars != right.num_vars:
-        raise ValueError("hamming_distance requires equal arity")
-    return (left.bits ^ right.bits).bit_count()

@@ -154,11 +154,6 @@ class TruthTable:
         return cls.from_bits([int(c) for c in reversed(cleaned)])
 
     @classmethod
-    def from_hex(cls, text: str, num_vars: int) -> "TruthTable":
-        """Build from a hexadecimal string (most significant nibble first)."""
-        return cls(num_vars, int(text, 16))
-
-    @classmethod
     def from_function(cls, function: Callable[..., bool], num_vars: int) -> "TruthTable":
         """Build by evaluating ``function`` on every assignment.
 

@@ -10,7 +10,6 @@ from repro.cuts import (
     CutEngine,
     CutFunctionCache,
     aig_cone_table,
-    enumerate_cuts,
     merge_cut_sets,
     trivial_cut,
 )
@@ -76,14 +75,6 @@ class TestCutSetInvariants:
                 for j, other in enumerate(nontrivial):
                     if i != j:
                         assert not (one.dominates(other) and one != other)
-
-    def test_enumerate_cuts_wrapper_matches_engine(self, ):
-        aig = random_aig(num_pis=5, num_gates=25, num_pos=2, seed=5)
-        wrapper = enumerate_cuts(aig, k=4, cut_limit=8)
-        engine = CutEngine(aig, k=4, cut_limit=8).enumerate_all()
-        assert set(wrapper) == set(engine)
-        for node in wrapper:
-            assert wrapper[node] == engine[node]
 
 
 class TestIncrementalMaintenance:

@@ -380,6 +380,36 @@ class TestSweepExitCodes:
         assert simulate_main([str(adder_file)]) == 0
 
 
+class TestOptimizeMapExitCodes:
+    """Numeric optimize/map options below their minimum are usage errors, not crashes."""
+
+    @pytest.mark.parametrize(
+        ("option", "message"),
+        [
+            (["--lut-size", "1"], "--lut-size must be >= 2, got 1"),
+            (["-k", "0"], "--lut-size must be >= 2, got 0"),
+            (["--patterns", "-1"], "--patterns must be >= 0, got -1"),
+        ],
+    )
+    @pytest.mark.parametrize("script", ["map", "fraig; map"])
+    def test_bad_optimize_option_exits_2(self, adder_file, capsys, script, option, message):
+        assert optimize_main([str(adder_file), "--script", script, *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bad_map_pattern_count_exits_2(self, adder_file, capsys, value):
+        assert map_main([str(adder_file), "--patterns", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == f"--patterns must be >= 1, got {value}"
+        assert captured.out == ""
+
+    def test_limits_themselves_are_accepted(self, adder_file, capsys):
+        assert optimize_main([str(adder_file), "--script", "fraig; map", "-k", "2", "--patterns", "0"]) == 0
+        assert map_main([str(adder_file), "--patterns", "1"]) == 0
+
+
 class TestServiceSubcommands:
     """serve/submit are dispatched from the combined entry point."""
 

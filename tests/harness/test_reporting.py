@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness import format_table, geometric_mean, improvement, rows_to_csv
+from repro.harness import format_table, geometric_mean, improvement
 
 
 class TestGeometricMean:
@@ -51,9 +51,3 @@ class TestFormatting:
         assert "0.123" in text
         assert "12,346" in text or "12345" in text
 
-    def test_rows_to_csv(self):
-        rows = [{"x": 1, "y": "a"}, {"x": 2, "y": "b"}]
-        text = rows_to_csv(rows)
-        assert text.splitlines()[0] == "x,y"
-        assert "2,b" in text
-        assert rows_to_csv([]) == ""

@@ -65,8 +65,6 @@ class TestConstruction:
         aig.add_po(aig.add_or(a, b), "or")
         aig.add_po(aig.add_xor(a, b), "xor")
         aig.add_po(aig.add_xnor(a, b), "xnor")
-        aig.add_po(aig.add_nand(a, b), "nand")
-        aig.add_po(aig.add_nor(a, b), "nor")
         aig.add_po(aig.add_mux(a, b, c), "mux")
         aig.add_po(aig.add_maj(a, b, c), "maj")
         for assignment in range(8):
@@ -75,10 +73,8 @@ class TestConstruction:
             assert outputs[0] == (va or vb)
             assert outputs[1] == (va ^ vb)
             assert outputs[2] == (va == vb)
-            assert outputs[3] == (not (va and vb))
-            assert outputs[4] == (not (va or vb))
-            assert outputs[5] == (vb if va else vc)
-            assert outputs[6] == (int(va) + int(vb) + int(vc) >= 2)
+            assert outputs[3] == (vb if va else vc)
+            assert outputs[4] == (int(va) + int(vb) + int(vc) >= 2)
 
     def test_multi_input_gates(self):
         aig = Aig()

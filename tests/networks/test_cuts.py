@@ -2,36 +2,43 @@
 
 import pytest
 
-from repro.networks import Aig, enumerate_cuts, simulation_cuts, cut_truth_table
-from repro.cuts import Cut, simulation_cuts_generic
+from repro.cuts import (
+    Cut,
+    CutEngine,
+    aig_cone_table,
+    cut_truth_table,
+    simulation_cuts,
+    simulation_cuts_generic,
+)
+from repro.networks import Aig
 from repro.truthtable import TruthTable
 
 
 class TestPriorityCuts:
     def test_trivial_cut_always_present(self, small_aig):
-        cuts = enumerate_cuts(small_aig, k=4)
+        cuts = CutEngine(small_aig, k=4).enumerate_all()
         for node in small_aig.gates():
             assert Cut((node,)) in cuts[node]
 
     def test_cut_sizes_bounded(self, small_aig):
-        cuts = enumerate_cuts(small_aig, k=3)
+        cuts = CutEngine(small_aig, k=3).enumerate_all()
         for node in small_aig.gates():
             for cut in cuts[node]:
                 assert cut.size <= 3
 
     def test_pi_cut_is_itself(self, small_aig):
-        cuts = enumerate_cuts(small_aig, k=4)
+        cuts = CutEngine(small_aig, k=4).enumerate_all()
         for pi in small_aig.pis:
             assert cuts[pi] == [Cut((pi,))]
 
     def test_cut_limit_respected(self, small_aig):
-        cuts = enumerate_cuts(small_aig, k=4, cut_limit=3)
+        cuts = CutEngine(small_aig, k=4, cut_limit=3).enumerate_all()
         for node in small_aig.gates():
             assert len(cuts[node]) <= 3
 
     def test_k_validation(self, small_aig):
         with pytest.raises(ValueError):
-            enumerate_cuts(small_aig, k=0)
+            CutEngine(small_aig, k=0).enumerate_all()
 
     def test_cut_merge_and_domination(self):
         a, b = Cut((1, 2)), Cut((2, 3))
@@ -41,7 +48,7 @@ class TestPriorityCuts:
 
     def test_full_pi_cut_reproduces_function(self, small_aig):
         """A cut whose leaves are all PIs gives the node's global function."""
-        cuts = enumerate_cuts(small_aig, k=4)
+        cuts = CutEngine(small_aig, k=4).enumerate_all()
         po_node = Aig.node_of(small_aig.pos[0])
         pi_cut = next(
             (c for c in cuts[po_node] if all(small_aig.is_pi(leaf) for leaf in c.leaves)),
@@ -49,9 +56,7 @@ class TestPriorityCuts:
         )
         if pi_cut is None:
             pytest.skip("no all-PI cut of size 4 for this node")
-        from repro.networks.mapping import aig_node_truth_table
-
-        table = aig_node_truth_table(small_aig, po_node, pi_cut.leaves)
+        table = aig_cone_table(small_aig, po_node, pi_cut.leaves)
         for assignment in range(1 << len(pi_cut.leaves)):
             values = {leaf: bool(assignment & (1 << i)) for i, leaf in enumerate(pi_cut.leaves)}
             full = [values.get(pi, False) for pi in small_aig.pis]

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.random_logic import random_aig
+from repro.cuts import aig_cone_table
 from repro.networks import Aig, map_aig_to_klut
-from repro.networks.mapping import aig_literal_truth_table, aig_node_truth_table
 
 
 class TestConeTruthTables:
@@ -14,22 +14,15 @@ class TestConeTruthTables:
         aig = Aig()
         a, b = aig.add_pi(), aig.add_pi()
         x = aig.add_and(a, Aig.negate(b))
-        table = aig_node_truth_table(aig, Aig.node_of(x), [Aig.node_of(a), Aig.node_of(b)])
+        table = aig_cone_table(aig, Aig.node_of(x), [Aig.node_of(a), Aig.node_of(b)])
         assert table.to_bit_list() == [0, 1, 0, 0]
-
-    def test_literal_truth_table_handles_complement(self):
-        aig = Aig()
-        a, b = aig.add_pi(), aig.add_pi()
-        x = aig.add_and(a, b)
-        table = aig_literal_truth_table(aig, Aig.negate(x), [Aig.node_of(a), Aig.node_of(b)])
-        assert table.to_bit_list() == [1, 1, 1, 0]
 
     def test_unlisted_pi_raises(self):
         aig = Aig()
         a, b = aig.add_pi(), aig.add_pi()
         x = aig.add_and(a, b)
         with pytest.raises(ValueError):
-            aig_node_truth_table(aig, Aig.node_of(x), [Aig.node_of(a)])
+            aig_cone_table(aig, Aig.node_of(x), [Aig.node_of(a)])
 
     def test_constant_node(self):
         # The cone of the constant node never reaches the listed leaf, so
@@ -37,8 +30,8 @@ class TestConeTruthTables:
         aig = Aig()
         a = aig.add_pi()
         with pytest.raises(ValueError):
-            aig_node_truth_table(aig, 0, [Aig.node_of(a)])
-        table = aig_node_truth_table(aig, 0, [Aig.node_of(a)], allow_unused_leaves=True)
+            aig_cone_table(aig, 0, [Aig.node_of(a)])
+        table = aig_cone_table(aig, 0, [Aig.node_of(a)], allow_unused_leaves=True)
         assert table.bits == 0
 
     def test_leaf_set_not_cutting_the_cone_raises(self):
@@ -49,10 +42,10 @@ class TestConeTruthTables:
         x = aig.add_and(a, b)
         unrelated = aig.add_and(b, c)
         with pytest.raises(ValueError):
-            aig_node_truth_table(
+            aig_cone_table(
                 aig, Aig.node_of(x), [Aig.node_of(a), Aig.node_of(b), Aig.node_of(unrelated)]
             )
-        table = aig_node_truth_table(
+        table = aig_cone_table(
             aig,
             Aig.node_of(x),
             [Aig.node_of(a), Aig.node_of(b), Aig.node_of(unrelated)],
@@ -65,7 +58,7 @@ class TestConeTruthTables:
         a, b = aig.add_pi(), aig.add_pi()
         x = aig.add_and(a, b)
         with pytest.raises(ValueError):
-            aig_node_truth_table(aig, Aig.node_of(x), [Aig.node_of(a), 999])
+            aig_cone_table(aig, Aig.node_of(x), [Aig.node_of(a), 999])
 
 
 class TestMapping:

@@ -4,7 +4,6 @@ from repro.networks import (
     Aig,
     cleanup_dangling,
     network_statistics,
-    propagate_constants,
     rebuild_strashed,
 )
 
@@ -51,9 +50,10 @@ class TestRebuild:
         x = aig.add_and(a, b)
         y = aig.add_and(x, Aig.negate(a))
         aig.add_po(y)
-        # Substitute x by constant true; propagation should reduce y to !a.
+        # Substitute x by constant true; the strashing rebuild should
+        # propagate it and reduce y to !a.
         aig.substitute(Aig.node_of(x), 1)
-        propagated, _ = propagate_constants(aig)
+        propagated, _ = rebuild_strashed(aig)
         assert propagated.num_ands == 0
         assert propagated.evaluate([False, True]) == [True]
         assert propagated.evaluate([True, True]) == [False]

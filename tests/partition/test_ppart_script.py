@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.circuits.epfl import epfl_benchmark
 from repro.partition.script import wrap_script_with_jobs
 from repro.rewriting.passes import (
+    PPART_USAGE,
     PassManager,
+    PpartSpec,
     parse_ppart,
     parse_script,
     validate_script,
@@ -175,3 +179,25 @@ def test_pass_manager_ppart_respects_injected_executor() -> None:
         executor.close()
     assert flow.verified is True
     assert flow.passes[0].status == "ok"
+
+
+def test_ppart_usage_lists_every_accepted_option() -> None:
+    valid = {"jobs": "2", "max_gates": "50", "strategy": "level", "merge": "choice", "window": "3"}
+    options = [field.name for field in dataclasses.fields(PpartSpec) if field.name != "passes"]
+    assert sorted(options) == sorted(valid)
+    for option in options:
+        spec = parse_ppart(f"ppart(rw, {option}={valid[option]})")
+        assert str(getattr(spec, option)) == valid[option]
+        assert f"{option}=" in PPART_USAGE
+    with pytest.raises(ValueError, match="unknown ppart option"):
+        parse_ppart("ppart(rw, bogus=1)")
+
+
+@pytest.mark.parametrize("script", ["ppart", "rw; ppart"])
+def test_ppart_without_arguments_prints_the_usage(script: str) -> None:
+    with pytest.raises(ValueError) as error:
+        parse_script(script)
+    assert str(error.value) == PPART_USAGE
+    with pytest.raises(ValueError) as error:
+        parse_ppart("ppart")
+    assert str(error.value) == PPART_USAGE

@@ -19,11 +19,9 @@ def test_budgeted_epfl_run_terminates_near_deadline():
     # Ten resyn2 rounds take several seconds unbudgeted; three rounds
     # now finish in little more than the deadline, so a fast machine
     # could complete them before the budget ran out.
-    manager = PassManager("; ".join(["resyn2"] * 10), num_patterns=32)
+    manager = PassManager("; ".join(["resyn2"] * 10), num_patterns=32, on_error="rollback")
     started = time.perf_counter()
-    result, flow = manager.run(
-        aig, budget=Budget(wall_clock=deadline), on_error="rollback"
-    )
+    result, flow = manager.run(aig, budget=Budget(wall_clock=deadline))
     elapsed = time.perf_counter() - started
     # resyn2 x10 on `bar` takes far longer than 1s unbudgeted, so the
     # budget must have cut the flow short...

@@ -56,15 +56,6 @@ def test_on_error_raise_propagates_the_error():
         manager.run(_workload())
 
 
-def test_run_on_error_overrides_constructor_policy():
-    manager = RaisingRewrite("rw; b", on_error="raise")
-    result, flow = manager.run(_workload(), on_error="rollback")
-    assert flow.passes[0].status == "failed"
-    assert flow.passes[1].status == "ok"
-    with pytest.raises(ValueError):
-        manager.run(_workload(), on_error="bogus")
-
-
 def test_invalid_on_error_rejected_at_construction():
     with pytest.raises(ValueError):
         PassManager("rw", on_error="ignore")
@@ -132,7 +123,7 @@ def test_generous_budget_run_is_identical_to_unbudgeted():
 def test_expired_flow_budget_skips_remaining_passes():
     aig = _workload()
     budget = Budget(wall_clock=0.0)
-    result, flow = PassManager("rw; b; rf").run(aig, budget=budget, on_error="rollback")
+    result, flow = PassManager("rw; b; rf", on_error="rollback").run(aig, budget=budget)
     assert flow.budget_exhausted
     assert flow.passes[0].status == "failed"
     assert all(stats.status == "skipped" for stats in flow.passes[1:])
@@ -148,7 +139,7 @@ def test_injected_fault_is_absorbed_by_rollback():
     aig = _workload()
     injector = FaultInjector(raise_at=1)
     with injector.inject():
-        result, flow = PassManager("rw; b").run(aig, on_error="rollback")
+        result, flow = PassManager("rw; b", on_error="rollback").run(aig)
     assert injector.fired
     assert flow.passes[0].status == "failed"
     assert flow.passes[0].failure.startswith("InjectedFault:")
@@ -159,7 +150,7 @@ def test_injected_fault_propagates_under_raise_policy():
     injector = FaultInjector(raise_at=1)
     with injector.inject():
         with pytest.raises(InjectedFault):
-            PassManager("rw; b").run(_workload(), on_error="raise")
+            PassManager("rw; b", on_error="raise").run(_workload())
 
 
 def test_flow_statistics_json_round_trip():
@@ -181,8 +172,8 @@ def test_flow_statistics_json_round_trip():
 
 def test_pass_timeout_uses_sub_budget_and_flow_continues():
     aig = _workload()
-    manager = PassManager("rw; b", pass_timeout=0.0)
-    result, flow = manager.run(aig, on_error="rollback")
+    manager = PassManager("rw; b", pass_timeout=0.0, on_error="rollback")
+    result, flow = manager.run(aig)
     # Every pass fails its own (instantly expired) deadline...
     assert all(stats.status == "failed" for stats in flow.passes)
     assert all("budget:" in stats.failure for stats in flow.passes)

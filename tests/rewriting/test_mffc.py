@@ -3,7 +3,7 @@
 import pytest
 
 from repro.networks import Aig
-from repro.rewriting.mffc import collect_mffc, mffc_size
+from repro.rewriting.mffc import collect_mffc
 
 
 def _chain(width: int) -> tuple[Aig, list[int], list[int]]:
@@ -69,11 +69,6 @@ class TestCollectMffc:
         with pytest.raises(ValueError):
             collect_mffc(aig, pis[0] >> 1)
 
-    def test_mffc_size_helper(self):
-        aig, _pis, gates = _chain(6)
-        assert mffc_size(aig, gates[-1]) == len(gates)
-
-
 class TestMffcAgainstCleanup:
     def test_mffc_matches_gates_freed_by_substitution(self):
         from repro.circuits.random_logic import random_aig
@@ -84,7 +79,7 @@ class TestMffcAgainstCleanup:
             cleaned, _ = cleanup_dangling(aig)
             order = cleaned.topological_order()
             root = order[-1]
-            predicted = mffc_size(cleaned, root)
+            predicted = len(collect_mffc(cleaned, root))
             # Substituting the root by constant false frees exactly its MFFC.
             work = cleaned.clone()
             work.substitute(root, 0)

@@ -84,6 +84,80 @@ class TestConstantQueries:
         assert solver.prove_constant(1, True).is_equivalent
 
 
+def _and_gates_in_cones(aig, nodes):
+    return {node for node in aig.tfi(list(nodes)) if aig.is_and(node)}
+
+
+def _count_gate_clauses(solver):
+    """Count the gate clauses ``_encode_cone`` hands to the CDCL solver."""
+    counter = {"clauses": 0}
+    add_clause = solver.solver.add_clause_trusted
+
+    def counting(clause):
+        counter["clauses"] += 1
+        return add_clause(clause)
+
+    solver.solver.add_clause_trusted = counting
+    return counter
+
+
+class TestLazyConeEncoding:
+    """A query encodes only the queried cones, and no gate twice."""
+
+    def test_constant_query_encodes_only_its_cone(self, small_aig):
+        po_node = Aig.node_of(small_aig.pos[0])
+        solver = CircuitSolver(small_aig)
+        solver.prove_constant(small_aig.pos[0], False)
+        assert solver._encoded == _and_gates_in_cones(small_aig, [po_node])
+        assert solver._encoded < set(small_aig.gates())
+
+    def test_equivalence_query_encodes_both_cones(self, small_aig):
+        a, b = small_aig.pos
+        solver = CircuitSolver(small_aig)
+        solver.prove_equivalence(a, b)
+        assert solver._encoded == _and_gates_in_cones(small_aig, [Aig.node_of(a), Aig.node_of(b)])
+
+    def test_overlapping_query_adds_only_new_gates(self, small_aig):
+        first_node = Aig.node_of(small_aig.pos[0])
+        second_node = Aig.node_of(small_aig.pos[1])
+        solver = CircuitSolver(small_aig)
+        counter = _count_gate_clauses(solver)
+        solver.prove_constant(small_aig.pos[0], True)
+        first_cone = _and_gates_in_cones(small_aig, [first_node])
+        assert counter["clauses"] == 3 * len(first_cone)
+        counter["clauses"] = 0
+        solver.prove_constant(small_aig.pos[1], False)
+        both_cones = _and_gates_in_cones(small_aig, [first_node, second_node])
+        new_gates = both_cones - first_cone
+        # The second cone overlaps the first, so only its own gates are new.
+        assert first_cone & _and_gates_in_cones(small_aig, [second_node])
+        assert new_gates
+        assert solver._encoded == both_cones
+        assert counter["clauses"] == 3 * len(new_gates)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_encoded_set_is_union_of_queried_cones(self, seed):
+        aig = random_aig(num_pis=6, num_gates=60, num_pos=4, seed=seed)
+        solver = CircuitSolver(aig)
+        counter = _count_gate_clauses(solver)
+        gates = list(aig.gates())
+        queried: set[int] = set()
+        for index in range(0, len(gates) - 1, 7):
+            before = solver._solver_queries
+            if index % 2:
+                solver.prove_constant(Aig.literal(gates[index]), False)
+                roots = [gates[index]]
+            else:
+                solver.prove_equivalence(Aig.literal(gates[index]), Aig.literal(gates[index + 1]))
+                roots = [gates[index], gates[index + 1]]
+            if solver._solver_queries > before:
+                queried.update(roots)
+            assert solver._encoded == _and_gates_in_cones(aig, queried)
+            # Three clauses per gate in total: no gate was encoded twice.
+            assert counter["clauses"] == 3 * len(solver._encoded)
+        assert queried
+
+
 class TestConflictLimit:
     def test_undetermined_outcome(self):
         # A multiplier-style equivalence is hard enough to exceed a

@@ -1,19 +1,8 @@
-"""Tests for CNF formulas and DIMACS serialisation."""
+"""Tests for CNF formulas."""
 
 import pytest
 
-from repro.sat import CnfFormula, clause_to_string, negate_literal
-
-
-class TestLiterals:
-    def test_negate(self):
-        assert negate_literal(3) == -3
-        assert negate_literal(-7) == 7
-        with pytest.raises(ValueError):
-            negate_literal(0)
-
-    def test_clause_to_string(self):
-        assert clause_to_string([1, -2, 3]) == "1 -2 3 0"
+from repro.sat import CnfFormula
 
 
 class TestFormula:
@@ -55,34 +44,3 @@ class TestFormula:
         assert formula.num_clauses == 1
         assert formula.clauses[0] == [1, 2]
 
-
-class TestDimacs:
-    def test_roundtrip(self):
-        formula = CnfFormula()
-        formula.add_clauses([[1, -2], [2, 3, -4], [-1]])
-        text = formula.to_dimacs(comments=["example"])
-        parsed = CnfFormula.from_dimacs(text)
-        assert parsed.num_vars == formula.num_vars
-        assert parsed.clauses == formula.clauses
-        assert text.startswith("c example\np cnf 4 3")
-
-    def test_parse_handles_comments_and_blank_lines(self):
-        text = "c hello\n\np cnf 3 2\n1 -2 0\n c another\n2 3 0\n"
-        parsed = CnfFormula.from_dimacs(text)
-        assert parsed.num_clauses == 2
-        assert parsed.num_vars == 3
-
-    def test_parse_multiline_clause(self):
-        parsed = CnfFormula.from_dimacs("p cnf 3 1\n1 2\n3 0\n")
-        assert parsed.clauses == [[1, 2, 3]]
-
-    def test_invalid_problem_line(self):
-        with pytest.raises(ValueError):
-            CnfFormula.from_dimacs("p sat 3 1\n1 0\n")
-
-    def test_file_roundtrip(self, tmp_path):
-        formula = CnfFormula()
-        formula.add_clauses([[1, 2], [-2, 3]])
-        path = tmp_path / "f.cnf"
-        formula.write_dimacs(path)
-        assert CnfFormula.read_dimacs(path).clauses == formula.clauses

@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.random_logic import random_aig
-from repro.networks import Aig, map_aig_to_klut
+from repro.networks import map_aig_to_klut
 from repro.simulation import (
     PatternSet,
     StpSimulator,
     aig_po_signatures,
     klut_po_signatures,
-    node_truth_tables,
     po_signatures,
     simulate_aig,
     simulate_aig_nodes,
@@ -41,15 +40,6 @@ class TestAigSimulation:
         assert set(partial) == set(some_nodes)
         for node in some_nodes:
             assert partial[node] == full.signature(node)
-
-    def test_node_truth_tables(self, small_aig):
-        tables = node_truth_tables(small_aig)
-        po_node = Aig.node_of(small_aig.pos[0])
-        table = tables[po_node]
-        for assignment in range(1 << small_aig.num_pis):
-            values = [bool(assignment & (1 << i)) for i in range(small_aig.num_pis)]
-            expected = small_aig.evaluate(values)[0] ^ Aig.is_complemented(small_aig.pos[0])
-            assert table.value_at(assignment) == expected
 
 
 class TestKlutSimulation:

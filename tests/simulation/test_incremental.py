@@ -41,22 +41,6 @@ class TestIncrementalSimulator:
         incremental.add_pattern((1, 0, 1, 0))
         assert incremental.num_patterns == 1
 
-    def test_signatures_of(self, small_aig):
-        incremental = IncrementalAigSimulator(small_aig, PatternSet.random(small_aig.num_pis, 8, seed=6))
-        nodes = list(small_aig.gates())[:2]
-        selected = incremental.signatures_of(nodes)
-        assert set(selected) == set(nodes)
-
-    def test_resimulate_after_network_edit(self, small_aig):
-        aig = small_aig.clone()
-        incremental = IncrementalAigSimulator(aig, PatternSet.random(aig.num_pis, 16, seed=7))
-        gate = list(aig.gates())[-1]
-        aig.substitute(gate, 1)
-        refreshed = incremental.resimulate()
-        full = simulate_aig(aig, incremental.patterns)
-        for node in aig.gates():
-            assert refreshed.signature(node) == full.signature(node)
-
     def test_validation(self, small_aig):
         with pytest.raises(ValueError):
             IncrementalAigSimulator(small_aig, PatternSet.random(2, 4))

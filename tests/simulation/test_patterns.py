@@ -19,7 +19,7 @@ class TestConstruction:
     def test_exhaustive_covers_all_assignments(self):
         patterns = PatternSet.exhaustive(3)
         assert patterns.num_patterns == 8
-        assert sorted(patterns.iter_patterns()) == sorted(
+        assert sorted(patterns.pattern(i) for i in range(8)) == sorted(
             tuple((i >> b) & 1 for b in range(3)) for i in range(8)
         )
 
@@ -87,7 +87,7 @@ class TestAccessAndMutation:
         b = PatternSet.from_patterns([(0, 1), (1, 1)])
         a.extend(b)
         assert a.num_patterns == 3
-        assert list(a.iter_patterns()) == [(1, 0), (0, 1), (1, 1)]
+        assert [a.pattern(i) for i in range(3)] == [(1, 0), (0, 1), (1, 1)]
         with pytest.raises(ValueError):
             a.extend(PatternSet.from_patterns([(1,)]))
 
@@ -98,9 +98,9 @@ class TestAccessAndMutation:
         assert a.num_patterns == 1
         assert b.num_patterns == 2
 
-    def test_pattern_string_and_len(self):
+    def test_pattern_and_len(self):
         patterns = PatternSet.from_patterns([(1, 0, 1)])
-        assert patterns.pattern_string(0) == "101"
+        assert patterns.pattern(0) == (1, 0, 1)
         assert len(patterns) == 1
 
     @settings(max_examples=40, deadline=None)
@@ -113,4 +113,4 @@ class TestAccessAndMutation:
     )
     def test_roundtrip_property(self, rows):
         patterns = PatternSet.from_patterns(rows)
-        assert [list(p) for p in patterns.iter_patterns()] == rows
+        assert [list(patterns.pattern(i)) for i in range(len(rows))] == rows

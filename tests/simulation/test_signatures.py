@@ -1,29 +1,26 @@
 """Tests for signatures and simulation results."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulation import (
     SimulationResult,
     canonical_signature,
-    signature_from_bits,
     signature_to_bits,
     signature_to_string,
-    signature_toggle_rate,
 )
 
 
 class TestSignatureHelpers:
     def test_bits_roundtrip(self):
         assert signature_to_bits(0b1011, 4) == [1, 1, 0, 1]
-        assert signature_from_bits([1, 1, 0, 1]) == 0b1011
         assert signature_to_string(0b1011, 4) == "1101"
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**20 - 1))
     def test_roundtrip_property(self, signature):
-        assert signature_from_bits(signature_to_bits(signature, 20)) == signature
+        bits = signature_to_bits(signature, 20)
+        assert sum(bit << position for position, bit in enumerate(bits)) == signature
 
     def test_canonical_signature(self):
         # Signature with bit 0 set gets complemented.
@@ -41,11 +38,6 @@ class TestSignatureHelpers:
         a, _ = canonical_signature(signature, 16)
         b, _ = canonical_signature(signature ^ mask, 16)
         assert a == b
-
-    def test_toggle_rate(self):
-        assert signature_toggle_rate(0b0101, 4) == pytest.approx(3 / 4)
-        assert signature_toggle_rate(0b1111, 4) == 0.0
-        assert signature_toggle_rate(0b1, 1) == 0.0
 
 
 class TestSimulationResult:
@@ -73,12 +65,11 @@ class TestSimulationResult:
         assert result.is_constant(4) is False
         assert result.is_constant(1) is None
 
-    def test_canonical_grouping(self):
+    def test_canonical_identifies_complements(self):
         result = self._result()
-        groups = result.group_by_canonical([1, 2])
-        # 0b1010 and 0b0101 are complements: one canonical group.
-        assert len(groups) == 1
-        assert sorted(next(iter(groups.values()))) == [1, 2]
+        # 0b1010 and 0b0101 are complements: one canonical signature.
+        assert result.canonical(1) == (0b1010, False)
+        assert result.canonical(2) == (0b1010, True)
 
     def test_signature_masking(self):
         result = SimulationResult(2)
@@ -90,7 +81,3 @@ class TestSimulationResult:
         result.merge({9: 0b0110})
         assert result.signature(9) == 0b0110
 
-    def test_toggle_rate_accessor(self):
-        result = self._result()
-        assert result.toggle_rate(3) == 0.0
-        assert result.toggle_rate(1) == pytest.approx(3 / 4)

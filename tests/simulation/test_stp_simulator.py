@@ -360,10 +360,10 @@ class TestSupportAndLocalTables:
     def test_local_tables_match_cone_functions(self, small_aig):
         supports = compute_pi_supports(small_aig)
         tables = compute_local_truth_tables(small_aig, supports=supports)
-        from repro.networks.mapping import aig_node_truth_table
+        from repro.cuts import aig_cone_table
 
         for node in small_aig.gates():
-            expected = aig_node_truth_table(small_aig, node, list(supports[node]))
+            expected = aig_cone_table(small_aig, node, list(supports[node]))
             assert tables[node] == expected
 
     def test_expand_truth_table(self):

@@ -94,8 +94,6 @@ class TestQueriesAndMutation:
         for cls in classes.classes():
             for member in cls.members:
                 assert classes.class_of(member) is cls
-                assert classes.class_id_of(member) is not None
-                assert set(classes.members_of(member)) == set(cls.members)
 
     def test_remove_member_and_representative_update(self):
         _aig, _result, classes = self._simple_classes()

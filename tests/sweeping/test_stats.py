@@ -9,29 +9,6 @@ class TestSweepStatistics:
         assert stats.gate_reduction == 0.25
         assert SweepStatistics().gate_reduction == 0.0
 
-    def test_as_row_matches_table2_columns(self):
-        stats = SweepStatistics(
-            name="bench",
-            num_pis=4,
-            num_pos=2,
-            depth=7,
-            gates_before=100,
-            gates_after=80,
-            total_sat_calls=25,
-            satisfiable_sat_calls=5,
-            simulation_time=0.125,
-            total_time=1.5,
-        )
-        row = stats.as_row()
-        assert row["benchmark"] == "bench"
-        assert row["pi/po"] == "4/2"
-        assert row["gate"] == 100
-        assert row["result"] == 80
-        assert row["sat_calls"] == 5
-        assert row["total_sat_calls"] == 25
-        assert row["simulation_s"] == 0.125
-        assert row["total_s"] == 1.5
-
     def test_str_mentions_key_counters(self):
         stats = SweepStatistics(name="x", gates_before=10, gates_after=5, total_sat_calls=3)
         text = str(stats)

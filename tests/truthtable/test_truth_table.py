@@ -43,7 +43,7 @@ class TestConstruction:
 
     def test_from_function_and_hex(self):
         xor3 = TruthTable.from_function(lambda a, b, c: a ^ b ^ c, 3)
-        assert TruthTable.from_hex(xor3.to_hex(), 3) == xor3
+        assert xor3.to_hex() == "96"
 
     def test_num_vars_bounds(self):
         with pytest.raises(ValueError):
