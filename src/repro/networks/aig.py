@@ -34,9 +34,10 @@ through the shared
 per-event work is proportional to the event's cone, not to ``N``:
 
 * **Fanout lists** (``_fanouts``) hold, for every node, the indices of
-  the gates referencing it (one entry per referencing fanin) and are
-  updated in O(1) by :meth:`add_and` and in O(fanout) by
-  :meth:`substitute` / :meth:`replace_fanin`.  ``fanout_counts`` and
+  the gates referencing it (one entry per referencing fanin).  They are
+  built by one O(N) scan on first use and then updated in O(1) by
+  :meth:`add_and` and in O(fanout) by :meth:`substitute` /
+  :meth:`replace_fanin`.  ``fanout_counts`` and
   ``tfo`` answer directly from the maintained lists.  Previously
   ``substitute`` scanned every gate of the network (O(N) per merge, so
   O(merges x N) per sweep); it now visits only ``fanouts(old_node)``.
@@ -59,7 +60,6 @@ per-event work is proportional to the event's cone, not to ``N``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .incremental import IncrementalNetworkMixin
@@ -73,16 +73,16 @@ LIT_FALSE = 0
 LIT_TRUE = 1
 
 
-@dataclass
-class AigNode:
-    """One AND node of the graph.
+#: One node of the graph: the fanin literals ``(fanin0, fanin1)``, each
+#: ``2 * node + complement``.  Primary inputs and the constant node store
+#: ``(-1, -1)``.  Entries are plain tuples, never edited in place: a
+#: rewrite stores a new one, so clones share them, a gate whose fanins
+#: are in canonical order is its own strash key, and readers unpack them
+#: on the interpreter's fast path for exact two-tuples.
+AigNode = tuple[int, int]
 
-    ``fanin0`` and ``fanin1`` are literals (``2 * node + complement``).
-    Primary inputs and the constant node store ``(-1, -1)``.
-    """
-
-    fanin0: int
-    fanin1: int
+#: The entry of the constant node and of every primary input.
+_SOURCE: AigNode = (-1, -1)
 
 
 class Aig(IncrementalNetworkMixin):
@@ -91,7 +91,7 @@ class Aig(IncrementalNetworkMixin):
     def __init__(self, name: str = "aig") -> None:
         self.name = name
         # Node 0 is the constant-false node.
-        self._nodes: list[AigNode] = [AigNode(-1, -1)]
+        self._nodes: list[AigNode] = [_SOURCE]
         self._pis: list[int] = []
         self._pi_names: list[str] = []
         self._pos: list[int] = []
@@ -137,7 +137,7 @@ class Aig(IncrementalNetworkMixin):
     def add_pi(self, name: str | None = None) -> int:
         """Create a primary input; returns its (positive) literal."""
         node = len(self._nodes)
-        self._nodes.append(AigNode(-1, -1))
+        self._nodes.append(_SOURCE)
         self._register_node()
         self._pis.append(node)
         self._pi_names.append(name if name is not None else f"pi{len(self._pis) - 1}")
@@ -170,16 +170,18 @@ class Aig(IncrementalNetworkMixin):
         # Canonical fanin order for structural hashing.
         if a > b:
             a, b = b, a
-        key = (a, b)
-        existing = self._strash.get(key)
+        entry = (a, b)
+        existing = self._strash.get(entry)
         if existing is not None:
             return self.literal(existing)
         node = len(self._nodes)
-        self._nodes.append(AigNode(a, b))
+        self._nodes.append(entry)
         self._register_node()
-        self._fanouts[a >> 1].append(node)
-        self._fanouts[b >> 1].append(node)
-        self._strash[key] = node
+        fanouts = self._fanouts
+        if fanouts is not None:
+            fanouts[a >> 1].append(node)
+            fanouts[b >> 1].append(node)
+        self._strash[entry] = node
         # Appending a freshly created gate keeps any cached order valid:
         # both fanins already exist, hence precede it.
         self._topo_append(node)
@@ -352,8 +354,7 @@ class Aig(IncrementalNetworkMixin):
         """Fanin literals of an AND node."""
         if not self.is_and(node):
             raise ValueError(f"node {node} is not an AND gate")
-        entry = self._nodes[node]
-        return entry.fanin0, entry.fanin1
+        return self._nodes[node]
 
     def fanin_nodes(self, node: int) -> tuple[int, int]:
         """Fanin node indices of an AND node (complements dropped)."""
@@ -381,6 +382,15 @@ class Aig(IncrementalNetworkMixin):
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
+
+    def _scan_fanouts(self) -> list[list[int]]:
+        nodes = self._nodes
+        fanouts: list[list[int]] = [[] for _ in nodes]
+        for gate in range(len(self._pis) + 1, len(nodes)):
+            fanin0, fanin1 = nodes[gate]
+            fanouts[fanin0 >> 1].append(gate)
+            fanouts[fanin1 >> 1].append(gate)
+        return fanouts
 
     def _gate_fanin_nodes(self, node: int) -> list[int]:
         if self.is_and(node):
@@ -437,15 +447,14 @@ class Aig(IncrementalNetworkMixin):
                     visited[node] = 1
                     if num_pis < node < num_nodes:
                         stack.append(~node)
-                        entry = nodes[node]
-                        fanin0 = entry.fanin0 >> 1
-                        fanin1 = entry.fanin1 >> 1
+                        fanin0, fanin1 = nodes[node]
+                        fanin0 >>= 1
+                        fanin1 >>= 1
                         if not visited[fanin0]:
                             stack.append(fanin0)
                         if not visited[fanin1]:
                             stack.append(fanin1)
             self._topo_cache = cache
-            self._topo_pos = {node: i for i, node in enumerate(cache)}
         if include_pis:
             return [0] + list(self._pis) + list(cache)
         return list(cache)
@@ -455,9 +464,9 @@ class Aig(IncrementalNetworkMixin):
         nodes = self._nodes
         level = [0] * len(nodes)
         for node in self.topological_order():
-            entry = nodes[node]
-            level0 = level[entry.fanin0 >> 1]
-            level1 = level[entry.fanin1 >> 1]
+            fanin0, fanin1 = nodes[node]
+            level0 = level[fanin0 >> 1]
+            level1 = level[fanin1 >> 1]
             level[node] = (level0 if level0 >= level1 else level1) + 1
         return level
 
@@ -510,8 +519,8 @@ class Aig(IncrementalNetworkMixin):
 
     def _strash_key(self, gate: int) -> tuple[int, int]:
         entry = self._nodes[gate]
-        a, b = entry.fanin0, entry.fanin1
-        return (a, b) if a <= b else (b, a)
+        a, b = entry
+        return entry if a <= b else (b, a)
 
     def _unstrash_gate(self, gate: int) -> None:
         key = self._strash_key(gate)
@@ -525,8 +534,8 @@ class Aig(IncrementalNetworkMixin):
         rewrite) are not registered: :meth:`add_and` simplifies those
         shapes before lookup, so their keys would never be queried.
         """
-        entry = self._nodes[gate]
-        node0, node1 = entry.fanin0 >> 1, entry.fanin1 >> 1
+        fanin0, fanin1 = self._nodes[gate]
+        node0, node1 = fanin0 >> 1, fanin1 >> 1
         if node0 == 0 or node1 == 0 or node0 == node1:
             return
         key = self._strash_key(gate)
@@ -568,20 +577,21 @@ class Aig(IncrementalNetworkMixin):
         if self.is_pi(old_node) or self.is_constant(old_node):
             raise ValueError(f"cannot substitute PI/constant node {old_node}")
         rewritten = 0
-        fanouts = self._fanouts
+        fanouts = self._fanout_lists()
         old_refs = fanouts[old_node]
         fanouts[old_node] = []
         new_refs: list[int] = []
         rewired_gates = tuple(dict.fromkeys(old_refs))
         for gate in rewired_gates:
             self._unstrash_gate(gate)
-            entry = self._nodes[gate]
-            if entry.fanin0 >> 1 == old_node:
-                entry.fanin0 = new_literal ^ (entry.fanin0 & 1)
+            fanin0, fanin1 = self._nodes[gate]
+            if fanin0 >> 1 == old_node:
+                fanin0 = new_literal ^ (fanin0 & 1)
                 new_refs.append(gate)
-            if entry.fanin1 >> 1 == old_node:
-                entry.fanin1 = new_literal ^ (entry.fanin1 & 1)
+            if fanin1 >> 1 == old_node:
+                fanin1 = new_literal ^ (fanin1 & 1)
                 new_refs.append(gate)
+            self._nodes[gate] = (fanin0, fanin1)
             self._restrash_gate(gate)
             rewritten += 1
         fanouts[new_node].extend(new_refs)
@@ -608,20 +618,23 @@ class Aig(IncrementalNetworkMixin):
         if not self.is_and(gate):
             raise ValueError(f"node {gate} is not an AND gate")
         new_node = new_literal >> 1
-        entry = self._nodes[gate]
+        fanin0, fanin1 = self._nodes[gate]
         changed = False
         self._unstrash_gate(gate)
-        old_fanouts = self._fanouts[old_node]
-        if entry.fanin0 >> 1 == old_node:
-            entry.fanin0 = new_literal ^ (entry.fanin0 & 1)
+        fanouts = self._fanout_lists()
+        old_fanouts = fanouts[old_node]
+        if fanin0 >> 1 == old_node:
+            fanin0 = new_literal ^ (fanin0 & 1)
             old_fanouts.remove(gate)
-            self._fanouts[new_node].append(gate)
+            fanouts[new_node].append(gate)
             changed = True
-        if entry.fanin1 >> 1 == old_node:
-            entry.fanin1 = new_literal ^ (entry.fanin1 & 1)
+        if fanin1 >> 1 == old_node:
+            fanin1 = new_literal ^ (fanin1 & 1)
             old_fanouts.remove(gate)
-            self._fanouts[new_node].append(gate)
+            fanouts[new_node].append(gate)
             changed = True
+        if changed:
+            self._nodes[gate] = (fanin0, fanin1)
         self._restrash_gate(gate)
         if changed:
             self._note_rewire(old_node, new_node)
@@ -632,7 +645,7 @@ class Aig(IncrementalNetworkMixin):
     def clone(self) -> "Aig":
         """Deep copy of the graph."""
         other = Aig(self.name)
-        other._nodes = [AigNode(n.fanin0, n.fanin1) for n in self._nodes]
+        other._nodes = list(self._nodes)
         other._pis = list(self._pis)
         other._pi_names = list(self._pi_names)
         other._pos = list(self._pos)

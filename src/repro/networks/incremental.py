@@ -52,9 +52,10 @@ functions) is representation-specific.  Containers implement
 primitives:
 
 * ``_register_node`` when appending a node, then direct edits of the
-  exposed ``_fanouts`` lists during construction and substitution (the
-  edit pattern is representation-specific: two literal fanins on an
-  AIG, an arbitrary fanin tuple on a LUT network);
+  fanout lists: of ``_fanouts`` during construction when it is built,
+  of ``_fanout_lists()`` during substitution (the edit pattern is
+  representation-specific: two literal fanins on an AIG, an arbitrary
+  fanin tuple on a LUT network);
 * ``_add_po_ref`` / ``_drop_po_ref`` / ``_move_po_refs`` for the PO
   reference map;
 * ``_topo_append`` when creating a gate (creation order extends any
@@ -63,10 +64,17 @@ primitives:
   replaced node), ``_topo_invalidate`` for anything else;
 * ``_notify_mutation`` to fire the listener bus.
 
-Hosts must provide ``nodes()`` (for ``fanout_counts``), ``is_gate`` and
-``topological_order()`` (which fills ``_topo_cache`` /``_topo_pos`` when
-dirty) -- exactly the :class:`~repro.networks.protocol.LogicNetwork`
+Hosts must provide ``nodes()``, ``gates()`` and ``gate_fanin_nodes``
+(for ``fanout_counts`` and the first build of the fanout lists),
+``is_gate`` and ``topological_order()`` (which fills ``_topo_cache``
+when dirty) -- exactly the :class:`~repro.networks.protocol.LogicNetwork`
 read surface.
+
+Both derived indexes are built on first use rather than at
+construction: the fanout lists by the first fanout query or mutation,
+the position map by the first position query or rewire.  A network
+that is only built and read -- a sweep's result, a mapped network that
+is written out -- never holds them, which is most of its memory.
 """
 
 from __future__ import annotations
@@ -154,7 +162,7 @@ class IncrementalNetworkMixin:
     #: (soundness over completeness; real classes stay far below this).
     CHOICE_TFI_LIMIT = 100_000
 
-    _fanouts: list[list[int]]
+    _fanouts: list[list[int]] | None
     _po_refs: dict[int, list[int]]
     _topo_cache: list[int] | None
     _topo_pos: dict[int, int] | None
@@ -185,11 +193,13 @@ class IncrementalNetworkMixin:
     def _init_incremental(self) -> None:
         """Initialise the incremental state (call from ``__init__``)."""
         # Fanout lists: _fanouts[n] holds the gate indices referencing
-        # node n, one entry per referencing fanin.
-        self._fanouts = []
+        # node n, one entry per referencing fanin; None until first used.
+        self._fanouts = None
         # PO references per node: _po_refs[n] lists the PO indices driven by n.
         self._po_refs = {}
-        # Cached topological gate order and node->position map; None = dirty.
+        # Cached topological gate order; None = dirty.  The node->position
+        # map is built from it on the first position query, so networks
+        # that only walk the order (results kept for reading) never hold it.
         self._topo_cache = None
         self._topo_pos = None
         # Mutation listeners: callables invoked after substitute/replace_fanin
@@ -222,8 +232,30 @@ class IncrementalNetworkMixin:
     # ------------------------------------------------------------------
 
     def _register_node(self) -> None:
-        """Extend the fanout lists for one freshly appended node."""
-        self._fanouts.append([])
+        """Extend the fanout lists (once built) for one freshly appended node."""
+        if self._fanouts is not None:
+            self._fanouts.append([])
+
+    def _fanout_lists(self) -> list[list[int]]:
+        """The fanout lists, built by one scan of the gates on first use.
+
+        Until the first mutation the maintained lists hold every
+        referencing gate in creation order, one entry per fanin, which is
+        exactly what the scan produces; mutations build the lists before
+        they edit them, so the two never disagree.
+        """
+        fanouts = self._fanouts
+        if fanouts is None:
+            fanouts = self._fanouts = self._scan_fanouts()
+        return fanouts
+
+    def _scan_fanouts(self) -> list[list[int]]:
+        """Fanout lists from one scan of the gates in creation order."""
+        fanouts: list[list[int]] = [[] for _ in self.nodes()]
+        for gate in self.gates():
+            for fanin in self.gate_fanin_nodes(gate):
+                fanouts[fanin].append(gate)
+        return fanouts
 
     def _add_po_ref(self, node: int, po_index: int) -> None:
         """Record that PO ``po_index`` is driven by ``node``."""
@@ -260,7 +292,7 @@ class IncrementalNetworkMixin:
         gate referencing the node through several fanins appears once per
         reference.
         """
-        return list(self._fanouts[node])
+        return list(self._fanout_lists()[node])
 
     def fanout_count(self, node: int) -> int:
         """Number of references of one node (gate fanins plus PO drivers).
@@ -269,7 +301,7 @@ class IncrementalNetworkMixin:
         map; MFFC computation queries this for every cone node, so it
         must not scan the network.
         """
-        count = len(self._fanouts[node])
+        count = len(self._fanout_lists()[node])
         refs = self._po_refs.get(node)
         return count + len(refs) if refs else count
 
@@ -279,7 +311,8 @@ class IncrementalNetworkMixin:
         Answered in O(N) straight from the maintained fanout lists and PO
         reference map (no edge scan).
         """
-        counts = {node: len(self._fanouts[node]) for node in self.nodes()}
+        fanouts = self._fanout_lists()
+        counts = {node: len(fanouts[node]) for node in self.nodes()}
         for node, refs in self._po_refs.items():
             counts[node] += len(refs)
         return counts
@@ -290,7 +323,7 @@ class IncrementalNetworkMixin:
         Served from the maintained fanout lists in O(cone), without
         rebuilding a network-wide fanout map.
         """
-        fanouts = self._fanouts
+        fanouts = self._fanout_lists()
         return transitive_fanout(list(nodes), lambda n: fanouts[n], limit)
 
     # ------------------------------------------------------------------
@@ -315,8 +348,8 @@ class IncrementalNetworkMixin:
                     base = fanin_rank
             ranks[node] = base + 1
         if self._topo_cache is not None:
-            assert self._topo_pos is not None
-            self._topo_pos[node] = len(self._topo_cache)
+            if self._topo_pos is not None:
+                self._topo_pos[node] = len(self._topo_cache)
             self._topo_cache.append(node)
 
     def _topo_invalidate(self) -> None:
@@ -341,10 +374,18 @@ class IncrementalNetworkMixin:
             self._choice_ranks_raise((new_node,))
         if self._topo_cache is None:
             return
-        pos = self._topo_pos
-        assert pos is not None
+        pos = self._topo_positions()
         if pos.get(new_node, -1) >= pos.get(old_node, -1):
             self._topo_invalidate()
+
+    def _topo_positions(self) -> dict[int, int]:
+        """The node->position map of the cached order, built on first use."""
+        if self._topo_pos is None:
+            if self._topo_cache is None:
+                self.topological_order()
+            assert self._topo_cache is not None
+            self._topo_pos = {node: i for i, node in enumerate(self._topo_cache)}
+        return self._topo_pos
 
     def topological_position(self, node: int) -> int:
         """Position of a gate in the cached topological order.
@@ -355,10 +396,7 @@ class IncrementalNetworkMixin:
         clean cache is O(1); a dirty cache triggers one O(N)
         recomputation through the host's ``topological_order``.
         """
-        if self._topo_pos is None:
-            self.topological_order()
-        assert self._topo_pos is not None
-        return self._topo_pos.get(node, -1)
+        return self._topo_positions().get(node, -1)
 
     # ------------------------------------------------------------------
     # Mutation-listener bus
@@ -599,7 +637,7 @@ class IncrementalNetworkMixin:
             return
         choice_repr = self._choice_repr
         choice_members = self._choice_members
-        fanouts = self._fanouts
+        fanouts = self._fanout_lists()
         ceiling = len(fanouts)
         stack = list(seeds)
         touched = 0
@@ -668,7 +706,7 @@ class IncrementalNetworkMixin:
             low, high, high_rank = alt_members, target_members, rank_a
         choice_repr = self._choice_repr
         choice_members = self._choice_members
-        fanouts = self._fanouts
+        fanouts = self._fanout_lists()
         high_set = set(high)
         visited = set(low)
         stack: list[int] = []
@@ -884,7 +922,7 @@ class IncrementalNetworkMixin:
         Mutation listeners are bound to *this* network's consumers; the
         clone starts with none.
         """
-        other._fanouts = [list(refs) for refs in self._fanouts]
+        other._fanouts = [list(refs) for refs in self._fanouts] if self._fanouts is not None else None
         other._po_refs = {node: list(refs) for node, refs in self._po_refs.items()}
         other._topo_cache = list(self._topo_cache) if self._topo_cache is not None else None
         other._topo_pos = dict(self._topo_pos) if self._topo_pos is not None else None

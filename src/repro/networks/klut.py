@@ -112,8 +112,10 @@ class KLutNetwork(IncrementalNetworkMixin):
         node = len(self._nodes)
         self._nodes.append(LutNode(_KIND_LUT, fanin_tuple, function))
         self._register_node()
-        for fanin in fanin_tuple:
-            self._fanouts[fanin].append(node)
+        fanouts = self._fanouts
+        if fanouts is not None:
+            for fanin in fanin_tuple:
+                fanouts[fanin].append(node)
         self._num_luts += 1
         # Appending a freshly created LUT keeps any cached order valid:
         # its fanins already exist, hence precede it.
@@ -292,7 +294,6 @@ class KLutNetwork(IncrementalNetworkMixin):
             lut_order.extend(n for n in self.luts() if n not in reachable)
             cache = lut_order
             self._topo_cache = cache
-            self._topo_pos = {node: i for i, node in enumerate(cache)}
         if include_sources:
             sources = [n for n in self.nodes() if not self.is_lut(n)]
             return sources + list(cache)
@@ -348,7 +349,7 @@ class KLutNetwork(IncrementalNetworkMixin):
         if not self.is_lut(old_node):
             raise ValueError(f"cannot substitute non-LUT node {old_node}")
         rewritten = 0
-        fanouts = self._fanouts
+        fanouts = self._fanout_lists()
         old_refs = fanouts[old_node]
         fanouts[old_node] = []
         new_refs: list[int] = []
@@ -387,11 +388,13 @@ class KLutNetwork(IncrementalNetworkMixin):
         replaced = sum(1 for fanin in entry.fanins if fanin == old_node)
         if not replaced:
             return False
+        # Built (if need be) from the fanins before they are rewritten.
+        fanouts = self._fanout_lists()
         entry.fanins = tuple(new_node if fanin == old_node else fanin for fanin in entry.fanins)
-        old_fanouts = self._fanouts[old_node]
+        old_fanouts = fanouts[old_node]
         for _ in range(replaced):
             old_fanouts.remove(gate)
-        self._fanouts[new_node].extend([gate] * replaced)
+        fanouts[new_node].extend([gate] * replaced)
         self._note_rewire(old_node, new_node)
         if self._has_mutation_audience():
             self._notify_mutation(old_node, new_node, (gate,))

@@ -54,9 +54,7 @@ def simulate_aig_words(aig: Aig, patterns: PatternSet) -> list[int]:
         words[pi] = patterns.input_word(position) & mask
     entries = aig.node_entries
     for node in aig.topological_order():
-        entry = entries[node]
-        fanin0 = entry.fanin0
-        fanin1 = entry.fanin1
+        fanin0, fanin1 = entries[node]
         word0 = words[fanin0 >> 1]
         if fanin0 & 1:
             word0 ^= mask
@@ -104,11 +102,11 @@ def simulate_aig_nodes(aig: Aig, patterns: PatternSet, nodes: Iterable[int]) -> 
         if node in visited:
             continue
         visited.add(node)
-        entry = entries[node]
-        if entry.fanin0 >= 0:
+        fanin0, fanin1 = entries[node]
+        if fanin0 >= 0:
             stack.append(-node)
-            fanin0 = entry.fanin0 >> 1
-            fanin1 = entry.fanin1 >> 1
+            fanin0 >>= 1
+            fanin1 >>= 1
             if fanin0 not in visited:
                 stack.append(fanin0)
             if fanin1 not in visited:
@@ -116,9 +114,7 @@ def simulate_aig_nodes(aig: Aig, patterns: PatternSet, nodes: Iterable[int]) -> 
         else:
             signatures[node] = patterns.input_word(pi_positions[node]) & mask
     for node in order:
-        entry = entries[node]
-        fanin0 = entry.fanin0
-        fanin1 = entry.fanin1
+        fanin0, fanin1 = entries[node]
         word0 = signatures[fanin0 >> 1]
         if fanin0 & 1:
             word0 ^= mask

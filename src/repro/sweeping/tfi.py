@@ -113,11 +113,11 @@ class TfiManager:
         seen = {candidate}
         cursor = 0
         while pending and cursor < len(frontier) and len(frontier) < limit:
-            entry = entries[frontier[cursor]]
+            fanin0, fanin1 = entries[frontier[cursor]]
             cursor += 1
-            if entry.fanin0 < 0:
+            if fanin0 < 0:
                 continue
-            for fanin in (entry.fanin0 >> 1, entry.fanin1 >> 1):
+            for fanin in (fanin0 >> 1, fanin1 >> 1):
                 if fanin in seen or len(frontier) >= limit:
                     continue
                 seen.add(fanin)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.networks import Aig, LIT_FALSE, LIT_TRUE
 from repro.networks.aig import fanout_counts_impl
+from repro.networks.structural_hash import structural_hash
+from repro.networks.transforms import cleanup_dangling
 
 
 class TestLiterals:
@@ -329,6 +331,52 @@ class TestIncrementalInvariants:
         # The original is untouched and still consistent.
         assert aig.fanout_counts() == fanout_counts_impl(aig)
         assert copy.fanout_counts() == fanout_counts_impl(copy)
+
+    def test_built_and_read_network_holds_no_derived_indexes(self):
+        aig = _build_chain()
+        aig.substitute(max(aig.gates()) - 1, aig.pis[0])
+        swept, _ = cleanup_dangling(aig)
+        structural_hash(swept)
+        assert swept.topological_order()
+        assert swept._fanouts is None and swept._topo_pos is None
+        order = swept.topological_order()
+        assert swept.topological_position(order[-1]) == len(order) - 1
+        pis = [Aig.literal(pi) for pi in swept.pis]
+        a, b = next((a, b ^ 1) for a in pis for b in pis if a < b and swept.find_and(a, b ^ 1) is None)
+        fresh = swept.add_and(a, b)
+        assert swept.topological_position(Aig.node_of(fresh)) == len(order)
+        assert swept._fanouts is None
+        assert swept.fanout_counts() == fanout_counts_impl(swept)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fanout_lists_built_late_match_maintained_ones(self, seed):
+        import random
+
+        def build(eager: bool) -> Aig:
+            rng = random.Random(seed)
+            aig = Aig()
+            literals = [aig.add_pi() for _ in range(5)]
+            if eager:
+                aig.fanouts(0)  # build the lists before the first gate
+            for _ in range(40):
+                a, b = rng.sample(literals, 2)
+                literals.append(aig.add_and(a ^ rng.randint(0, 1), b ^ rng.randint(0, 1)))
+            aig.add_po(literals[-1])
+            return aig
+
+        eager, lazy = build(True), build(False)
+        assert lazy._fanouts is None
+        lazy_clone = lazy.clone()
+        rng = random.Random(seed)
+        for aig in (eager, lazy, lazy_clone):
+            rng.seed(seed)
+            for _ in range(6):
+                gate = rng.choice(list(aig.gates()))
+                replacement = rng.choice([pi for pi in aig.pis])
+                aig.substitute(gate, replacement)
+        for node in eager.nodes():
+            assert lazy.fanouts(node) == eager.fanouts(node) == lazy_clone.fanouts(node)
+        assert lazy.fanout_counts() == fanout_counts_impl(lazy)
 
 
 class TestPropertyBased:
