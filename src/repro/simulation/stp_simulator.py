@@ -34,6 +34,17 @@ input is redundant and is folded away, a constant block becomes ``0`` or
 ``mask``, and a block seen before is shared.  Each distinct LUT function
 is compiled once; mode ``s`` compiles each cut's table the same way.
 
+The simulator lays the whole network out once as one flat op program
+over one register file (:class:`StpSimulator`): the constants 0 and
+``mask``, then the PIs, then one register per op.  Each LUT's op list is
+remapped onto the global registers, and a LUT whose output is a fanin or
+a constant is an alias to that register, with no op.  An op whose
+cofactor block is a constant runs the select with that constant
+substituted, a cheaper form: ``lo & ~x`` (``hi`` is 0), ``x & hi``
+(``lo`` is 0), ``lo | x`` (``hi`` is ``mask``) or ``hi | ~x`` (``lo`` is
+``mask``).  Only an op with two non-constant blocks runs the general
+select (:func:`_execute`).
+
 A cut's structural matrix is composed by the same op lists
 (:func:`cut_truth_table_stp`): each LUT of the cut runs its program on
 its fanins' truth tables, whose bits are the patterns of an exhaustive
@@ -96,8 +107,8 @@ def cut_limit_for_patterns(num_patterns: int, maximum: int = 16) -> int:
 #: A compiled table: ops ``(x, lo, hi)`` and the register of the output.
 Program = tuple[tuple[tuple[int, int, int], ...], int]
 
-#: A LUT (or cut) ready to run: its node, its fanins (registers 2 on) and
-#: its program.
+#: A LUT (or cut) ready to lay out: its node, its fanins (its programs'
+#: registers 2 on) and its program.
 _Compiled = tuple[int, Sequence[int], Program]
 
 
@@ -108,11 +119,14 @@ def compile_table(table: TruthTable) -> Program:
     Registers 0 and 1 hold the constant words 0 and ``mask``, register
     ``2 + i`` holds input ``i``'s pattern word, and op ``j`` writes
     register ``2 + k + j`` with ``lo ^ (x & (hi ^ lo))`` of registers
-    ``(x, lo, hi)``.  The table is split on its top input, recursing from
-    the highest input down (see the module docstring); a split whose
-    halves are the constants 0 and 1 is the input itself and needs no op.
-    Programs are memoised per function, so LUTs that compute the same
-    function share one.
+    ``(x, lo, hi)``: the selection of the column block for the top input
+    ``x`` between the low and high cofactor blocks.  The table is split on
+    its top input, recursing from the highest input down (see the module
+    docstring); a split whose halves are the constants 0 and 1 is the
+    input itself and needs no op, and a cofactor block that is a constant
+    is register 0 or 1, which :func:`_execute` turns into a cheaper form
+    of the select.  Programs are memoised per function, so LUTs that
+    compute the same function share one.
     """
     num_vars = table.num_vars
     ops: list[tuple[int, int, int]] = []
@@ -144,6 +158,33 @@ def compile_table(table: TruthTable) -> Program:
     return tuple(ops), output
 
 
+def _execute(ops: Iterable[tuple[int, int, int]], registers: list[int], mask: int) -> None:
+    """Append one word to ``registers`` per op ``(x, lo, hi)``: the select ``lo ^ (x & (hi ^ lo))``.
+
+    Registers 0 and 1 hold the constant words 0 and ``mask``, so a
+    cofactor register below 2 is a constant block, and substituting it
+    into the select gives a cheaper form: ``lo & ~x`` when ``hi`` is 0,
+    ``x & hi`` when ``lo`` is 0, ``lo | x`` when ``hi`` is ``mask`` and
+    ``hi | ~x`` when ``lo`` is ``mask``.  The constant forms are tested
+    in the order of their frequency on mapped networks, most often
+    ``lo & ~x``; the general select, about a fifth of the ops, is left.
+    """
+    append = registers.append
+    for x, lo, hi in ops:
+        if not hi:
+            low = registers[lo]
+            append(low ^ (low & registers[x]))
+        elif not lo:
+            append(registers[x] & registers[hi])
+        elif hi == 1:
+            append(registers[lo] | registers[x])
+        elif lo == 1:
+            append(registers[hi] | (registers[x] ^ mask))
+        else:
+            low = registers[lo]
+            append(low ^ (registers[x] & (registers[hi] ^ low)))
+
+
 # ---------------------------------------------------------------------------
 # Structural-matrix composition over a cut
 # ---------------------------------------------------------------------------
@@ -163,11 +204,10 @@ def cut_truth_table_stp(network: KLutNetwork, cut: SimulationCut) -> TruthTable:
 def _compose_program(function: TruthTable, fanins: Sequence[TruthTable], num_vars: int) -> TruthTable:
     """``function`` of the ``fanins`` tables: its op list run on their bits."""
     ops, output = compile_table(function)
-    registers = [0, (1 << (1 << num_vars)) - 1]
+    full = (1 << (1 << num_vars)) - 1
+    registers = [0, full]
     registers += [fanin.bits for fanin in fanins]
-    for x, lo, hi in ops:
-        low = registers[lo]
-        registers.append(low ^ (registers[x] & (registers[hi] ^ low)))
+    _execute(ops, registers, full)
     return TruthTable(num_vars, registers[output])
 
 
@@ -251,49 +291,80 @@ def cut_truth_table_algebraic(network: KLutNetwork, cut: SimulationCut) -> Truth
 
 
 class StpSimulator:
-    """STP-based simulator of a k-LUT network (Algorithm 1)."""
+    """STP-based simulator of a k-LUT network (Algorithm 1).
+
+    The network is laid out once, at construction, as one flat op program
+    over one register file: register 0 holds the constant word 0,
+    register 1 ``mask``, registers ``2 .. 2 + #PIs - 1`` the PIs' pattern
+    words in order, and each op appends one register.  Every LUT's
+    compiled program (:func:`compile_table`) is remapped onto the global
+    registers: its local registers 0 and 1 stay the constants, its inputs
+    become its fanins' registers and each of its ops gets the next free
+    register.  A LUT whose program needs no op, its output being a fanin
+    or a constant, is an alias to that register.  Each remapped op keeps
+    its ``(x, lo, hi)`` registers and runs in one of five forms: the
+    general select ``lo ^ (x & (hi ^ lo))``, or, when a cofactor register
+    is a constant, the select with that constant substituted: ``lo & ~x``,
+    ``x & hi``, ``lo | x`` or ``hi | ~x`` (see :func:`_execute`).  Mode
+    ``s`` lays out its cuts' programs the same way and runs the same loop.
+    """
 
     def __init__(self, network: KLutNetwork) -> None:
         self.network = network
-        self._constants = [
-            (node, network.constant_value(node)) for node in network.nodes() if network.is_constant(node)
-        ]
+        self._sources: list[int] = []
+        registers = [0] * network.num_nodes
+        for node in network.nodes():
+            if network.is_constant(node):
+                self._sources.append(node)
+                registers[node] = int(network.constant_value(node))
+        for position, node in enumerate(network.pis):
+            self._sources.append(node)
+            registers[node] = 2 + position
+        #: Register of each node before any LUT is laid out (0 for LUTs).
+        self._source_registers = registers
         # Every LUT's structural matrix is compiled into an op list: this
         # is the "logic matrices as primitives of the logic network" part
         # of the paper -- the simulator never looks at gate operators
         # again.  LUTs that compute the same function share one program.
-        self._luts: list[_Compiled] = [
+        self._program, self._registers = self._layout(
             (node, network.lut_fanins(node), compile_table(network.lut_function(node)))
             for node in network.topological_order()
-        ]
+        )
 
-    def _run(self, patterns: PatternSet, luts: Iterable[_Compiled]) -> list[int]:
-        """Every node's pattern word after running ``luts`` in order (0 for nodes not run)."""
-        network = self.network
-        if patterns.num_inputs != network.num_pis:
-            raise ValueError(f"pattern set has {patterns.num_inputs} inputs, network has {network.num_pis}")
-        mask = patterns.mask
-        words = [0] * network.num_nodes
-        for node, value in self._constants:
-            words[node] = mask if value else 0
-        for position, node in enumerate(network.pis):
-            words[node] = patterns.input_word(position) & mask
-        word_of = words.__getitem__
+    def _layout(self, luts: Iterable[_Compiled]) -> tuple[list[tuple[int, int, int]], list[int]]:
+        """One flat op program running ``luts`` in order, and every node's register."""
+        register_of = self._source_registers.copy()
+        program: list[tuple[int, int, int]] = []
+        add_op = program.append
+        next_register = 2 + self.network.num_pis
         for node, fanins, (ops, output) in luts:
-            registers = [0, mask]
-            registers += map(word_of, fanins)
+            local = [0, 1]
+            local += map(register_of.__getitem__, fanins)
             for x, lo, hi in ops:
-                low = registers[lo]
-                registers.append(low ^ (registers[x] & (registers[hi] ^ low)))
-            words[node] = registers[output]
-        return words
+                add_op((local[x], local[lo], local[hi]))
+                local.append(next_register)
+                next_register += 1
+            register_of[node] = local[output]
+        return program, register_of
+
+    def _register_file(self, patterns: PatternSet, program: list[tuple[int, int, int]]) -> list[int]:
+        """The register file after running ``program`` on ``patterns``."""
+        num_pis = self.network.num_pis
+        if patterns.num_inputs != num_pis:
+            raise ValueError(f"pattern set has {patterns.num_inputs} inputs, network has {num_pis}")
+        mask = patterns.mask
+        registers = [0, mask]
+        registers += [patterns.input_word(position) & mask for position in range(num_pis)]
+        _execute(program, registers, mask)
+        return registers
 
     # -- mode 'a': all nodes --------------------------------------------
 
     def simulate_all(self, patterns: PatternSet) -> SimulationResult:
         """Simulate every node; one structural-matrix pass per node."""
+        words = self._register_file(patterns, self._program)
         result = SimulationResult(patterns.num_patterns)
-        result.signatures = dict(enumerate(self._run(patterns, self._luts)))
+        result.signatures = dict(enumerate(map(words.__getitem__, self._registers)))
         return result
 
     # -- mode 's': specified nodes ----------------------------------------
@@ -308,7 +379,9 @@ class StpSimulator:
 
         ``limit`` defaults to ``floor(log2(#patterns))`` as in the paper;
         the returned result contains signatures for the cut roots (which
-        include every target), the PIs and the constants.
+        include every target), the PIs and the constants.  The cuts' tables
+        are compiled and laid out as one program, as mode ``a`` lays out
+        the LUTs.
         """
         network = self.network
         if limit is None:
@@ -317,12 +390,12 @@ class StpSimulator:
         # Cut tables bypass the program cache: a 16-leaf cut's program can
         # take megabytes, and cuts rarely repeat a function.
         compile_cut = compile_table.__wrapped__
-        words = self._run(
-            patterns, ((cut.root, cut.leaves, compile_cut(cut_truth_table_stp(network, cut))) for cut in cuts)
+        program, register_of = self._layout(
+            (cut.root, cut.leaves, compile_cut(cut_truth_table_stp(network, cut))) for cut in cuts
         )
+        words = self._register_file(patterns, program)
         result = SimulationResult(patterns.num_patterns)
-        sources = [node for node, _value in self._constants] + network.pis
-        result.signatures = {node: words[node] for node in sources + [cut.root for cut in cuts]}
+        result.signatures = {node: words[register_of[node]] for node in self._sources + [cut.root for cut in cuts]}
         return result
 
     # -- exhaustive local signatures (Section III-C) -----------------------

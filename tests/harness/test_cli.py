@@ -1,5 +1,9 @@
 """Tests for the file-level command-line tools (repro-simulate / repro-sweep / repro-optimize / repro-map)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.circuits.arithmetic import ripple_carry_adder
@@ -217,6 +221,19 @@ class TestCombinedEntryPoint:
         captured = capsys.readouterr()
         assert exit_code == 2
         assert "unknown subcommand" in captured.err
+
+    def test_module_run_imports_cli_once(self, tmp_path):
+        # ``repro.harness`` must not import ``.cli`` itself: runpy warns
+        # when the module it is asked to run is already in sys.modules.
+        environment = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        environment["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + environment.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.harness.cli", "--help"],
+            capture_output=True, text=True, env=environment, cwd=tmp_path, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stderr == ""
 
 
 class TestResilienceFlags:

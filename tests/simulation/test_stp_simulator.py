@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits.epfl import EPFL_BENCHMARKS, epfl_benchmark
 from repro.circuits.random_logic import random_aig
 from repro.circuits.sweep_workloads import inject_redundancy
 from repro.networks import Aig, KLutNetwork, map_aig_to_klut
@@ -15,6 +16,7 @@ from repro.cuts import SimulationCut, cut_truth_table, simulation_cuts
 from repro.simulation import (
     PatternSet,
     StpSimulator,
+    aig_po_signatures,
     compute_local_truth_tables,
     compute_pi_supports,
     cut_limit_for_patterns,
@@ -276,6 +278,108 @@ class TestCompiledTables:
         }
         for table, (lo, hi) in cases.items():
             assert compile_table(table) == (((top, lo, hi),), 2 + arity), table
+
+
+def _pi_pair_lut(table):
+    """Two PIs ``a``, ``b`` and one LUT ``table`` over them, ``b`` its top input."""
+    network = KLutNetwork()
+    a, b = network.add_pi(), network.add_pi()
+    return network, network.add_lut([a, b], table)
+
+
+_A, _B = TruthTable.variable(0, 2), TruthTable.variable(1, 2)
+
+
+class TestLaidOutOpForms:
+    """Each op's form, read off its constant cofactor registers, equals a per-pattern lookup."""
+
+    # Globally, register 2 holds PI ``a`` and register 3 PI ``b``.
+    FORMS = {
+        "lo & ~x": (_A & ~_B, (3, 2, 0)),
+        "x & hi": (_A & _B, (3, 0, 2)),
+        "lo | x": (_A | _B, (3, 2, 1)),
+        "hi | ~x": (_A | ~_B, (3, 1, 2)),
+        "~x": (~_B, (3, 1, 0)),
+    }
+
+    @pytest.mark.parametrize("num_patterns", [0, 7, 1001])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_constant_cofactor_forms(self, form, num_patterns):
+        table, op = self.FORMS[form]
+        network, lut = _pi_pair_lut(table)
+        simulator = StpSimulator(network)
+        assert simulator._program == [op]
+        patterns = PatternSet.random(2, num_patterns, seed=num_patterns)
+        words = [patterns.input_word(0), patterns.input_word(1)]
+        assert simulator.simulate_all(patterns).signature(lut) == _lookup_signature(table, words, num_patterns)
+
+    @pytest.mark.parametrize("num_patterns", [0, 7, 1001])
+    def test_general_select(self, num_patterns):
+        # ``c ? b : a`` over PIs a, b, c: no cofactor is constant.
+        network = KLutNetwork()
+        pis = [network.add_pi() for _ in range(3)]
+        table = TruthTable.from_function(lambda a, b, c: b if c else a, 3)
+        lut = network.add_lut(pis, table)
+        simulator = StpSimulator(network)
+        assert simulator._program == [(4, 2, 3)]
+        patterns = PatternSet.random(3, num_patterns, seed=num_patterns)
+        words = [patterns.input_word(position) for position in range(3)]
+        assert simulator.simulate_all(patterns).signature(lut) == _lookup_signature(table, words, num_patterns)
+
+    @pytest.mark.parametrize("num_patterns", [0, 7, 1001])
+    def test_aliases_and_forms_over_earlier_luts(self, num_patterns):
+        # A LUT that passes a fanin through or outputs a constant gets no
+        # op; LUTs reading it read the aliased register.  The other LUTs
+        # chain every form on registers written by earlier ops.
+        network = KLutNetwork()
+        pis = [network.add_pi() for _ in range(3)]
+        true = TruthTable.constant(True, 2)
+        passthrough = network.add_lut(pis[:2], _B)
+        constant = network.add_lut(pis[1:], true)
+        luts = [(passthrough, pis[:2], _B), (constant, pis[1:], true)]
+        for fanins, table in [
+            ((pis[0], passthrough), _A & ~_B),
+            ((passthrough, pis[2]), _A | ~_B),
+            ((constant, pis[0]), _A & _B),
+            ((pis[2], constant), _A | _B),
+        ]:
+            luts.append((network.add_lut(fanins, table), fanins, table))
+        fanins = [node for node, _fanins, _table in luts[2:5]]
+        mux = TruthTable.from_function(lambda a, b, c: b if c else a, 3)
+        luts.append((network.add_lut(fanins, mux), fanins, mux))
+        simulator = StpSimulator(network)
+        assert simulator._registers[passthrough] == 3 and simulator._registers[constant] == 1
+        assert len(simulator._program) == 5
+        patterns = PatternSet.random(3, num_patterns, seed=num_patterns + 3)
+        words = {pi: patterns.input_word(position) for position, pi in enumerate(pis)}
+        result = simulator.simulate_all(patterns)
+        for node, fanins, table in luts:
+            words[node] = _lookup_signature(table, [words[fanin] for fanin in fanins], num_patterns)
+            assert result.signature(node) == words[node], node
+
+
+@pytest.fixture(scope="module")
+def epfl_maps():
+    maps = []
+    for name in EPFL_BENCHMARKS:
+        aig = epfl_benchmark(name)
+        maps.append((name, aig, map_aig_to_klut(aig, k=6)[0], map_aig_to_klut(aig, k=2)[0]))
+    return maps
+
+
+class TestEpflMaps:
+    """Every node of the EPFL profiles' 6- and 2-LUT maps against the per-pattern simulator."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_node_matches_per_pattern_and_aig(self, epfl_maps, seed):
+        for name, aig, *maps in epfl_maps:
+            patterns = PatternSet.random(aig.num_pis, 100, seed=seed)
+            aig_outputs = aig_po_signatures(aig, simulate_aig(aig, patterns))
+            for network in maps:
+                stp = StpSimulator(network).simulate_all(patterns)
+                assert stp.signatures.keys() == set(network.nodes()), name
+                assert stp.signatures == simulate_klut_per_pattern(network, patterns).signatures, name
+                assert klut_po_signatures(network, stp) == aig_outputs, name
 
 
 class TestCutTruthTables:
