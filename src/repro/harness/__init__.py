@@ -2,8 +2,9 @@
 
 ``repro-table1`` / :mod:`repro.harness.table1` regenerates the simulator
 comparison (Table I) and ``repro-table2`` / :mod:`repro.harness.table2`
-the SAT-sweeper comparison (Table II).  Both are also exercised, at small
-pattern counts, by the pytest-benchmark targets under ``benchmarks/``.
+the SAT-sweeper comparison (Table II).  The repository benchmark,
+``perfbench/run.py``, times both tables' kernels (its ``simulate_epfl``
+and ``sweep_epfl`` workloads); see ``perfbench/README.md``.
 The command-line entry points live in :mod:`repro.harness.cli`, which the
 package does not import, so ``python -m repro.harness.cli`` runs it once.
 """

@@ -76,10 +76,10 @@ def _collect(
 
     Waits for the next completion at most ``timeout`` seconds (``None``:
     forever).  When that passes with no region completing, the wave has
-    stalled: every unfinished job is cancelled and comes back as
-    ``worker_timeout``.  A region is thus timed out only after it has
-    run ``timeout`` seconds since its worker slot freed up, however many
-    regions queued before it.
+    stalled: every unfinished job comes back as ``worker_timeout``, and
+    the caller disposes of its future.  A region is thus timed out only
+    after it has run ``timeout`` seconds since its worker slot freed up,
+    however many regions queued before it.
 
     Also returns the indices whose job broke with the pool (hard worker
     death, reported ``worker_crashed``) and the unfinished indices in
@@ -108,7 +108,6 @@ def _collect(
                 )
     unfinished = sorted(index_of[future] for future in pending)
     for index in unfinished:
-        futures[index].cancel()
         outcomes[index] = _failure(
             payloads[index], "worker_timeout", f"no region completed within {timeout}s"
         )
@@ -171,9 +170,13 @@ class ThreadExecutor:
         self, payloads: list[dict[str, Any]], timeout: float | None = None
     ) -> list[dict[str, Any]]:
         futures = [self._pool.submit(run_partition_job, payload) for payload in payloads]
+        outcomes, _broken, unfinished = _collect(futures, payloads, timeout)
         # Threads cannot be killed, so regions queued behind hung
-        # workers would never run: they time out with them.
-        return _collect(futures, payloads, timeout)[0]
+        # workers would never run: they time out with them, and their
+        # jobs are cancelled so that they never start.
+        for index in unfinished:
+            futures[index].cancel()
+        return outcomes
 
     def close(self) -> None:
         self._pool.shutdown(wait=False, cancel_futures=True)
@@ -227,7 +230,12 @@ class ProcessExecutor:
         futures = [pool.submit(run_partition_job, payload) for payload in payloads]
         outcomes, broken, unfinished = _collect(futures, payloads, timeout)
         if broken or unfinished:
-            # A dead worker broke the pool, or hung ones occupy it.
+            # A dead worker broke the pool, or hung ones occupy it.  The
+            # queued futures are not cancelled here: the pool's shutdown
+            # drops them from its pending work items.  One cancelled
+            # while still pending there makes the broken-pool path's
+            # ``set_exception`` raise ``InvalidStateError`` in the pool's
+            # manager thread.
             self._kill_pool()
         # Regions queued behind the hung ones never ran: run them again.
         unstarted = unfinished[self.jobs :]

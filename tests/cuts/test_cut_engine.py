@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.circuits import epfl_benchmark
 from repro.circuits.random_logic import random_aig
 from repro.cuts import (
     Cut,
@@ -165,6 +166,15 @@ class TestCutFunctionCache:
         engine.enumerate_all()
         assert engine.cache.hits > engine.cache.misses
         assert 0.0 < engine.cache.hit_rate < 1.0
+
+    @pytest.mark.parametrize("name", ["adder", "sin", "max", "mem_ctrl"])
+    def test_cache_answers_most_merges_on_epfl_profiles(self, name):
+        # Real netlists repeat local structure; the cache must answer a
+        # large share of the merges even on the seeded-random control
+        # profile mem_ctrl.
+        engine = CutEngine(epfl_benchmark(name), k=6)
+        engine.enumerate_all()
+        assert engine.cache.hit_rate > 0.4, f"{name}: hit rate {engine.cache.hit_rate:.1%}"
 
     def test_shared_cache_across_engines(self):
         aig = random_aig(num_pis=5, num_gates=25, num_pos=2, seed=9)

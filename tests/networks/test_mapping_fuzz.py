@@ -4,11 +4,13 @@ Every mapped KLUT network is equivalence-checked against its source AIG
 by word-parallel simulation -- exhaustively, since the fuzz circuits
 have few enough inputs that the exhaustive pattern set is exact -- and
 the area-recovery passes are checked never to increase the mapped depth
-or the LUT count relative to the depth-oriented first pass.
+or the LUT count relative to the depth-oriented first pass.  On small
+EPFL profiles area recovery must strictly shrink the mapping.
 """
 
 import pytest
 
+from repro.circuits import epfl_benchmark
 from repro.circuits.random_logic import random_aig
 from repro.networks.mapping import technology_map
 from repro.simulation import (
@@ -23,9 +25,10 @@ from repro.simulation import (
 FUZZ_SEEDS = list(range(40))
 
 
-def _assert_equivalent(aig, network):
-    """Word-parallel exhaustive equivalence check of a mapping."""
-    patterns = PatternSet.exhaustive(aig.num_pis)
+def _assert_equivalent(aig, network, patterns=None):
+    """Word-parallel equivalence check of a mapping (exhaustive by default)."""
+    if patterns is None:
+        patterns = PatternSet.exhaustive(aig.num_pis)
     aig_signatures = aig_po_signatures(aig, simulate_aig(aig, patterns))
     klut_signatures = klut_po_signatures(network, simulate_klut_per_pattern(network, patterns))
     assert aig_signatures == klut_signatures
@@ -46,6 +49,16 @@ def test_mapping_fuzz(seed):
     assert full.stats.num_luts <= depth_only.stats.num_luts
     assert full.stats.depth <= depth_only.stats.depth
     assert full.network.max_fanin_size() <= k
+
+
+@pytest.mark.parametrize("name", ["ctrl", "adder", "router", "cavlc"])
+def test_area_recovery_strictly_shrinks_epfl_mappings(name):
+    aig = epfl_benchmark(name)
+    depth_only = technology_map(aig, k=6, area_rounds=0)
+    full = technology_map(aig, k=6)
+    _assert_equivalent(aig, full.network, PatternSet.random(aig.num_pis, 256, 11))
+    assert full.stats.num_luts < depth_only.stats.num_luts
+    assert full.stats.depth <= depth_only.stats.depth
 
 
 @pytest.mark.parametrize("area_rounds", [0, 1, 2])

@@ -69,6 +69,16 @@ def test_repeated_runs_are_reproducible() -> None:
     assert structural_hash(first) == structural_hash(second)
 
 
+def test_solver_windows_do_not_change_a_fraig_result() -> None:
+    """Retiring each region's solver window every two queries changes no merge."""
+    aig = epfl_benchmark("mem_ctrl")
+    fresh, _ = partition_optimize(aig, "fraig", jobs=1, max_gates=300)
+    windowed, report = partition_optimize(aig, "fraig", jobs=1, max_gates=300, window_size=2)
+    details = report.as_details()
+    assert details["sat_windows_opened"] > report.regions_built
+    assert structural_hash(windowed) == structural_hash(fresh)
+
+
 def test_choice_merge_keeps_subject_graph_and_records_choices() -> None:
     aig = epfl_benchmark("int2float")
     optimized, report = partition_optimize(aig, "rw", jobs=1, max_gates=80, merge="choice")

@@ -307,16 +307,33 @@ def test_real_process_crash_restarts_pool_and_degrades_gracefully():
 
 
 def test_hung_process_workers_are_killed_and_queued_regions_rerun(monkeypatch):
-    """Both spawned workers hang: their regions time out, the queue behind them still runs."""
+    """Both spawned workers hang: their regions time out, the queue behind them still runs.
+
+    The futures still queued when the pool is killed must not be
+    cancelled: killing the workers breaks the pool, and the broken-pool
+    path sets an exception on every pending future, which raises
+    ``InvalidStateError`` in the pool's manager thread for a cancelled one.
+    """
     from repro.partition.pool import ProcessExecutor
 
     monkeypatch.setattr(parallel_module, "_TIMEOUT_GRACE", 5.0)
     aig = _workload(7)
     regions = partition_network(aig, max_gates=MAX_GATES)
     eligible = [region.index for region in regions if region.outputs]
-    assert len(eligible) >= 4
+    # Two held by the hung workers, three in the call queue, the rest
+    # pending in the pool's work items.
+    assert len(eligible) >= 6
     hung = set(eligible[:2])
     executor = ProcessExecutor(2)
+    pending_at_kill: list[tuple[int, int]] = []
+    kill_pool = executor._kill_pool
+
+    def inspect_then_kill_pool() -> None:
+        futures = [item.future for item in executor._pool._pending_work_items.values()]
+        pending_at_kill.append((len(futures), sum(future.cancelled() for future in futures)))
+        kill_pool()
+
+    monkeypatch.setattr(executor, "_kill_pool", inspect_then_kill_pool)
     try:
         optimized, report = partition_optimize(
             aig,
@@ -331,6 +348,8 @@ def test_hung_process_workers_are_killed_and_queued_regions_rerun(monkeypatch):
     finally:
         executor.close()
     assert report.worker_restarts == 1
+    [(pending, cancelled)] = pending_at_kill
+    assert pending > 5 and cancelled == 0, pending_at_kill
     by_index = {region.index: region for region in report.regions}
     for index in eligible:
         if index in hung:

@@ -8,11 +8,13 @@ representative up to the recorded phase, ``compute_choices`` must leave
 the PO-reachable subject logic structurally identical to the input's,
 and mapping from a choice network must produce a k-LUT network that is
 exhaustively equivalent to the source AIG and never worse than mapping
-without the choices.
+without the choices.  On small EPFL profiles the choices must make the
+mapping strictly smaller.
 """
 
 import pytest
 
+from repro.circuits import epfl_benchmark
 from repro.circuits.random_logic import random_aig
 from repro.circuits.sweep_workloads import inject_redundancy
 from repro.networks import Aig, cleanup_dangling, structural_hash, technology_map
@@ -43,6 +45,13 @@ def _workload(seed: int) -> Aig:
         seed=seed + 1,
     )
     return workload
+
+
+def _assert_simulates_like(aig: Aig, network, patterns: PatternSet) -> None:
+    """Word-parallel check of a mapping against its source AIG."""
+    aig_signatures = aig_po_signatures(aig, simulate_aig(aig, patterns))
+    klut_signatures = klut_po_signatures(network, simulate_klut_per_pattern(network, patterns))
+    assert aig_signatures == klut_signatures
 
 
 def _exhaustive_node_values(aig: Aig, assignment: int) -> dict[int, bool]:
@@ -112,10 +121,16 @@ def test_choice_mapping_is_verified_and_never_worse(seed):
     assert chosen.stats.num_luts <= plain.stats.num_luts
     assert chosen.stats.depth <= plain.stats.depth
     assert not chosen.network.has_choices  # the mapped network is choice-free
-    # exhaustive word-parallel verification against the source AIG
-    patterns = PatternSet.exhaustive(workload.num_pis)
-    aig_signatures = aig_po_signatures(workload, simulate_aig(workload, patterns))
-    klut_signatures = klut_po_signatures(
-        chosen.network, simulate_klut_per_pattern(chosen.network, patterns)
-    )
-    assert aig_signatures == klut_signatures
+    _assert_simulates_like(workload, chosen.network, PatternSet.exhaustive(workload.num_pis))
+
+
+@pytest.mark.parametrize("name", ["ctrl", "adder", "router", "cavlc"])
+def test_choice_mapping_strictly_shrinks_epfl_mappings(name):
+    aig = epfl_benchmark(name)
+    augmented, report = compute_choices(aig)
+    assert report.choice_alternatives >= report.choice_classes > 0
+    plain = technology_map(aig, k=6)
+    chosen = technology_map(augmented, k=6)
+    assert chosen.stats.num_luts < plain.stats.num_luts
+    assert chosen.stats.depth <= plain.stats.depth
+    _assert_simulates_like(aig, chosen.network, PatternSet.random(aig.num_pis, 256, 7))

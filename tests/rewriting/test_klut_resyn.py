@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.circuits import epfl_benchmark
 from repro.circuits.arithmetic import ripple_carry_adder
 from repro.circuits.random_logic import random_aig
 from repro.networks import KLutNetwork, map_aig_to_klut, technology_map
@@ -114,6 +115,17 @@ class TestOnMappedNetworks:
         assert result.num_luts <= mapped.num_luts
         assert report.nodes_visited > 0
         patterns = PatternSet.random(aig.num_pis, 128, 5)
+        assert aig_po_signatures(aig, simulate_aig(aig, patterns)) == klut_po_signatures(
+            result, simulate_klut_per_pattern(result, patterns)
+        )
+
+    @pytest.mark.parametrize("name", ["cavlc", "int2float", "sin"])
+    def test_shrinks_epfl_mappings(self, name):
+        aig = epfl_benchmark(name)
+        mapped = technology_map(aig, k=6).network
+        result, _report = lut_resynthesize(mapped, k=6)
+        assert result.num_luts < mapped.num_luts
+        patterns = PatternSet.random(aig.num_pis, 256, 7)
         assert aig_po_signatures(aig, simulate_aig(aig, patterns)) == klut_po_signatures(
             result, simulate_klut_per_pattern(result, patterns)
         )

@@ -197,6 +197,7 @@ class TestFlowQuality:
 
     def test_resyn_reduces_arithmetic(self):
         aig = ripple_carry_adder(width=12)
-        result, flow = optimize(aig, "resyn", verify=True)
-        assert flow.verified is True
-        assert result.num_ands < aig.num_ands
+        for script in ("resyn", "resyn2"):
+            result, flow = optimize(aig, script, verify=True)
+            assert flow.verified is True, script
+            assert result.num_ands < aig.num_ands, script

@@ -4,7 +4,8 @@ import pytest
 
 from repro.circuits import epfl_benchmark
 from repro.circuits.arithmetic import ripple_carry_adder
-from repro.circuits.sweep_workloads import inject_redundancy
+from repro.circuits.sweep_workloads import inject_redundancy, sweep_workload
+from repro.harness import geometric_mean
 from repro.networks import Aig
 from repro.sweeping import (
     FraigSweeper,
@@ -71,8 +72,15 @@ class TestStpSweeper:
 
     def test_without_sat_guided_patterns(self):
         workload = _workload(seed=15)
-        swept, _stats = StpSweeper(workload, num_patterns=32, use_sat_guided_patterns=False).run()
+        swept, stats = StpSweeper(workload, num_patterns=32, use_sat_guided_patterns=False).run()
         assert check_combinational_equivalence(workload, swept)
+        # Every node of this 12-input workload has an exhaustive table, so
+        # without SAT-guided patterns the tables prove every merge, the
+        # non-constant ones included, and SAT is never called.
+        assert stats.total_sat_calls == 0
+        assert stats.extra["exhaustive_proofs"] == stats.merges > stats.constant_merges
+        _swept, guided = StpSweeper(workload, num_patterns=32).run()
+        assert guided.total_sat_calls > 0
 
     def test_small_window_still_correct(self):
         workload = _workload(seed=17)
@@ -98,8 +106,28 @@ class TestStpSweeper:
     @pytest.mark.parametrize("tfi_limit", [10, 1000])
     def test_tfi_limit_variations(self, tfi_limit):
         workload = _workload(seed=19)
-        swept, _stats = StpSweeper(workload, num_patterns=32, tfi_limit=tfi_limit).run()
+        swept, stats = StpSweeper(workload, num_patterns=32, tfi_limit=tfi_limit).run()
         assert check_combinational_equivalence(workload, swept)
+        assert stats.merges > 0
+
+
+def test_table2_sat_call_shape():
+    """The SAT-call columns of Table II: the STP sweeper issues fewer
+    satisfiable SAT calls and at most as many total calls as the baseline
+    (geometric mean over three Table II rows); the result sizes agree."""
+    satisfiable_ratios = []
+    total_ratios = []
+    for name in ("beemfwt4b1", "leon2", "b18"):
+        workload = sweep_workload(name)
+        swept_base, stats_base = FraigSweeper(workload, num_patterns=64).run()
+        swept_stp, stats_stp = StpSweeper(workload, num_patterns=64).run()
+        assert swept_stp.num_ands == swept_base.num_ands, name
+        satisfiable_ratios.append(
+            max(stats_stp.satisfiable_sat_calls, 1) / max(stats_base.satisfiable_sat_calls, 1)
+        )
+        total_ratios.append(max(stats_stp.total_sat_calls, 1) / max(stats_base.total_sat_calls, 1))
+    assert geometric_mean(satisfiable_ratios) < 1.0
+    assert geometric_mean(total_ratios) <= 1.05
 
 
 class TestDanglingSkip:

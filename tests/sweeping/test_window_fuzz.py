@@ -9,11 +9,13 @@ networks.  This holds because the CDCL core's models are nearly
 query-order independent (phases reset to the default polarity at every
 ``solve``) and because merge decisions are semantic: whatever
 counterexample a disproof yields, refinement converges on the same
-equivalence classes.
+equivalence classes.  Two EPFL profiles check the same identity at real
+scale, and that the persistent window is reused for nearly every query.
 """
 
 import pytest
 
+from repro.circuits import epfl_benchmark
 from repro.circuits.random_logic import random_aig
 from repro.circuits.sweep_workloads import inject_redundancy
 from repro.networks import Aig
@@ -79,3 +81,14 @@ class TestWindowedSolverMatchesOracle:
             assert _structure(swept) == _structure(reference), (seed, window_size)
             if stats.total_sat_calls > window_size:
                 assert stats.solver_statistics["windows_opened"] > 1, (seed, window_size)
+
+    @pytest.mark.parametrize("name", ["cavlc", "i2c"])
+    def test_epfl_fraig_reuses_one_window(self, name):
+        """On real profiles the persistent window answers nearly every query."""
+        persistent, stats = FraigSweeper(epfl_benchmark(name), window_size=None).run()
+        oracle, _stats = FraigSweeper(epfl_benchmark(name), window_size=1).run()
+        assert _structure(persistent) == _structure(oracle), name
+        assert stats.total_sat_calls >= 10, name
+        reuses = stats.solver_statistics["window_reuses"]
+        reuse_rate = reuses / max(1, reuses + stats.solver_statistics["windows_opened"])
+        assert reuse_rate > 0.9, f"{name}: window reuse rate only {reuse_rate:.2f}"
