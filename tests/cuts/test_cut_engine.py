@@ -16,6 +16,7 @@ from repro.cuts import (
 )
 from repro.networks import Aig
 from repro.rewriting import compute_choices
+from repro.simulation import PatternSet, simulate_aig
 from repro.truthtable import TruthTable
 
 
@@ -293,3 +294,54 @@ class TestMergeCutSetsOracle:
             assert result.keys() == expected.keys()
             for node, cuts in expected.items():
                 assert _signature(result[node]) == _signature(cuts), (seed, node)
+
+
+def _cut_output(cut, result):
+    """The cut's table applied word-parallel to its leaves' simulated signatures."""
+    mask = result.mask
+    leaves = [result.signature(leaf) for leaf in cut.leaves]
+    output = 0
+    for minterm in range(1 << len(leaves)):
+        if cut.table.value_at(minterm):
+            word = mask
+            for position, signature in enumerate(leaves):
+                word &= signature if minterm >> position & 1 else ~signature
+            output |= word
+    return output & mask
+
+
+class TestEpflEnumeration:
+    """Whole-network enumeration at k = 6, every fifth gate's cuts checked by simulation."""
+
+    @pytest.mark.parametrize("with_tables", [False, True], ids=["plain", "fused-tables"])
+    def test_enumeration_on_sin(self, with_tables):
+        aig = epfl_benchmark("sin")
+        db = CutEngine(aig, k=6, compute_tables=with_tables).enumerate_all()
+        assert len(db) > aig.num_ands
+        if not with_tables:
+            assert all(cut.table is None for cuts in db.values() for cut in cuts)
+            fused = CutEngine(aig, k=6).enumerate_all()
+            assert {node: [cut.leaves for cut in cuts] for node, cuts in db.items()} == {
+                node: [cut.leaves for cut in cuts] for node, cuts in fused.items()
+            }
+            return
+        result = simulate_aig(aig, PatternSet.random(aig.num_pis, 64, seed=2))
+        for node in list(aig.gates())[::5]:
+            for cut in db[node]:
+                assert cut.size <= 6
+                assert _cut_output(cut, result) == result.signature(node), (node, cut.leaves)
+
+    @pytest.mark.parametrize("use_choices", [False, True], ids=["plain", "choice-aware"])
+    def test_enumeration_over_choices_on_max(self, use_choices):
+        augmented, _report = compute_choices(epfl_benchmark("max"))
+        db = CutEngine(augmented, k=6, use_choices=use_choices).enumerate_all()
+        assert len(db) > augmented.num_ands
+        result = simulate_aig(augmented, PatternSet.random(augmented.num_pis, 64, seed=2))
+        borrowed = 0
+        for node in list(augmented.gates())[::5]:
+            cone = set(augmented.tfi([node]))
+            for cut in db[node]:
+                assert _cut_output(cut, result) == result.signature(node), (node, cut.leaves)
+                borrowed += not set(cut.leaves) <= cone
+        # Only class-merged sets hold cuts taken from another member's cone.
+        assert (borrowed > 0) == use_choices

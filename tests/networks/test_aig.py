@@ -414,3 +414,49 @@ class TestPropertyBased:
             base = expressions[Aig.regular(output)](values) if Aig.regular(output) != 0 else False
             expected = base ^ Aig.is_complemented(output)
             assert aig.evaluate(values) == [expected]
+
+
+def _assert_topological(aig: Aig, order: list[int]) -> None:
+    assert sorted(order) == sorted(aig.gates())
+    position = {node: i for i, node in enumerate(order)}
+    for node in order:
+        for fanin in aig.fanin_nodes(node):
+            if aig.is_and(fanin):
+                assert position[fanin] < position[node]
+
+
+def test_chained_substitutions_on_sin_keep_the_indexes():
+    """Substituting every seventh gate of ``sin``'s second half by its first fanin."""
+    from repro.circuits import epfl_benchmark
+
+    base = epfl_benchmark("sin")
+    aig = base.clone()
+    gates = list(aig.gates())
+    substituted = []
+    for gate in gates[len(gates) // 2 :: 7]:
+        fanin0, _ = aig.fanins(gate)
+        if Aig.node_of(fanin0) != gate:
+            aig.substitute(gate, fanin0)
+            substituted.append(gate)
+    assert len(substituted) > 50
+    assert aig.num_ands == base.num_ands  # substitution never deletes nodes
+    assert aig.fanout_counts() == fanout_counts_impl(aig)
+    po_nodes = {Aig.node_of(po) for po in aig.pos}
+    for gate in substituted:
+        assert aig.fanouts(gate) == [] and gate not in po_nodes, gate
+    _assert_topological(aig, aig.topological_order())
+
+
+def test_topological_order_cache_on_sin():
+    """Fifty cached answers, one substitution, fifty more: each a valid order."""
+    from repro.circuits import epfl_benchmark
+
+    aig = epfl_benchmark("sin").clone()
+    first = aig.topological_order()
+    _assert_topological(aig, first)
+    assert all(aig.topological_order() == first for _ in range(50))
+    gate = max(aig.gates())
+    aig.substitute(gate, aig.fanins(gate)[0])
+    second = aig.topological_order()
+    _assert_topological(aig, second)
+    assert all(aig.topological_order() == second for _ in range(50))

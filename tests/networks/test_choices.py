@@ -260,3 +260,31 @@ class TestChoiceTraversalAndCleanup:
                 if representative == node:
                     continue
                 assert (node_values[node] ^ cleaned.choice_phase(node)) == node_values[representative]
+
+
+def test_associative_alternatives_on_max():
+    """Record ``(g0 & g1) & f1 = g0 & (g1 & f1)`` at every gate of ``max`` where it applies."""
+    from repro.circuits import epfl_benchmark
+    from repro.simulation import PatternSet, simulate_aig
+
+    aig = epfl_benchmark("max").clone()
+    recorded = 0
+    for node in aig.topological_order():
+        fanin0, fanin1 = aig.fanins(node)
+        if fanin0 & 1 or not aig.is_and(fanin0 >> 1):
+            continue
+        g0, g1 = aig.fanins(fanin0 >> 1)
+        alternative = aig.add_and(g0, aig.add_and(g1, fanin1))
+        if alternative >> 1 == node:
+            continue
+        if aig.add_choice(node, alternative):
+            recorded += 1
+    assert recorded > 0
+    assert aig.num_choice_classes > 0
+    result = simulate_aig(aig, PatternSet.random(aig.num_pis, 128, seed=4))
+    order = aig.choice_topological_order()
+    assert sorted(order) == sorted(aig.gates())
+    for node in aig.gates():
+        representative = aig.choice_repr(node)
+        phase = result.mask if aig.choice_phase(node) else 0
+        assert result.signature(node) ^ phase == result.signature(representative), node

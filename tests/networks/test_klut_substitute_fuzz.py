@@ -18,8 +18,9 @@ import random
 
 import pytest
 
+from repro.circuits import epfl_benchmark
 from repro.circuits.random_logic import random_aig
-from repro.networks import cleanup_dangling, map_aig_to_klut
+from repro.networks import cleanup_dangling, map_aig_to_klut, technology_map
 from repro.networks.traversal import fanout_counts as fanout_counts_oracle
 from repro.simulation import (
     PatternSet,
@@ -110,3 +111,34 @@ def test_klut_replace_fanin_fuzz(seed):
     assert network.replace_fanin(gate, fanin, replica)
     _assert_bookkeeping_consistent(network)
     _assert_equivalent(aig, network)
+
+
+@pytest.mark.parametrize("name", ["sin", "mem_ctrl"])
+def test_replica_burst_on_an_epfl_mapping(name):
+    """Every referenced LUT of an EPFL profile's 6-LUT map replaced by a replica."""
+    aig = epfl_benchmark(name)
+    network = technology_map(aig, k=6).network.clone()
+    rewritten = 0
+    replaced = []
+    for node in network.topological_order():
+        if network.fanout_count(node) == 0:
+            continue
+        replica = network.add_lut(network.lut_fanins(node), network.lut_function(node))
+        rewritten += network.substitute(node, replica)
+        replaced.append(node)
+    assert rewritten >= len(replaced) > 0
+    assert all(network.fanout_count(node) == 0 for node in replaced)
+    oracle = fanout_counts_oracle(network.nodes(), network.gate_fanin_nodes, network.po_nodes())
+    assert network.fanout_counts() == oracle
+    patterns = PatternSet.random(aig.num_pis, 256, 3)
+    assert aig_po_signatures(aig, simulate_aig(aig, patterns)) == klut_po_signatures(
+        network, simulate_klut_per_pattern(network, patterns)
+    )
+
+
+def test_fanout_counts_of_an_epfl_mapping_match_the_recount():
+    network = technology_map(epfl_benchmark("mem_ctrl"), k=6).network
+    oracle = fanout_counts_oracle(network.nodes(), network.gate_fanin_nodes, network.po_nodes())
+    assert [network.fanout_count(node) for node in network.luts()] == [
+        oracle[node] for node in network.luts()
+    ]

@@ -126,3 +126,24 @@ def test_shared_cache_reuse_across_runs():
     # The second, identical run answers every merge from the cache.
     assert cache.misses == misses_first
     assert cache.hits > hits_first
+
+
+@pytest.mark.parametrize("name", ["adder", "sin"])
+def test_depth_only_mapping_on_epfl(name):
+    aig = epfl_benchmark(name)
+    result = technology_map(aig, k=6, area_rounds=0)
+    assert result.stats.num_luts == result.network.num_luts > 0
+    assert result.stats.depth == result.network.depth()
+    assert result.network.max_fanin_size() <= 6
+    _assert_equivalent(aig, result.network, PatternSet.random(aig.num_pis, 128, 11))
+
+
+@pytest.mark.parametrize("name", ["adder", "sin", "max", "mem_ctrl"])
+def test_multi_pass_mapping_on_epfl(name):
+    aig = epfl_benchmark(name)
+    depth_only = technology_map(aig, k=6, area_rounds=0)
+    full = technology_map(aig, k=6, area_rounds=2)
+    assert 0 < full.stats.num_luts <= depth_only.stats.num_luts
+    assert full.stats.depth <= depth_only.stats.depth
+    assert full.network.max_fanin_size() <= 6
+    _assert_equivalent(aig, full.network, PatternSet.random(aig.num_pis, 128, 11))

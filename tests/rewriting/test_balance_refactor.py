@@ -110,3 +110,29 @@ class TestRefactor:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             refactor(ripple_carry_adder(width=2), max_leaves=1)
+
+
+def _simulates_like(a: Aig, b: Aig) -> bool:
+    from repro.simulation import PatternSet, aig_po_signatures, simulate_aig
+
+    patterns = PatternSet.exhaustive(a.num_pis)
+    return aig_po_signatures(a, simulate_aig(a, patterns)) == aig_po_signatures(b, simulate_aig(b, patterns))
+
+
+def test_balance_on_sin():
+    from repro.circuits import epfl_benchmark
+
+    aig = epfl_benchmark("sin")
+    result, _report = balance(aig)
+    assert result.num_ands <= aig.num_ands
+    assert result.depth() <= aig.depth()
+    assert _simulates_like(aig, result)
+
+
+def test_refactor_on_sin():
+    from repro.circuits import epfl_benchmark
+
+    aig = epfl_benchmark("sin")
+    result, _report = refactor(aig)
+    assert result.num_ands <= aig.num_ands
+    assert _simulates_like(aig, result)

@@ -134,3 +134,31 @@ def test_choice_mapping_strictly_shrinks_epfl_mappings(name):
     assert chosen.stats.num_luts < plain.stats.num_luts
     assert chosen.stats.depth <= plain.stats.depth
     _assert_simulates_like(aig, chosen.network, PatternSet.random(aig.num_pis, 256, 7))
+
+
+@pytest.mark.parametrize("name", ["adder", "max", "cavlc"])
+def test_compute_choices_on_epfl(name):
+    aig = epfl_benchmark(name)
+    augmented, report = compute_choices(aig)
+    assert augmented.num_choice_classes == report.choice_classes > 0
+    assert report.choice_alternatives >= report.choice_classes
+    # additive: the subject logic is untouched
+    assert augmented.num_pis == aig.num_pis
+    assert augmented.pos == aig.pos
+    result = simulate_aig(augmented, PatternSet.random(aig.num_pis, 256, 5))
+    members = [node for node in augmented.gates() if augmented.choice_repr(node) != node]
+    assert len(members) >= report.choice_alternatives
+    for node in members:
+        phase = result.mask if augmented.choice_phase(node) else 0
+        assert result.signature(node) ^ phase == result.signature(augmented.choice_repr(node)), node
+
+
+@pytest.mark.parametrize("name", ["adder", "max", "cavlc"])
+def test_choice_aware_mapping_on_epfl(name):
+    aig = epfl_benchmark(name)
+    augmented, _report = compute_choices(aig)
+    result = technology_map(augmented, k=6)
+    assert result.stats.choice_classes > 0
+    assert result.stats.used_choices > 0
+    assert not result.network.has_choices
+    _assert_simulates_like(aig, result.network, PatternSet.random(aig.num_pis, 256, 7))

@@ -130,6 +130,19 @@ class TestOnMappedNetworks:
             result, simulate_klut_per_pattern(result, patterns)
         )
 
+    @pytest.mark.parametrize("name", ["sin", "mem_ctrl"])
+    def test_resynthesis_pass_on_epfl(self, name):
+        aig = epfl_benchmark(name)
+        mapped = technology_map(aig, k=6).network
+        result, report = lut_resynthesize(mapped, k=6)
+        assert result.num_luts <= mapped.num_luts
+        assert result.max_fanin_size() <= 6
+        assert report.nodes_visited > 0
+        patterns = PatternSet.random(aig.num_pis, 256, 7)
+        assert aig_po_signatures(aig, simulate_aig(aig, patterns)) == klut_po_signatures(
+            result, simulate_klut_per_pattern(result, patterns)
+        )
+
     def test_no_dangling_nodes_after_pass(self):
         aig = random_aig(num_pis=6, num_gates=60, num_pos=3, seed=5)
         network, _ = map_aig_to_klut(aig, k=4)

@@ -150,3 +150,13 @@ class TestDecompositionSynthesis:
         structure = synthesize_structure(table)
         assert structure.truth_table() == table
         assert structure.num_gates <= 4  # XOR shape, not two separate cones
+
+
+def test_cold_library_builds_the_optimal_and_or():
+    """A fresh library enumerates the class of ``ab + cd`` and answers it with 3 gates."""
+    library = RewriteLibrary()
+    function = TruthTable.from_function(lambda a, b, c, d: (a and b) or (c and d), 4)
+    structure = library.structure(function)
+    assert library.num_cached_classes >= 1
+    assert structure.truth_table() == function
+    assert structure.num_gates == 3

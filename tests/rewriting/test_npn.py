@@ -186,3 +186,20 @@ class TestByteTableGather:
         assert forward[0] == backward[0]
         assert forward[1] != backward[1]
         assert npn_canonicalize(and3) == forward
+
+
+def test_cold_cache_gives_the_memoised_answers():
+    """512 random 4-input functions canonicalised warm, then again after the memo is dropped."""
+    from repro.rewriting import npn as npn_module
+
+    rng = random.Random(3)
+    tables = [TruthTable(4, rng.getrandbits(16)) for _ in range(512)]
+    warm = [npn_canonicalize(table) for table in tables]
+    npn_module._canonical_cache.clear()
+    cold = [npn_canonicalize(table) for table in tables]
+    assert [(rep.bits, transform) for rep, transform in cold] == [
+        (rep.bits, transform) for rep, transform in warm
+    ]
+    for table, (representative, transform) in zip(tables, cold):
+        assert apply_npn_transform(table, transform) == representative
+    assert 1 < len({representative.bits for representative, _ in cold}) <= 222

@@ -201,3 +201,25 @@ class TestFlowQuality:
             result, flow = optimize(aig, script, verify=True)
             assert flow.verified is True, script
             assert result.num_ands < aig.num_ands, script
+
+
+@pytest.mark.parametrize("name", ["adder", "sin", "max"])
+def test_rw_fraig_beats_fraig_only_on_epfl(name):
+    """``rw; fraig`` ends on fewer gates than ``fraig`` alone on EPFL profiles."""
+    from repro.circuits import epfl_benchmark
+    from repro.sweeping import check_combinational_equivalence
+
+    aig = epfl_benchmark(name)
+    fraig_only, _stats = fraig_sweep(aig, num_patterns=32)
+    flowed, _flow = PassManager("rw; fraig", num_patterns=32).run(aig)
+    assert flowed.num_ands < fraig_only.num_ands
+    assert check_combinational_equivalence(aig, flowed, num_random_patterns=256)
+
+
+def test_resyn2_on_the_adder_profile():
+    from repro.circuits import epfl_benchmark
+
+    aig = epfl_benchmark("adder")
+    result, flow = optimize(aig, "resyn2", verify=True)
+    assert flow.verified is True
+    assert result.num_ands < aig.num_ands

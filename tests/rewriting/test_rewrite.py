@@ -109,3 +109,14 @@ class TestRewriteOnMutatedNetworks:
         aig = random_aig(num_pis=12, num_gates=300, num_pos=8, seed=33)
         result, _ = rewrite(aig)
         assert check_combinational_equivalence(aig, result)
+
+
+@pytest.mark.parametrize("name", ["adder", "sin"])
+def test_rewrite_pass_on_epfl(name):
+    from repro.circuits import epfl_benchmark
+
+    aig = epfl_benchmark(name)
+    result, report = rewrite(aig)
+    assert result.num_ands < aig.num_ands
+    assert report.rewrites_applied > 0
+    assert check_combinational_equivalence(aig, result)

@@ -10,6 +10,7 @@ of SAT/UNSAT/UNKNOWN answers.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -168,3 +169,69 @@ class TestAssumptions:
         assert solver.solve() is (
             SolverResult.SATISFIABLE if bare_sat else SolverResult.UNSATISFIABLE
         )
+
+
+def _random_3cnf(num_vars: int, num_clauses: int, seed: int) -> list[list[int]]:
+    """A fixed random 3-CNF below the phase transition."""
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(num_clauses):
+        variables = rng.sample(range(1, num_vars + 1), 3)
+        clauses.append([v if rng.random() < 0.5 else -v for v in variables])
+    return clauses
+
+
+@pytest.mark.parametrize("mode", ["fresh-per-query", "persistent"])
+def test_forced_literal_queries(mode):
+    """80 queries "is ``-literal`` consistent?": one solver with activators, or one solver each."""
+    clauses = _random_3cnf(num_vars=120, num_clauses=360, seed=11)
+    rng = random.Random(17)
+    queries = [rng.randint(1, 120) * (1 if rng.random() < 0.5 else -1) for _ in range(80)]
+    answers = []
+    if mode == "persistent":
+        solver = CdclSolver()
+        for _ in range(120):
+            solver.new_variable()
+        for clause in clauses:
+            solver.add_clause(clause)
+        for literal in queries:
+            activator = solver.new_variable()
+            solver.add_clause([-activator, -literal])
+            result = solver.solve(assumptions=[activator])
+            answers.append((result, solver.model() if result is SolverResult.SATISFIABLE else None))
+            solver.add_clause([-activator])
+    else:
+        for literal in queries:
+            solver = CdclSolver()
+            for _ in range(120):
+                solver.new_variable()
+            for clause in clauses:
+                solver.add_clause(clause)
+            solver.add_clause([-literal])
+            result = solver.solve()
+            answers.append((result, solver.model() if result is SolverResult.SATISFIABLE else None))
+    assert len(answers) == len(queries)
+    for literal, (result, model) in zip(queries, answers):
+        if result is SolverResult.SATISFIABLE:
+            assert all(any(model[abs(l)] == (l > 0) for l in clause) for clause in clauses)
+            assert model[abs(literal)] != (literal > 0), literal
+        else:
+            formula = CnfFormula(120)
+            for clause in clauses + [[-literal]]:
+                formula.add_clause(clause)
+            assert result is SolverResult.UNSATISFIABLE
+            assert dpll_solve(formula)[0] is False, literal
+
+
+def test_repeated_cores_of_an_implication_chain():
+    """Assuming both ends of ``1 -> 2 -> ... -> 60`` is UNSAT, and the core names exactly them."""
+    solver = CdclSolver()
+    for _ in range(60):
+        solver.new_variable()
+    for v in range(1, 60):
+        solver.add_clause([-v, v + 1])
+    for _ in range(200):
+        assert solver.solve(assumptions=[1, -60]) is SolverResult.UNSATISFIABLE
+        assert sorted(solver.unsat_core()) == [-60, 1]
+    assert solver.solve(assumptions=[1]) is SolverResult.SATISFIABLE
+    assert all(solver.model()[v] for v in range(1, 61))

@@ -184,3 +184,64 @@ class TestAgainstSimulation:
             outcome = solver.prove_equivalence(Aig.literal(node_a), Aig.literal(node_b))
             truly_equal = exhaustive.signature(node_a) == exhaustive.signature(node_b)
             assert outcome.is_equivalent == truly_equal
+
+
+def test_repeated_queries_on_sin_encode_each_gate_once():
+    """Forty equivalence queries on one solver over the ``sin`` profile."""
+    from repro.circuits import epfl_benchmark
+
+    aig = epfl_benchmark("sin")
+    gates = list(aig.gates())
+    pairs = [(gates[i], gates[i + 1]) for i in range(0, 120, 3)]
+    solver = CircuitSolver(aig, conflict_limit=500)
+    counter = _count_gate_clauses(solver)
+    for a, b in pairs:
+        outcome = solver.prove_equivalence(Aig.literal(a), Aig.literal(b), 500)
+        assert outcome.status is not EquivalenceStatus.UNDETERMINED
+    assert solver.num_queries == len(pairs)
+    assert solver._encoded <= _and_gates_in_cones(aig, [node for pair in pairs for node in pair])
+    assert counter["clauses"] == 3 * len(solver._encoded)
+
+
+def test_associative_and_trees_are_equivalent():
+    """One UNSAT proof: a 12-input balanced AND tree against the same AND as a chain."""
+    aig = Aig()
+    pis = [aig.add_pi() for _ in range(12)]
+    left = aig.add_and_multi(pis)
+    right = pis[0]
+    for pi in pis[1:]:
+        right = aig.add_and(right, pi)
+    aig.add_po(left)
+    aig.add_po(right)
+    assert left != right
+    outcome = CircuitSolver(aig).prove_equivalence(left, right)
+    assert outcome.is_equivalent
+    assert not CircuitSolver(aig).prove_equivalence(left, Aig.negate(right)).is_equivalent
+
+
+@pytest.mark.parametrize("name", ["cavlc", "dec", "i2c"])
+@pytest.mark.parametrize("mode", ["fresh-encode", "persistent-window"])
+def test_window_policies_on_epfl(mode, name):
+    """60 sampled gate pairs per profile, each answer checked by simulation."""
+    import random
+
+    from repro.circuits import epfl_benchmark
+
+    aig = epfl_benchmark(name)
+    rng = random.Random(3)
+    gates = list(aig.gates())
+    pairs = [tuple(rng.sample(gates, 2)) for _ in range(60)]
+    solver = CircuitSolver(aig, conflict_limit=1000, window_size=1 if mode == "fresh-encode" else None)
+    result = simulate_aig(aig, PatternSet.random(aig.num_pis, 256, seed=1))
+    for a, b in pairs:
+        outcome = solver.prove_equivalence(Aig.literal(a), Aig.literal(b))
+        assert outcome.status is not EquivalenceStatus.UNDETERMINED
+        if outcome.is_equivalent:
+            assert result.signature(a) == result.signature(b), (a, b)
+        else:
+            witness = simulate_aig(aig, PatternSet.from_patterns([outcome.counterexample]))
+            assert witness.signature(a) != witness.signature(b), (a, b)
+    if mode == "persistent-window":
+        assert solver.window_reuse_rate > 0.9
+    else:
+        assert solver.window_reuses == 0

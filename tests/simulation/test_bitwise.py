@@ -72,3 +72,17 @@ class TestKlutSimulation:
         lut_result = simulate_klut_per_pattern(klut, patterns)
         assert aig_po_signatures(aig, aig_result) == klut_po_signatures(klut, lut_result)
         assert po_signatures(aig, patterns) == po_signatures(klut, patterns) == klut_po_signatures(klut, lut_result)
+
+
+def test_pattern_words_are_independent_on_bar():
+    """1024 patterns in one word equal four 256-pattern slices of them on the ``bar`` profile."""
+    from repro.circuits import epfl_benchmark
+
+    aig = epfl_benchmark("bar")
+    patterns = PatternSet.random(aig.num_pis, 1024, seed=1)
+    full = simulate_aig(aig, patterns)
+    for start in range(0, 1024, 256):
+        block = PatternSet.from_patterns([patterns.pattern(i) for i in range(start, start + 256)])
+        part = simulate_aig(aig, block)
+        for node in aig.gates():
+            assert part.signature(node) == full.signature(node) >> start & block.mask, (start, node)

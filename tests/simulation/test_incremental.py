@@ -49,3 +49,21 @@ class TestIncrementalSimulator:
             incremental.add_pattern((1, 0))
         with pytest.raises(ValueError):
             incremental.add_patterns(PatternSet.random(2, 4))
+
+
+def test_counterexample_refinement_on_priority():
+    """48 counter-examples absorbed one at a time equal one full resimulation."""
+    from repro.circuits import epfl_benchmark
+
+    aig = epfl_benchmark("priority")
+    patterns = PatternSet.random(aig.num_pis, 64, seed=1)
+    simulator = IncrementalAigSimulator(aig, patterns)
+    extended = patterns.copy()
+    for seed in range(48):
+        pattern = tuple((seed >> position) & 1 for position in range(aig.num_pis))
+        simulator.add_pattern(pattern)
+        extended.add_pattern(pattern)
+    full = simulate_aig(aig, extended)
+    assert simulator.num_patterns == 112
+    for node in aig.gates():
+        assert simulator.signature(node) == full.signature(node), node

@@ -600,3 +600,33 @@ class TestWordLevelMatchesGather:
                 expanded = _gather_table(tables[Aig.node_of(fanin)], steps)
                 fanin_tables.append(~expanded if Aig.is_complemented(fanin) else expanded)
             assert tables[node] == fanin_tables[0] & fanin_tables[1]
+
+
+def test_epfl_cut_tables_match_cone_walk():
+    """Cut functions on the ``sin`` profile's 6-LUT map: matrix passes against the cone walk."""
+    network = map_aig_to_klut(epfl_benchmark("sin"), k=6)[0]
+    cuts = simulation_cuts(network, list(network.luts())[::8], limit=8)
+    assert max(len(cut.leaves) for cut in cuts) > 6
+    for cut in cuts:
+        assert cut_truth_table_stp(network, cut) == cut_truth_table(network, cut.root, cut.leaves), cut
+
+
+def test_local_tables_match_simulation_on_priority():
+    """Per-node tables of the ``priority`` profile read back its simulated signatures."""
+    aig = epfl_benchmark("priority")
+    supports = compute_pi_supports(aig, 12)
+    tables = compute_local_truth_tables(aig, 12, supports)
+    patterns = PatternSet.random(aig.num_pis, 256, seed=3)
+    result = simulate_aig(aig, patterns)
+    position = {pi: index for index, pi in enumerate(aig.pis)}
+    checked = 0
+    for node in aig.gates():
+        if tables[node] is None:
+            continue
+        inputs = [position[pi] for pi in supports[node]]
+        for index in range(patterns.num_patterns):
+            pattern = patterns.pattern(index)
+            assignment = sum(pattern[input_] << bit for bit, input_ in enumerate(inputs))
+            assert tables[node].value_at(assignment) == result.value(node, index), (node, index)
+        checked += 1
+    assert 0 < checked < aig.num_ands

@@ -108,3 +108,17 @@ class TestAlgebraicProperties:
     def test_chain_equals_kron_for_column_vectors(self):
         vectors = [bool_to_vector(b) for b in (True, False, True)]
         assert np.array_equal(stp_chain(vectors), kron_chain(vectors))
+
+
+def test_structural_matrix_chain_reads_the_truth_table():
+    """Six STPs of a 6-input LUT's structural matrix with logic vectors
+    select its value: the first factor is the top input."""
+    from repro.truthtable import TruthTable, truth_table_to_structural_matrix
+
+    table = TruthTable(6, 0x123456789ABCDEF0)
+    matrix = truth_table_to_structural_matrix(table)
+    for assignment in range(64):
+        result = matrix
+        for variable in reversed(range(6)):
+            result = semi_tensor_product(result, bool_to_vector(bool(assignment >> variable & 1)))
+        assert np.array_equal(result, bool_to_vector(table.value_at(assignment))), assignment

@@ -107,3 +107,19 @@ class TestFraigSweeper:
         swept, stats = fraig_sweep(aig, num_patterns=32)
         assert stats.constant_merges >= 1
         assert swept.num_ands <= 1
+
+
+def test_fraig_sweep_of_sin():
+    """The full sweep of the 10-input ``sin`` profile at 64 patterns shrinks it and stays equivalent."""
+    from repro.circuits import epfl_benchmark
+
+    aig = epfl_benchmark("sin")
+    swept, stats = FraigSweeper(aig, num_patterns=64).run()
+    assert swept.num_ands == stats.gates_after < aig.num_ands
+    assert stats.sat_time <= stats.total_time
+    from repro.simulation import PatternSet, aig_po_signatures, simulate_aig
+
+    patterns = PatternSet.exhaustive(aig.num_pis)
+    assert aig_po_signatures(swept, simulate_aig(swept, patterns)) == aig_po_signatures(
+        aig, simulate_aig(aig, patterns)
+    )

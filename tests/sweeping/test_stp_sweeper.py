@@ -13,6 +13,7 @@ from repro.sweeping import (
     check_combinational_equivalence,
     stp_sweep,
 )
+from repro.simulation import PatternSet, aig_po_signatures, simulate_aig
 
 
 def _workload(seed: int = 3, near_misses: int = 6) -> Aig:
@@ -25,6 +26,16 @@ def _workload(seed: int = 3, near_misses: int = 6) -> Aig:
         seed=seed,
     )
     return workload
+
+
+def _equivalent(original: Aig, swept: Aig) -> bool:
+    """Exhaustive simulation up to 16 inputs, the CEC engine beyond."""
+    if original.num_pis > 16:
+        return bool(check_combinational_equivalence(original, swept))
+    patterns = PatternSet.exhaustive(original.num_pis)
+    return aig_po_signatures(original, simulate_aig(original, patterns)) == aig_po_signatures(
+        swept, simulate_aig(swept, patterns)
+    )
 
 
 class TestStpSweeper:
@@ -111,14 +122,40 @@ class TestStpSweeper:
         assert stats.merges > 0
 
 
-def test_table2_sat_call_shape():
+#: Three Table II rows, one per workload family.
+TABLE2_SUBSET = ["beemfwt4b1", "leon2", "b18"]
+
+
+@pytest.fixture(scope="module")
+def table2_workloads():
+    return {name: sweep_workload(name) for name in TABLE2_SUBSET}
+
+
+@pytest.mark.parametrize("name", TABLE2_SUBSET)
+def test_table2_baseline_fraig_sweeper(table2_workloads, name):
+    workload = table2_workloads[name]
+    swept, stats = FraigSweeper(workload, num_patterns=64).run()
+    assert swept.num_ands == stats.gates_after < workload.num_ands
+    assert stats.total_sat_calls > 0
+    assert _equivalent(workload, swept)
+
+
+@pytest.mark.parametrize("name", TABLE2_SUBSET)
+def test_table2_stp_sweeper(table2_workloads, name):
+    workload = table2_workloads[name]
+    swept, stats = StpSweeper(workload, num_patterns=64).run()
+    assert swept.num_ands == stats.gates_after < workload.num_ands
+    assert stats.extra["exhaustive_proofs"] > 0
+    assert _equivalent(workload, swept)
+
+
+def test_table2_sat_call_shape(table2_workloads):
     """The SAT-call columns of Table II: the STP sweeper issues fewer
     satisfiable SAT calls and at most as many total calls as the baseline
     (geometric mean over three Table II rows); the result sizes agree."""
     satisfiable_ratios = []
     total_ratios = []
-    for name in ("beemfwt4b1", "leon2", "b18"):
-        workload = sweep_workload(name)
+    for name, workload in table2_workloads.items():
         swept_base, stats_base = FraigSweeper(workload, num_patterns=64).run()
         swept_stp, stats_stp = StpSweeper(workload, num_patterns=64).run()
         assert swept_stp.num_ands == swept_base.num_ands, name
@@ -128,6 +165,60 @@ def test_table2_sat_call_shape():
         total_ratios.append(max(stats_stp.total_sat_calls, 1) / max(stats_base.total_sat_calls, 1))
     assert geometric_mean(satisfiable_ratios) < 1.0
     assert geometric_mean(total_ratios) <= 1.05
+
+
+@pytest.fixture(scope="module")
+def ablation_workload():
+    """The 11-input ``int2float`` profile with duplicated cones, constants and near misses."""
+    workload, _report = inject_redundancy(
+        epfl_benchmark("int2float"),
+        duplication_fraction=0.25,
+        constant_cones=2,
+        near_miss_count=8,
+        seed=77,
+    )
+    return workload
+
+
+class TestAblation:
+    """One knob of the STP sweeper at a time on the same workload."""
+
+    @pytest.mark.parametrize("use_sat_guided", [False, True], ids=["random-patterns", "sat-guided"])
+    def test_initial_pattern_strategy(self, ablation_workload, use_sat_guided):
+        swept, stats = StpSweeper(
+            ablation_workload, num_patterns=64, use_sat_guided_patterns=use_sat_guided
+        ).run()
+        assert _equivalent(ablation_workload, swept)
+        if use_sat_guided:
+            assert stats.total_sat_calls > 0
+        else:
+            # Every node of this 11-input workload has an exhaustive table, so
+            # without SAT-guided patterns the tables prove every merge.
+            assert stats.total_sat_calls == 0
+            assert stats.extra["exhaustive_proofs"] == stats.merges > stats.constant_merges
+
+    @pytest.mark.parametrize("tfi_limit", [10, 100, 1000])
+    def test_tfi_limit_sweep(self, ablation_workload, tfi_limit):
+        swept, stats = StpSweeper(ablation_workload, num_patterns=64, tfi_limit=tfi_limit).run()
+        assert stats.merges > 0
+        assert _equivalent(ablation_workload, swept)
+
+    @pytest.mark.parametrize("window_leaves", [0, 16], ids=["ce-resimulation-only", "exhaustive-windows"])
+    def test_ce_refinement_strategy(self, ablation_workload, window_leaves):
+        swept, stats = StpSweeper(ablation_workload, num_patterns=64, window_leaves=window_leaves).run()
+        assert _equivalent(ablation_workload, swept)
+        if window_leaves:
+            assert stats.simulation_disproofs > 0
+        else:
+            # No window means no exhaustive key: only SAT disproves a pair.
+            assert stats.simulation_disproofs == 0
+            assert stats.satisfiable_sat_calls > 0
+
+    @pytest.mark.parametrize("window_leaves", [8, 12, 16])
+    def test_window_size_sweep(self, ablation_workload, window_leaves):
+        swept, stats = StpSweeper(ablation_workload, num_patterns=64, window_leaves=window_leaves).run()
+        assert swept.num_ands == stats.gates_after < stats.gates_before
+        assert _equivalent(ablation_workload, swept)
 
 
 class TestDanglingSkip:
