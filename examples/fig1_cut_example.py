@@ -20,6 +20,7 @@ from repro.simulation import (
     StpSimulator,
     cut_limit_for_patterns,
     cut_truth_table_stp,
+    signature_to_string,
     simulate_klut_per_pattern,
 )
 from repro.truthtable import TruthTable
@@ -76,7 +77,7 @@ def main() -> None:
     print("\nsignatures of the specified nodes (pattern 0 leftmost):")
     for label in (7, 8):
         node = nodes[label]
-        stp_signature = specified.bit_string(node)
+        stp_signature = signature_to_string(specified[node], patterns.num_patterns)
         reference = direct.bit_string(node)
         print(f"  node {label}: STP-cut simulation {stp_signature}   direct simulation {reference}   match: {stp_signature == reference}")
 

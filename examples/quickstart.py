@@ -22,11 +22,11 @@ from repro.circuits.arithmetic import ripple_carry_adder
 from repro.networks import map_aig_to_klut
 from repro.simulation import (
     PatternSet,
+    StpSimulator,
     aig_po_signatures,
     klut_po_signatures,
     simulate_aig,
     simulate_klut_per_pattern,
-    simulate_klut_stp,
 )
 from repro.sweeping import check_combinational_equivalence, stp_sweep
 
@@ -53,7 +53,7 @@ def main() -> None:
     timings["per-pattern 6-LUT (baseline TL)"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    stp_result = simulate_klut_stp(klut, patterns)
+    stp_result = StpSimulator(klut).simulate_all(patterns)
     timings["STP 6-LUT (this paper)"] = time.perf_counter() - start
 
     agree = (

@@ -11,12 +11,12 @@ Quickstart::
 
     from repro.circuits import epfl_benchmark
     from repro.networks import map_aig_to_klut
-    from repro.simulation import PatternSet, simulate_klut_stp
+    from repro.simulation import PatternSet, StpSimulator
     from repro.sweeping import stp_sweep
 
     aig = epfl_benchmark("adder")
     klut, _ = map_aig_to_klut(aig, k=6)
-    result = simulate_klut_stp(klut, PatternSet.random(aig.num_pis, 256))
+    result = StpSimulator(klut).simulate_all(PatternSet.random(aig.num_pis, 256))
     swept, stats = stp_sweep(aig)
 """
 

@@ -57,12 +57,12 @@ from ..networks import Aig, KLutNetwork, map_aig_to_klut, network_statistics, te
 from ..resilience import Budget, BudgetExceeded
 from ..simulation import (
     PatternSet,
+    StpSimulator,
     klut_po_signatures,
     aig_po_signatures,
     po_signatures,
     simulate_aig,
     simulate_klut_per_pattern,
-    simulate_klut_stp,
 )
 from ..rewriting import FlowStatistics, NAMED_SCRIPTS, PassManager, PassStatistics
 from ..sweeping import FraigSweeper, StpSweeper, check_combinational_equivalence
@@ -192,7 +192,7 @@ def simulate_main(argv: list[str] | None = None) -> int:
             if arguments.engine == "lut":
                 result = simulate_klut_per_pattern(klut, patterns)
             else:
-                result = simulate_klut_stp(klut, patterns)
+                result = StpSimulator(klut).simulate_all(patterns)
             signatures = klut_po_signatures(klut, result)
     except ValueError as error:
         # e.g. an unmappable --lut-size: a usage error, not a crash.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..rewriting.passes import PASS_KINDS, parse_script
+from ..rewriting.passes import PASS_KINDS, PpartSpec, parse_script
 
 __all__ = ["wrap_script_with_jobs"]
 
@@ -51,9 +51,6 @@ def wrap_script_with_jobs(
             break
     if not prefix:
         return "; ".join(passes), False
-    options = f",jobs={jobs},max_gates={max_gates},strategy={strategy},merge={merge}"
-    if window is not None:
-        options += f",window={window}"
-    token = f"ppart({';'.join(prefix)}{options})"
+    token = PpartSpec(tuple(prefix), jobs, max_gates, strategy, merge, window).canonical()
     wrapped = parse_script([token] + rest)
     return "; ".join(wrapped), True

@@ -4,8 +4,9 @@ The package contains both sides of the paper's Table I comparison -- the
 word-parallel / per-pattern baselines (:mod:`repro.simulation.bitwise`)
 and the STP-based simulator of Algorithm 1
 (:mod:`repro.simulation.stp_simulator`) -- plus the incremental simulator
-used by the FRAIG baseline sweeper and the SAT-guided pattern generator of
-Section IV-A.
+used by the sweepers' constant pass and the SAT-guided pattern generator
+of Section IV-A.  Whole-network simulators return a
+:class:`SimulationResult`, the node-indexed word list they compute.
 """
 
 from .patterns import PatternSet
@@ -27,7 +28,6 @@ from .bitwise import (
 from .incremental import IncrementalAigSimulator
 from .stp_simulator import (
     StpSimulator,
-    simulate_klut_stp,
     cut_truth_table_stp,
     cut_truth_table_algebraic,
     compute_pi_supports,
@@ -52,7 +52,6 @@ __all__ = [
     "po_signatures",
     "IncrementalAigSimulator",
     "StpSimulator",
-    "simulate_klut_stp",
     "cut_truth_table_stp",
     "cut_truth_table_algebraic",
     "compute_pi_supports",

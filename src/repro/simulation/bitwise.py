@@ -42,9 +42,9 @@ def simulate_aig_words(aig: Aig, patterns: PatternSet) -> list[int]:
     """Word-parallel simulation into a flat signature array.
 
     Returns one packed signature word per node, indexed by node number --
-    the array-backed hot path behind :func:`simulate_aig` and the
-    incremental simulator.  The flat list avoids per-node dictionary
-    hashing in the inner loop.
+    the list :func:`simulate_aig` hands over as its result and the
+    incremental simulator keeps.  The flat list avoids per-node
+    dictionary hashing in the inner loop.
     """
     if patterns.num_inputs != aig.num_pis:
         raise ValueError(f"pattern set has {patterns.num_inputs} inputs, AIG has {aig.num_pis}")
@@ -67,10 +67,7 @@ def simulate_aig_words(aig: Aig, patterns: PatternSet) -> list[int]:
 
 def simulate_aig(aig: Aig, patterns: PatternSet) -> SimulationResult:
     """Word-parallel simulation of every node of an AIG."""
-    words = simulate_aig_words(aig, patterns)
-    result = SimulationResult(patterns.num_patterns)
-    result.signatures = dict(enumerate(words))
-    return result
+    return SimulationResult(patterns.num_patterns, simulate_aig_words(aig, patterns))
 
 
 def simulate_aig_nodes(aig: Aig, patterns: PatternSet, nodes: Iterable[int]) -> dict[int, int]:
@@ -146,12 +143,11 @@ def simulate_klut_per_pattern(network: KLutNetwork, patterns: PatternSet) -> Sim
     """
     if patterns.num_inputs != network.num_pis:
         raise ValueError(f"pattern set has {patterns.num_inputs} inputs, network has {network.num_pis}")
-    result = SimulationResult(patterns.num_patterns)
     node_order = network.topological_order()
     fanins = {node: network.lut_fanins(node) for node in node_order}
     functions = {node: network.lut_function(node) for node in node_order}
     values: dict[int, bool] = {}
-    signatures: dict[int, int] = {node: 0 for node in network.nodes()}
+    signatures = [0] * network.num_nodes
 
     for node in network.nodes():
         if network.is_constant(node) and network.constant_value(node):
@@ -173,8 +169,7 @@ def simulate_klut_per_pattern(network: KLutNetwork, patterns: PatternSet) -> Sim
             if value:
                 signatures[node] |= 1 << pattern_index
 
-    result.signatures.update(signatures)
-    return result
+    return SimulationResult(patterns.num_patterns, signatures)
 
 
 def klut_po_signatures(network: KLutNetwork, result: SimulationResult) -> list[int]:

@@ -4,7 +4,9 @@ Mockturtle-style simulators avoid recomputing whole signatures when new
 patterns (typically SAT counter-examples) arrive: only the newly appended
 block of values is computed, and only nodes whose support changed need a
 visit.  The :class:`IncrementalAigSimulator` mirrors this behaviour for
-AIGs and is the counter-example simulation engine of both sweepers.
+AIGs and is the simulator of the sweepers' constant pass
+(:func:`repro.sweeping.constant_prop.propagate_constant_candidates`),
+which reads a signature after every counter-example it appends.
 
 Incremental-engine design
 -------------------------
@@ -13,12 +15,9 @@ Signatures live in a flat list indexed by node (no per-node dictionary
 hashing), and appended patterns are *buffered*: :meth:`add_pattern`
 records the pattern in O(num_pis) and the buffered block is flushed
 word-parallel -- one bitwise network pass for the whole block -- only
-when a signature is actually read.  The previous implementation walked
-the entire network once per counter-example, bit by bit, which made the
-sweep's refinement loop O(counter-examples x N); sweepers now refine
-classes from a cone-local simulation
-(:func:`repro.simulation.bitwise.simulate_aig_nodes`) and the buffered
-full-network update amortises to one word-parallel pass per block.
+when a signature is actually read.  The candidate loop refines its
+classes from a cone-local simulation instead
+(:func:`repro.simulation.bitwise.simulate_aig_nodes`).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import Sequence
 
 from ..networks.aig import Aig
 from .patterns import PatternSet
-from .signatures import SimulationResult
 from .bitwise import simulate_aig_words
 
 __all__ = ["IncrementalAigSimulator"]
@@ -39,8 +37,7 @@ class IncrementalAigSimulator:
     The full pattern set is simulated once up front; afterwards
     :meth:`add_pattern` appends a single pattern (e.g. a SAT
     counter-example) into a buffer, and the buffered block is simulated
-    word-parallel on the first signature read.  :meth:`add_patterns`
-    appends a block of patterns and computes only that block.
+    word-parallel on the first signature read.
     """
 
     def __init__(self, aig: Aig, patterns: PatternSet | None = None) -> None:
@@ -50,22 +47,11 @@ class IncrementalAigSimulator:
             raise ValueError("pattern set input count does not match the AIG")
         self._words: list[int] = simulate_aig_words(aig, self.patterns)
         self._pending: list[tuple[int, ...]] = []
-        self._result_cache: SimulationResult | None = None
 
     @property
     def num_patterns(self) -> int:
         """Number of patterns simulated so far (buffered patterns included)."""
         return self.patterns.num_patterns + len(self._pending)
-
-    @property
-    def result(self) -> SimulationResult:
-        """Current signatures as a :class:`SimulationResult` (flushes the buffer)."""
-        self._flush()
-        if self._result_cache is None:
-            result = SimulationResult(self.patterns.num_patterns)
-            result.signatures = dict(enumerate(self._words))
-            self._result_cache = result
-        return self._result_cache
 
     def signature(self, node: int) -> int:
         """Current signature of ``node``."""
@@ -78,24 +64,12 @@ class IncrementalAigSimulator:
             raise ValueError(f"expected {self.aig.num_pis} values, got {len(values)}")
         self._pending.append(tuple(int(bool(v)) for v in values))
 
-    def add_patterns(self, block: PatternSet) -> None:
-        """Append a block of patterns; only the new block of bits is computed."""
-        if block.num_inputs != self.aig.num_pis:
-            raise ValueError("pattern block input count does not match the AIG")
-        self._flush()
-        self._absorb_block(block)
-
-    # ------------------------------------------------------------------
-
     def _flush(self) -> None:
         """Simulate all buffered patterns with one word-parallel block pass."""
         if not self._pending:
             return
         block = PatternSet.from_patterns(self._pending)
         self._pending = []
-        self._absorb_block(block)
-
-    def _absorb_block(self, block: PatternSet) -> None:
         shift = self.patterns.num_patterns
         self.patterns.extend(block)
         block_words = simulate_aig_words(self.aig, block)
@@ -105,4 +79,3 @@ class IncrementalAigSimulator:
         for node, word in enumerate(block_words):
             if word:
                 words[node] |= word << shift
-        self._result_cache = None

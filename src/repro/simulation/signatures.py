@@ -6,16 +6,18 @@ under every pattern (Section II-A).  Signatures are packed integers (bit
 :class:`~repro.simulation.patterns.PatternSet` words, so bitwise equality
 compares whole signatures at once.
 
-:class:`SimulationResult` bundles the signatures of every node of one
-simulation run and offers the queries the sweeper needs: per-node access,
-constant detection and polarity-canonical signatures (equivalence up to
-complementation).
+:class:`SimulationResult` is the node-indexed word list a whole-network
+simulator computes -- ``signatures[node]`` is the signature of ``node``
+-- together with the pattern count, and offers the queries the sweeper
+needs: per-node access, constant detection and polarity-canonical
+signatures (equivalence up to complementation).  A simulator that
+computes only some nodes (the STP simulator's mode ``s``) returns a plain
+``dict[int, int]`` instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 __all__ = [
     "SimulationResult",
@@ -57,11 +59,11 @@ class SimulationResult:
     num_patterns:
         Number of patterns that were simulated.
     signatures:
-        Map from node index to packed signature.
+        One packed signature per node, indexed by node number.
     """
 
     num_patterns: int
-    signatures: dict[int, int] = field(default_factory=dict)
+    signatures: list[int]
 
     @property
     def mask(self) -> int:
@@ -71,14 +73,6 @@ class SimulationResult:
     def signature(self, node: int) -> int:
         """Signature of one node."""
         return self.signatures[node]
-
-    def has_node(self, node: int) -> bool:
-        """True if the run produced a signature for ``node``."""
-        return node in self.signatures
-
-    def set_signature(self, node: int, signature: int) -> None:
-        """Store or overwrite the signature of one node."""
-        self.signatures[node] = signature & self.mask
 
     def value(self, node: int, pattern: int) -> bool:
         """Value of ``node`` under pattern ``pattern``."""
@@ -104,11 +98,6 @@ class SimulationResult:
     def canonical(self, node: int) -> tuple[int, bool]:
         """Polarity-canonical signature of ``node``."""
         return canonical_signature(self.signatures[node], self.num_patterns)
-
-    def merge(self, other: Mapping[int, int]) -> None:
-        """Absorb signatures from another node-to-signature map."""
-        for node, signature in other.items():
-            self.signatures[node] = signature & self.mask
 
     def __len__(self) -> int:
         return len(self.signatures)

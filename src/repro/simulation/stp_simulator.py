@@ -75,7 +75,6 @@ from .signatures import SimulationResult
 
 __all__ = [
     "StpSimulator",
-    "simulate_klut_stp",
     "cut_truth_table_stp",
     "cut_truth_table_algebraic",
     "count_leaf_paths",
@@ -363,9 +362,7 @@ class StpSimulator:
     def simulate_all(self, patterns: PatternSet) -> SimulationResult:
         """Simulate every node; one structural-matrix pass per node."""
         words = self._register_file(patterns, self._program)
-        result = SimulationResult(patterns.num_patterns)
-        result.signatures = dict(enumerate(map(words.__getitem__, self._registers)))
-        return result
+        return SimulationResult(patterns.num_patterns, list(map(words.__getitem__, self._registers)))
 
     # -- mode 's': specified nodes ----------------------------------------
 
@@ -374,11 +371,11 @@ class StpSimulator:
         patterns: PatternSet,
         targets: Sequence[int],
         limit: int | None = None,
-    ) -> SimulationResult:
+    ) -> dict[int, int]:
         """Simulate only ``targets`` using the cut algorithm (Algorithm 1, mode s).
 
         ``limit`` defaults to ``floor(log2(#patterns))`` as in the paper;
-        the returned result contains signatures for the cut roots (which
+        the returned map holds the signatures of the cut roots (which
         include every target), the PIs and the constants.  The cuts' tables
         are compiled and laid out as one program, as mode ``a`` lays out
         the LUTs.
@@ -394,9 +391,7 @@ class StpSimulator:
             (cut.root, cut.leaves, compile_cut(cut_truth_table_stp(network, cut))) for cut in cuts
         )
         words = self._register_file(patterns, program)
-        result = SimulationResult(patterns.num_patterns)
-        result.signatures = {node: words[register_of[node]] for node in self._sources + [cut.root for cut in cuts]}
-        return result
+        return {node: words[register_of[node]] for node in self._sources + [cut.root for cut in cuts]}
 
     # -- exhaustive local signatures (Section III-C) -----------------------
 
@@ -428,19 +423,6 @@ class StpSimulator:
             else:
                 results[target] = cut_truth_table_stp(network, cut)
         return results
-
-
-def simulate_klut_stp(
-    network: KLutNetwork,
-    patterns: PatternSet,
-    targets: Sequence[int] | None = None,
-    limit: int | None = None,
-) -> SimulationResult:
-    """Algorithm 1 as a single function: mode a (no targets) or mode s."""
-    simulator = StpSimulator(network)
-    if targets is None:
-        return simulator.simulate_all(patterns)
-    return simulator.simulate_nodes(patterns, targets, limit)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from ..networks.aig import Aig
 from ..sat.circuit import CircuitSolver, EquivalenceStatus
-from ..simulation.incremental import IncrementalAigSimulator
+from ..simulation.bitwise import simulate_aig
 from ..simulation.patterns import PatternSet
 from ..simulation.sat_guided import sat_guided_patterns
 from ..simulation.stp_simulator import (
@@ -140,7 +140,7 @@ class SweepEngine:
         sim_start = time.perf_counter()
         self._load_tables(aig)
         stats.simulation_time += time.perf_counter() - sim_start
-        simulator, classes = self._initialise(aig, solver, stats)
+        classes = self._initialise(aig, solver, stats)
 
         # Gates are walked either in topological order or by descending
         # node index.  ``Aig.add_and`` gives every gate a larger index than
@@ -169,12 +169,11 @@ class SweepEngine:
                     dangling.add(candidate)
                     classes.remove(candidate)
                     continue
-            if self._sweep_candidate(aig, candidate, classes, solver, tfi, simulator, stats):
+            if self._sweep_candidate(aig, candidate, classes, solver, tfi, stats):
                 merged.add(candidate)
 
         if self.reverse_walk:
             stats.extra["dangling_skipped"] = float(len(dangling))
-        stats.patterns_used = simulator.num_patterns
         # The supports, local tables and keys serve this run only; a sweeper
         # kept for another run should not hold them.
         self._supports, self._local_tables, self._keys = {}, {}, {}
@@ -187,7 +186,7 @@ class SweepEngine:
         aig: Aig,
         solver: CircuitSolver,
         stats: SweepStatistics,
-    ) -> tuple[IncrementalAigSimulator, EquivalenceClasses]:
+    ) -> EquivalenceClasses:
         """Lines 2-3 of Algorithm 2: patterns, constant propagation, classes."""
         sim_start = time.perf_counter()
         known_constants: dict[int, bool] = {}
@@ -227,15 +226,16 @@ class SweepEngine:
             proved = report.proved
 
         sim_start = time.perf_counter()
-        simulator = IncrementalAigSimulator(aig, patterns)
+        result = simulate_aig(aig, patterns)
         stats.simulation_time += time.perf_counter() - sim_start
+        stats.patterns_used = patterns.num_patterns
 
-        classes = EquivalenceClasses.from_simulation(aig, simulator.result)
+        classes = EquivalenceClasses.from_simulation(aig, result)
         for node in proved:
             classes.remove(node)
         stats.initial_classes = classes.num_classes
         stats.initial_candidate_nodes = len(classes.class_nodes())
-        return simulator, classes
+        return classes
 
     # ------------------------------------------------------------------
 
@@ -246,7 +246,6 @@ class SweepEngine:
         classes: EquivalenceClasses,
         solver: CircuitSolver,
         tfi: TfiManager,
-        simulator: IncrementalAigSimulator,
         stats: SweepStatistics,
     ) -> bool:
         """Lines 7-31 of Algorithm 2 for one candidate gate; True if substituted.
@@ -297,9 +296,10 @@ class SweepEngine:
                         # then refinement.
                         assert outcome.counterexample is not None
                         sim_start = time.perf_counter()
-                        refine_with_counterexample(aig, classes, simulator, outcome.counterexample)
+                        refine_with_counterexample(aig, classes, outcome.counterexample)
                         stats.simulation_time += time.perf_counter() - sim_start
                         stats.counterexamples_simulated += 1
+                        stats.patterns_used += 1
                         break
                 else:
                     stats.extra["exhaustive_proofs"] += 1

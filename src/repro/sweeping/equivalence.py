@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, Mapping
 
 from ..networks.aig import Aig
 from ..simulation.bitwise import simulate_aig_nodes
-from ..simulation.incremental import IncrementalAigSimulator
 from ..simulation.patterns import PatternSet
 from ..simulation.signatures import SimulationResult
 from ..truthtable import TruthTable
@@ -23,25 +22,19 @@ from ..truthtable import TruthTable
 __all__ = ["EquivalenceClasses", "EquivalenceClass", "refine_with_counterexample"]
 
 
-def refine_with_counterexample(
-    aig: Aig,
-    classes: "EquivalenceClasses",
-    simulator: IncrementalAigSimulator,
-    pattern: tuple[int, ...],
-) -> None:
+def refine_with_counterexample(aig: Aig, classes: "EquivalenceClasses", pattern: tuple[int, ...]) -> None:
     """Refine the candidate classes with one SAT counter-example.
 
     The pattern is simulated cone-locally over the nodes still sitting in
     equivalence classes (O(cone), see
     :func:`repro.simulation.bitwise.simulate_aig_nodes`) and the classes
-    are split on the new bit; the full-network signature update is merely
-    buffered in ``simulator`` and flushed word-parallel in blocks.  Shared
-    by both sweeping engines.
+    are split on the new bit.  No whole-network signature is updated:
+    the classes are the only reader of a counter-example.  Shared by
+    both sweeping engines.
     """
     ce_patterns = PatternSet.from_patterns([pattern])
     ce_signatures = simulate_aig_nodes(aig, ce_patterns, classes.class_nodes())
     classes.refine_with_signatures(ce_signatures, 1)
-    simulator.add_pattern(pattern)
 
 
 @dataclass
@@ -103,8 +96,6 @@ class EquivalenceClasses:
         groups: dict[int, list[int]] = {}
         constant_members: list[tuple[int, bool]] = []
         for node in candidates:
-            if not result.has_node(node):
-                continue
             constant = result.is_constant(node)
             if constant is not None:
                 constant_members.append((node, constant))

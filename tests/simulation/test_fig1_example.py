@@ -9,9 +9,9 @@ simulation, and the cut decomposition must be the one shown in Fig. 1(b).
 from repro.cuts import simulation_cuts
 from repro.simulation import (
     PatternSet,
+    StpSimulator,
     cut_limit_for_patterns,
     simulate_klut_per_pattern,
-    simulate_klut_stp,
 )
 
 #: The pattern block printed in the paper: 5 inputs x 10 patterns.
@@ -48,21 +48,19 @@ class TestFig1:
         nodes = fig1_klut.fig1_nodes
         patterns = _paper_pattern_set()
         direct = simulate_klut_per_pattern(fig1_klut, patterns)
-        via_cuts = simulate_klut_stp(fig1_klut, patterns, targets=[nodes[7], nodes[8]])
+        via_cuts = StpSimulator(fig1_klut).simulate_nodes(patterns, [nodes[7], nodes[8]])
         for target in (nodes[7], nodes[8]):
-            assert via_cuts.signature(target) == direct.signature(target)
+            assert via_cuts[target] == direct.signature(target)
 
     def test_all_node_simulation_matches_direct(self, fig1_klut):
         patterns = _paper_pattern_set()
         direct = simulate_klut_per_pattern(fig1_klut, patterns)
-        stp = simulate_klut_stp(fig1_klut, patterns)
+        stp = StpSimulator(fig1_klut).simulate_all(patterns)
         for node in fig1_klut.luts():
             assert stp.signature(node) == direct.signature(node)
 
     def test_exhaustive_truth_tables_of_specified_nodes(self, fig1_klut):
         """Section III-C: nodes 7 and 8 are NAND functions over their PI support."""
-        from repro.simulation import StpSimulator
-
         nodes = fig1_klut.fig1_nodes
         tables = StpSimulator(fig1_klut).exhaustive_truth_tables([nodes[7], nodes[8]])
         # Both are 2-input NANDs over their supports (exhaustive scale 4),

@@ -25,16 +25,6 @@ class TestIncrementalSimulator:
         for node in small_aig.gates():
             assert incremental.signature(node) == full.signature(node)
 
-    def test_add_pattern_block(self, small_aig):
-        incremental = IncrementalAigSimulator(small_aig, PatternSet.random(small_aig.num_pis, 8, seed=4))
-        block = PatternSet.random(small_aig.num_pis, 8, seed=5)
-        incremental.add_patterns(block)
-        combined = PatternSet.random(small_aig.num_pis, 8, seed=4)
-        combined.extend(block)
-        full = simulate_aig(small_aig, combined)
-        for node in small_aig.gates():
-            assert incremental.signature(node) == full.signature(node)
-
     def test_empty_start(self, small_aig):
         incremental = IncrementalAigSimulator(small_aig)
         assert incremental.num_patterns == 0
@@ -47,8 +37,6 @@ class TestIncrementalSimulator:
         incremental = IncrementalAigSimulator(small_aig)
         with pytest.raises(ValueError):
             incremental.add_pattern((1, 0))
-        with pytest.raises(ValueError):
-            incremental.add_patterns(PatternSet.random(2, 4))
 
 
 def test_counterexample_refinement_on_priority():

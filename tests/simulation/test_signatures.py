@@ -42,22 +42,17 @@ class TestSignatureHelpers:
 
 class TestSimulationResult:
     def _result(self):
-        result = SimulationResult(4)
-        result.set_signature(1, 0b1010)
-        result.set_signature(2, 0b0101)
-        result.set_signature(3, 0b1111)
-        result.set_signature(4, 0b0000)
-        return result
+        return SimulationResult(4, [0b0000, 0b1010, 0b0101, 0b1111, 0b0000])
 
     def test_accessors(self):
         result = self._result()
         assert result.signature(1) == 0b1010
-        assert result.has_node(1) and not result.has_node(9)
         assert result.value(1, 1) is True
         assert result.value(1, 0) is False
         assert result.bits(2) == [1, 0, 1, 0]
         assert result.bit_string(2) == "1010"
-        assert len(result) == 4
+        assert len(result) == 5
+        assert result.mask == 0b1111
 
     def test_constant_detection(self):
         result = self._result()
@@ -70,14 +65,3 @@ class TestSimulationResult:
         # 0b1010 and 0b0101 are complements: one canonical signature.
         assert result.canonical(1) == (0b1010, False)
         assert result.canonical(2) == (0b1010, True)
-
-    def test_signature_masking(self):
-        result = SimulationResult(2)
-        result.set_signature(1, 0b1111)
-        assert result.signature(1) == 0b11
-
-    def test_merge(self):
-        result = self._result()
-        result.merge({9: 0b0110})
-        assert result.signature(9) == 0b0110
-

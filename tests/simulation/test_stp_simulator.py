@@ -25,7 +25,6 @@ from repro.simulation import (
     klut_po_signatures,
     simulate_aig,
     simulate_klut_per_pattern,
-    simulate_klut_stp,
 )
 from repro.simulation.stp_simulator import (
     compile_table,
@@ -60,7 +59,7 @@ class TestAllNodeMode:
     def test_matches_aig_semantics(self, small_aig, small_klut):
         patterns = PatternSet.exhaustive(small_aig.num_pis)
         aig_result = simulate_aig(small_aig, patterns)
-        stp_result = simulate_klut_stp(small_klut, patterns)
+        stp_result = StpSimulator(small_klut).simulate_all(patterns)
         from repro.simulation import aig_po_signatures
 
         assert aig_po_signatures(small_aig, aig_result) == klut_po_signatures(small_klut, stp_result)
@@ -76,7 +75,7 @@ class TestAllNodeMode:
         klut, _ = map_aig_to_klut(aig, k=k)
         patterns = PatternSet.random(6, 48, seed=seed)
         baseline = simulate_klut_per_pattern(klut, patterns)
-        stp = simulate_klut_stp(klut, patterns)
+        stp = StpSimulator(klut).simulate_all(patterns)
         assert klut_po_signatures(klut, baseline) == klut_po_signatures(klut, stp)
 
 
@@ -135,7 +134,7 @@ class TestAllNodeOracles:
         patterns = PatternSet.random(network.num_pis, num_patterns, seed=seed + 100)
         stp = StpSimulator(network).simulate_all(patterns)
         per_pattern = simulate_klut_per_pattern(network, patterns)
-        assert stp.signatures.keys() == set(network.nodes())
+        assert len(stp.signatures) == network.num_nodes
         for node in network.nodes():
             assert stp.signature(node) == per_pattern.signature(node), node
 
@@ -160,8 +159,8 @@ class TestSpecifiedNodeMode:
         patterns = PatternSet.random(network.num_pis, 1001, seed=limit)
         full = StpSimulator(network).simulate_all(patterns)
         partial = StpSimulator(network).simulate_nodes(patterns, targets, limit=limit)
-        assert set(targets) <= partial.signatures.keys()
-        for node, signature in partial.signatures.items():
+        assert set(targets) <= partial.keys()
+        for node, signature in partial.items():
             assert signature == full.signature(node), node
 
     def test_hand_built_wide_luts_match_all_node_mode(self):
@@ -170,24 +169,25 @@ class TestSpecifiedNodeMode:
         full = StpSimulator(network).simulate_all(patterns)
         for limit in range(9, 13):
             partial = StpSimulator(network).simulate_nodes(patterns, list(network.luts()), limit=limit)
-            for node, signature in partial.signatures.items():
+            for node, signature in partial.items():
                 assert signature == full.signature(node), (limit, node)
 
     def test_targets_match_all_node_mode(self, small_klut):
         patterns = PatternSet.random(small_klut.num_pis, 64, seed=13)
         targets = list(small_klut.luts())[:3]
-        full = simulate_klut_stp(small_klut, patterns)
-        partial = simulate_klut_stp(small_klut, patterns, targets=targets)
+        simulator = StpSimulator(small_klut)
+        full = simulator.simulate_all(patterns)
+        partial = simulator.simulate_nodes(patterns, targets)
         for target in targets:
-            assert partial.signature(target) == full.signature(target)
+            assert partial[target] == full.signature(target)
 
     def test_explicit_limit(self, fig1_klut):
         nodes = fig1_klut.fig1_nodes
         patterns = PatternSet.random(5, 10, seed=1)
-        result = simulate_klut_stp(fig1_klut, patterns, targets=[nodes[7], nodes[8]], limit=3)
+        result = StpSimulator(fig1_klut).simulate_nodes(patterns, [nodes[7], nodes[8]], limit=3)
         baseline = simulate_klut_per_pattern(fig1_klut, patterns)
-        assert result.signature(nodes[7]) == baseline.signature(nodes[7])
-        assert result.signature(nodes[8]) == baseline.signature(nodes[8])
+        assert result[nodes[7]] == baseline.signature(nodes[7])
+        assert result[nodes[8]] == baseline.signature(nodes[8])
 
     def test_input_count_checked(self, small_klut):
         with pytest.raises(ValueError):
@@ -377,7 +377,7 @@ class TestEpflMaps:
             aig_outputs = aig_po_signatures(aig, simulate_aig(aig, patterns))
             for network in maps:
                 stp = StpSimulator(network).simulate_all(patterns)
-                assert stp.signatures.keys() == set(network.nodes()), name
+                assert len(stp.signatures) == network.num_nodes, name
                 assert stp.signatures == simulate_klut_per_pattern(network, patterns).signatures, name
                 assert klut_po_signatures(network, stp) == aig_outputs, name
 

@@ -88,6 +88,6 @@ def test_cut_limit_sweep(table1_networks, limit):
     simulator = StpSimulator(klut)
     full = simulator.simulate_all(patterns)
     partial = simulator.simulate_nodes(patterns, targets, limit)
-    assert set(targets) <= partial.signatures.keys()
-    for node, signature in partial.signatures.items():
+    assert set(targets) <= partial.keys()
+    for node, signature in partial.items():
         assert signature == full.signature(node), node

@@ -8,11 +8,12 @@ from repro.sweeping import EquivalenceClasses
 from repro.truthtable import TruthTable
 
 
-def _result_for(signatures: dict[int, int], num_patterns: int) -> SimulationResult:
-    result = SimulationResult(num_patterns)
+def _result_for(aig: Aig, signatures: dict[int, int], num_patterns: int) -> SimulationResult:
+    """A result with the given gate signatures; every other node reads 0."""
+    words = [0] * aig.num_nodes
     for node, signature in signatures.items():
-        result.set_signature(node, signature)
-    return result
+        words[node] = signature
+    return SimulationResult(num_patterns, words)
 
 
 def _two_class_aig() -> Aig:
@@ -118,17 +119,13 @@ class TestQueriesAndMutation:
 
 class TestRefinement:
     def test_refine_with_signatures_splits(self):
-        aig = Aig()
-        pis = [aig.add_pi() for _ in range(2)]
-        result = _result_for({1: 0b0011, 2: 0b0011, 3: 0b0011}, 4)
-        # Give nodes 1-3 fake AND status by building a tiny AIG with 3 gates.
         aig2 = Aig()
         a, b = aig2.add_pi(), aig2.add_pi()
         g1 = aig2.add_and(a, b)
         g2 = aig2.add_and(g1, a)
         g3 = aig2.add_and(g2, b)
         nodes = [Aig.node_of(g1), Aig.node_of(g2), Aig.node_of(g3)]
-        result = _result_for({nodes[0]: 0b0011, nodes[1]: 0b0011, nodes[2]: 0b0011}, 4)
+        result = _result_for(aig2, {nodes[0]: 0b0011, nodes[1]: 0b0011, nodes[2]: 0b0011}, 4)
         classes = EquivalenceClasses.from_simulation(aig2, result)
         assert classes.num_classes == 1
         # A new pattern (bit 0 of a 1-pattern refinement) distinguishes node 3.
@@ -143,7 +140,7 @@ class TestRefinement:
         g1 = aig.add_and(a, b)
         g2 = aig.add_and(g1, a)
         n1, n2 = Aig.node_of(g1), Aig.node_of(g2)
-        result = _result_for({n1: 0b0101, n2: 0b1010}, 4)
+        result = _result_for(aig, {n1: 0b0101, n2: 0b1010}, 4)
         classes = EquivalenceClasses.from_simulation(aig, result)
         assert classes.same_class(n1, n2)
         # New signatures that are still complementary must NOT split the class.
@@ -157,7 +154,7 @@ class TestRefinement:
         g1 = aig.add_and(a, b)
         g2 = aig.add_and(g1, a)
         n1, n2 = Aig.node_of(g1), Aig.node_of(g2)
-        result = _result_for({n1: 0b0011, n2: 0b0011}, 4)
+        result = _result_for(aig, {n1: 0b0011, n2: 0b0011}, 4)
         classes = EquivalenceClasses.from_simulation(aig, result)
         tables = {
             n1: TruthTable.from_function(lambda x, y: x and y, 2),
@@ -178,7 +175,7 @@ class TestRefinement:
         g3 = aig.add_and(g2, b)
         g4 = aig.add_and(g3, a)
         n1, n2, n3, n4 = (Aig.node_of(g) for g in (g1, g2, g3, g4))
-        result = _result_for({n1: 0, n2: 0, n3: 0b0110, n4: 0b0110}, 4)
+        result = _result_for(aig, {n1: 0, n2: 0, n3: 0b0110, n4: 0b0110}, 4)
         classes = EquivalenceClasses.from_simulation(aig, result)
         assert classes.same_class(0, n1) and classes.same_class(n3, n4)
         tables = {
@@ -198,7 +195,7 @@ class TestRefinement:
         g2 = aig.add_and(g1, a)
         g3 = aig.add_and(g2, b)
         nodes = [Aig.node_of(g) for g in (g1, g2, g3)]
-        result = _result_for({n: 0b0001 for n in nodes}, 4)
+        result = _result_for(aig, {n: 0b0001 for n in nodes}, 4)
         classes = EquivalenceClasses.from_simulation(aig, result)
         # Only nodes 1 and 2 receive new signatures and they still agree.
         splits = classes.refine_with_signatures({nodes[0]: 1, nodes[1]: 1}, 1)

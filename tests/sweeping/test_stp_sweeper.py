@@ -167,6 +167,19 @@ def test_table2_sat_call_shape(table2_workloads):
     assert geometric_mean(total_ratios) <= 1.05
 
 
+def test_table2_exhaustive_keys_save_sat_calls(table2_workloads):
+    """The exhaustive keys carry the STP sweeper's SAT-call savings: with
+    ``window_leaves=0`` (no keys) every row issues more SAT calls, and
+    the keys cut the geometric mean of the total to at most 0.35x."""
+    ratios = []
+    for name, workload in table2_workloads.items():
+        _swept, keyed = StpSweeper(workload, num_patterns=64).run()
+        _swept, keyless = StpSweeper(workload, num_patterns=64, window_leaves=0).run()
+        assert keyed.total_sat_calls < keyless.total_sat_calls, name
+        ratios.append(keyed.total_sat_calls / keyless.total_sat_calls)
+    assert geometric_mean(ratios) <= 0.35
+
+
 @pytest.fixture(scope="module")
 def ablation_workload():
     """The 11-input ``int2float`` profile with duplicated cones, constants and near misses."""

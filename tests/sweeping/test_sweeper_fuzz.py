@@ -106,6 +106,17 @@ class TestSweeperFuzz:
         assert stats.extra["dangling_skipped"] == len(sweeper.dangling)
         assert _exhaustively_equal(workload, swept)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_patterns_used_counts_every_simulated_pattern(self, seed):
+        # fraig simulates its random patterns plus one pattern per SAT
+        # counter-example; the STP sweeper's SAT-guided set and its
+        # constant pass's counter-examples come on top of its random ones.
+        workload = _workload(seed)
+        _swept, fraig = FraigSweeper(workload, num_patterns=32).run()
+        assert fraig.patterns_used == 32 + fraig.counterexamples_simulated
+        _swept, stp = StpSweeper(workload, num_patterns=32).run()
+        assert stp.patterns_used >= 32 + stp.counterexamples_simulated
+
     @pytest.mark.parametrize("seed", [3, 17])
     def test_sweeping_is_idempotent(self, seed):
         workload = _workload(seed)

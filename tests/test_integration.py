@@ -7,11 +7,11 @@ from repro.io import read_aiger, write_aiger, write_blif, read_blif
 from repro.networks import map_aig_to_klut
 from repro.simulation import (
     PatternSet,
+    StpSimulator,
     aig_po_signatures,
     klut_po_signatures,
     simulate_aig,
     simulate_klut_per_pattern,
-    simulate_klut_stp,
 )
 from repro.sweeping import check_combinational_equivalence, fraig_sweep, stp_sweep
 
@@ -26,7 +26,7 @@ class TestSimulationFlow:
         patterns = PatternSet.random(aig.num_pis, 64, seed=17)
         aig_pos = aig_po_signatures(aig, simulate_aig(aig, patterns))
         lut_pos = klut_po_signatures(klut, simulate_klut_per_pattern(klut, patterns))
-        stp_pos = klut_po_signatures(klut, simulate_klut_stp(klut, patterns))
+        stp_pos = klut_po_signatures(klut, StpSimulator(klut).simulate_all(patterns))
         assert aig_pos == lut_pos == stp_pos
 
     def test_specified_node_simulation_through_file_roundtrip(self):
@@ -37,9 +37,9 @@ class TestSimulationFlow:
         patterns = PatternSet.random(aig.num_pis, 32, seed=3)
         targets = list(klut.luts())[:4]
         full = simulate_klut_per_pattern(klut, patterns)
-        partial = simulate_klut_stp(klut, patterns, targets=targets)
+        partial = StpSimulator(klut).simulate_nodes(patterns, targets)
         for target in targets:
-            assert partial.signature(target) == full.signature(target)
+            assert partial[target] == full.signature(target)
 
 
 class TestSweepingFlow:
