@@ -19,11 +19,24 @@ Incremental-engine design
 ``_encode_cone`` performs a depth-first traversal from the query roots
 that stops at already-encoded nodes, so each ``prove_equivalence`` /
 ``prove_constant`` call pays O(newly encoded cone) -- and every AND gate
-of the network is Tseitin-encoded at most once over the solver's
-lifetime.  (The previous implementation intersected a freshly computed
-full TFI set with a full topological order on *every* query, i.e.
-O(N) per query and O(queries x N) per sweep.)  Clause order does not
-matter to the CDCL solver, so no topological sorting is needed.
+of the network is handled at most once per solver window.  (The previous
+implementation intersected a freshly computed full TFI set with a full
+topological order on *every* query, i.e. O(N) per query and
+O(queries x N) per sweep.)  Clause order does not matter to the CDCL
+solver, so no topological sorting is needed.
+
+A node is handled in one of two ways.  Usually it gets its three
+Tseitin gate clauses and its fanins are visited.  With a
+``function_class`` lookup (the STP sweeper's exhaustive tables), a node
+whose function equals -- or complements -- that of a node encoded by an
+*earlier* ``_encode_cone`` call instead gets the two binary clauses
+``v <-> +-rep`` and its fanins are not visited: its cone is never
+encoded (the equivalence reuse of Mishchenko, Chatterjee, Brayton and
+Een, "Improvements to combinational equivalence checking", ICCAD 2006).
+The "earlier call" rule keeps this exact: ``rep``'s cone is complete
+when the lemma is added, so every encoded variable stays a function of
+the PIs.  SAT/UNSAT answers are those of the plain encoding, and every
+counter-example is genuine, though the model may differ.
 
 The time spent inside the underlying CDCL solver is accumulated in
 :attr:`CircuitSolver.sat_time`, giving sweepers a directly measured
@@ -36,7 +49,7 @@ import time
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..networks.aig import Aig
 from ..resilience import BudgetExceeded
@@ -46,6 +59,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from ..resilience import Budget
 
 __all__ = ["CircuitSolver", "EquivalenceOutcome", "EquivalenceStatus"]
+
+#: A node's exhaustive function: its structural PI support (sorted node
+#: indices) and its truth table over that support.
+FunctionTable = tuple[tuple[int, ...], int]
 
 
 class EquivalenceStatus(Enum):
@@ -78,6 +95,7 @@ class CircuitSolver:
         conflict_limit: int | None = 10_000,
         budget: "Budget | None" = None,
         window_size: int | None = None,
+        function_class: Callable[[int], FunctionTable | None] | None = None,
     ) -> None:
         self.aig = aig
         self.conflict_limit = conflict_limit
@@ -101,9 +119,19 @@ class CircuitSolver:
         #: pays a cold solver), which the fuzz suite uses as the
         #: reference implementation.
         self.window_size = window_size
+        #: Optional lookup of an AND node's exhaustive function
+        #: (:data:`FunctionTable`), ``None`` for a node without one.  Two
+        #: nodes whose tables are equal after normalising by the value at
+        #: the all-zero input are one function class; see ``_encode_cone``.
+        self.function_class = function_class
         self.solver = CdclSolver()
         self._variables: dict[int, int] = {}
         self._encoded: set[int] = set()
+        # Normalised function class -> CNF literal of its encoded member.
+        self._class_members: dict[FunctionTable, int] = {}
+        #: Nodes whose cone was skipped because an encoded node of their
+        #: function class stood in for it.
+        self.num_key_lemmas = 0
         # Query counters, reported in Table II.
         self.num_queries = 0
         self.num_satisfiable = 0
@@ -136,6 +164,7 @@ class CircuitSolver:
         self.solver = CdclSolver()
         self._variables = {}
         self._encoded = set()
+        self._class_members = {}
         self.windows_opened += 1
         self._window_queries = 0
 
@@ -195,7 +224,11 @@ class CircuitSolver:
 
         Iterative DFS from the roots, pruned at nodes already encoded (and
         at PIs/the constant): O(newly encoded cone) per call instead of a
-        full-network TFI-and-topological-order scan.
+        full-network TFI-and-topological-order scan.  With a
+        ``function_class`` lookup, a node whose class has a member from an
+        earlier call is tied to it by two clauses and its fanins are not
+        pushed; each newly gate-encoded node then becomes its class's
+        member or is tied to the member.
         """
         aig = self.aig
         encoded = self._encoded
@@ -205,6 +238,10 @@ class CircuitSolver:
         new_variable = solver.new_variable
         is_and = aig.is_and
         fanins = aig.fanins
+        lookup = self.function_class
+        members = self._class_members
+        # (class, literal of the normalised function) of each node this call gate-encodes.
+        fresh: list[tuple[FunctionTable, int]] = []
         stack = [root for root in roots if root not in encoded]
         while stack:
             node = stack.pop()
@@ -214,6 +251,23 @@ class CircuitSolver:
             variable = variables.get(node)
             if variable is None:
                 variable = variables[node] = new_variable()
+            if lookup is not None:
+                table = lookup(node)
+                if table is not None:
+                    support, bits = table
+                    literal = variable
+                    if bits & 1:
+                        bits ^= (1 << (1 << len(support))) - 1
+                        literal = -variable
+                    function = (support, bits)
+                    member = members.get(function)
+                    if member is not None:
+                        # literal <-> member, i.e. v <-> +-rep.
+                        add_clause((-literal, member))
+                        add_clause((literal, -member))
+                        self.num_key_lemmas += 1
+                        continue
+                    fresh.append((function, literal))
             fanin0, fanin1 = fanins(node)
             node0 = fanin0 >> 1
             node1 = fanin1 >> 1
@@ -236,6 +290,12 @@ class CircuitSolver:
                 stack.append(node0)
             if node1 not in encoded:
                 stack.append(node1)
+        # Members join only now, once their cones are complete.
+        for function, literal in fresh:
+            member = members.setdefault(function, literal)
+            if member != literal:
+                add_clause((-literal, member))
+                add_clause((literal, -member))
 
     # ------------------------------------------------------------------
     # Queries

@@ -34,7 +34,7 @@ import time
 from typing import TYPE_CHECKING
 
 from ..networks.aig import Aig
-from ..sat.circuit import CircuitSolver, EquivalenceStatus
+from ..sat.circuit import CircuitSolver, EquivalenceStatus, FunctionTable
 from ..simulation.bitwise import simulate_aig
 from ..simulation.patterns import PatternSet
 from ..simulation.sat_guided import sat_guided_patterns
@@ -129,17 +129,18 @@ class SweepEngine:
             gates_before=aig.num_ands,
         )
         start = time.perf_counter()
+        self._load_tables(aig)
+        stats.simulation_time += time.perf_counter() - start
+        if self._local_tables:
+            stats.extra["exhaustive_proofs"] = 0.0
         solver = CircuitSolver(
             aig,
             conflict_limit=self.conflict_limit,
             budget=self.budget,
             window_size=self.window_size,
+            function_class=self._function_table if self._local_tables else None,
         )
         tfi = TfiManager(aig, self.tfi_limit)
-
-        sim_start = time.perf_counter()
-        self._load_tables(aig)
-        stats.simulation_time += time.perf_counter() - sim_start
         classes = self._initialise(aig, solver, stats)
 
         # Gates are walked either in topological order or by descending
@@ -174,6 +175,8 @@ class SweepEngine:
 
         if self.reverse_walk:
             stats.extra["dangling_skipped"] = float(len(dangling))
+        if self._local_tables:
+            stats.extra["key_lemmas"] = float(solver.num_key_lemmas)
         # The supports, local tables and keys serve this run only; a sweeper
         # kept for another run should not hold them.
         self._supports, self._local_tables, self._keys = {}, {}, {}
@@ -220,7 +223,7 @@ class SweepEngine:
             stats.constant_merges += report.substitutions
             stats.merges += report.substitutions
             stats.simulation_disproofs += report.exhaustive_disproofs
-            stats.extra["exhaustive_proofs"] = float(report.exhaustive_proofs)
+            stats.extra["exhaustive_proofs"] = stats.extra.get("exhaustive_proofs", 0.0) + report.exhaustive_proofs
             for pattern in report.counterexamples:
                 patterns.add_pattern(pattern)
             proved = report.proved
@@ -347,23 +350,31 @@ class SweepEngine:
     # ------------------------------------------------------------------
 
     def _local_verdict(self, candidate: int, driver: int, inverted: bool, stats: SweepStatistics) -> bool | None:
-        """Exhaustive verdict on ``candidate == driver ^ inverted``; None if a key is missing.
+        """Exhaustive verdict on ``candidate == driver ^ inverted``; None if a table is missing.
 
-        Each key is a node's function over its own PI support, reduced to
-        the inputs it depends on (:func:`function_key`), so two keys are
-        equal exactly when the two functions are, whatever their
-        supports.  The constant node's key is ``((), 0)``, so constant
-        candidates are decided the same way.  A node whose support is
-        wider than ``window_leaves`` has no key, and its pairs go to SAT;
-        with ``window_leaves=0`` no node has one.
+        Two tables over the same structural support are compared bit for
+        bit.  Otherwise each node's key is its function reduced to the
+        inputs it depends on (:func:`function_key`), so two keys are equal
+        exactly when the two functions are, whatever their supports.  The
+        constant node's key is ``((), 0)``, so constant candidates are
+        decided the same way.  A node whose support is wider than
+        ``window_leaves`` has no table, and its pairs go to SAT; with
+        ``window_leaves=0`` no node has one.
         """
-        if not self._local_tables:
+        candidate_table = self._local_tables.get(candidate)
+        driver_table = self._local_tables.get(driver)
+        if candidate_table is None or driver_table is None:
             return None
         sim_start = time.perf_counter()
-        verdict: bool | None = None
-        candidate_key = self._function_key(candidate)
-        driver_key = self._function_key(driver)
-        if candidate_key is not None and driver_key is not None:
+        if self._supports[candidate] == self._supports[driver]:
+            bits = driver_table.bits
+            if inverted:
+                bits ^= (1 << driver_table.num_bits) - 1
+            verdict = candidate_table.bits == bits
+        else:
+            candidate_key = self._function_key(candidate)
+            driver_key = self._function_key(driver)
+            assert candidate_key is not None and driver_key is not None
             verdict = candidate_key == (complement_key(driver_key) if inverted else driver_key)
         stats.simulation_time += time.perf_counter() - sim_start
         return verdict
@@ -389,3 +400,9 @@ class SweepEngine:
             support = self._supports.get(node)
             self._keys[node] = None if local is None or support is None else function_key(local, support)
         return self._keys[node]
+
+    def _function_table(self, node: int) -> FunctionTable | None:
+        """The solver's function-class lookup: ``(support, bits)`` of a node's table."""
+        table = self._local_tables.get(node)
+        support = self._supports.get(node)
+        return None if table is None or support is None else (support, table.bits)

@@ -24,10 +24,16 @@ paper calls out, each a setting of
    nodes of a (candidate, driver) pair have a key, the keys decide the
    pair exactly with no SAT call at all: equal keys prove the equivalence
    and the candidate is substituted, unequal keys disprove it and the walk
-   moves on to the next driver.  Only pairs with a wider node go to SAT,
-   and every SAT counter-example is propagated only through the nodes that
-   still sit in equivalence classes (Section IV-A, "Refinement using
-   STP-based Simulation").  ``window_leaves=0`` turns the keys off.
+   moves on to the next driver.  Two nodes with the same support compare
+   their tables directly, without the key.  Only pairs with a wider node
+   go to SAT, and every SAT counter-example is propagated only through the
+   nodes that still sit in equivalence classes (Section IV-A, "Refinement
+   using STP-based Simulation").  The tables also shrink those SAT queries:
+   the solver gets each node's table as a function-class lookup, and a
+   node whose function an earlier query's encoded node already computes is
+   tied to that node by two clauses instead of having its cone encoded
+   (``stats.extra["key_lemmas"]``).  ``window_leaves=0`` turns the keys
+   and the lookup off.
 """
 
 from __future__ import annotations

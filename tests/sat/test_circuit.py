@@ -1,11 +1,14 @@
 """Tests for the circuit-level SAT front-end used by the sweepers."""
 
+import random
+
 import pytest
 
 from repro.circuits.random_logic import random_aig
+from repro.circuits.sweep_workloads import inject_redundancy
 from repro.networks import Aig
 from repro.sat import CircuitSolver, EquivalenceStatus
-from repro.simulation import PatternSet, simulate_aig
+from repro.simulation import PatternSet, compute_local_truth_tables, compute_pi_supports, simulate_aig
 
 
 class TestEquivalenceQueries:
@@ -245,3 +248,128 @@ def test_window_policies_on_epfl(mode, name):
         assert solver.window_reuse_rate > 0.9
     else:
         assert solver.window_reuses == 0
+
+
+# ---------------------------------------------------------------------------
+# Function-class lemmas: key-equal nodes reuse an encoded cone
+# ---------------------------------------------------------------------------
+
+
+def _redundant_aig(seed):
+    base = random_aig(num_pis=7, num_gates=80, num_pos=5, seed=seed)
+    aig, _report = inject_redundancy(base, duplication_fraction=0.3, constant_cones=1, cut_size=3, seed=seed + 1)
+    return aig
+
+
+def _function_lookup(aig):
+    """The lookup the STP sweeper hands the solver: each node's exhaustive table."""
+    supports = compute_pi_supports(aig, 16)
+    tables = compute_local_truth_tables(aig, 16, supports)
+
+    def lookup(node):
+        table = tables.get(node)
+        return None if table is None else (supports[node], table.bits)
+
+    return lookup
+
+
+def _lemma_queries(aig, seed):
+    """Equivalent pairs (by exhaustive signature, either polarity) mixed with random pairs and constants."""
+    rng = random.Random(seed)
+    exhaustive = simulate_aig(aig, PatternSet.exhaustive(aig.num_pis))
+    gates = list(aig.gates())
+    full = (1 << (1 << aig.num_pis)) - 1
+    groups: dict[int, list[int]] = {}
+    for gate in gates:
+        signature = exhaustive.signature(gate)
+        groups.setdefault(min(signature, signature ^ full), []).append(gate)
+    pairs = [pair for members in groups.values() for pair in zip(members, members[1:])]
+    pairs += [tuple(rng.sample(gates, 2)) for _ in range(30)]
+    rng.shuffle(pairs)
+    queries = []
+    for index, (a, b) in enumerate(pairs):
+        inverted = exhaustive.signature(a) != exhaustive.signature(b)
+        if index % 3 == 2:
+            queries.append(("constant", Aig.literal(a), exhaustive.signature(a) == full))
+        else:
+            queries.append(("equivalence", Aig.literal(a), Aig.literal(b, inverted)))
+    return queries
+
+
+def _ask(solver, query):
+    kind, literal, other = query
+    if kind == "constant":
+        return solver.prove_constant(literal, other)
+    return solver.prove_equivalence(literal, other)
+
+
+def _literal_value(aig, pattern, literal):
+    value = simulate_aig(aig, PatternSet.from_patterns([pattern])).signature(Aig.node_of(literal)) & 1
+    return value ^ Aig.is_complemented(literal)
+
+
+class TestFunctionClassLemmas:
+    """A solver given the exhaustive-table lookup answers exactly as one without it."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_status_and_genuine_counterexamples(self, seed):
+        aig = _redundant_aig(seed)
+        plain = CircuitSolver(aig)
+        keyed = CircuitSolver(aig, function_class=_function_lookup(aig))
+        for query in _lemma_queries(aig, seed):
+            expected = _ask(plain, query)
+            outcome = _ask(keyed, query)
+            assert outcome.status is expected.status, query
+            assert outcome.status is not EquivalenceStatus.UNDETERMINED
+            if outcome.status is EquivalenceStatus.NOT_EQUIVALENT:
+                kind, literal, other = query
+                value = _literal_value(aig, outcome.counterexample, literal)
+                if kind == "constant":
+                    assert value != other, query
+                else:
+                    assert value != _literal_value(aig, outcome.counterexample, other), query
+        assert plain.num_key_lemmas == 0
+        assert keyed.num_key_lemmas > 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_skipped_cones_hold_no_gate_clauses(self, seed):
+        aig = _redundant_aig(seed)
+        solver = CircuitSolver(aig, function_class=_function_lookup(aig))
+        clauses = []
+        add_clause = solver.solver.add_clause_trusted
+
+        def recording(clause):
+            clauses.append(tuple(clause))
+            return add_clause(clause)
+
+        solver.solver.add_clause_trusted = recording
+        roots: set[int] = set()
+        for query in _lemma_queries(aig, seed):
+            before = solver._solver_queries
+            _ask(solver, query)
+            if solver._solver_queries > before:
+                roots.add(Aig.node_of(query[1]))
+                if query[0] == "equivalence":
+                    roots.add(Aig.node_of(query[2]))
+        node_of_variable = {variable: node for node, variable in solver._variables.items()}
+        # Each gate's ternary clause ``(v, -l0, -l1)`` names it; no gate has two.
+        ternary = [node_of_variable[clause[0]] for clause in clauses if len(clause) == 3]
+        gate_encoded = set(ternary)
+        assert len(ternary) == len(gate_encoded)
+        lemma_nodes = solver._encoded - gate_encoded
+        assert len(lemma_nodes) == solver.num_key_lemmas > 0
+        # Gate clauses sit only on nodes reached from a query root without
+        # passing through a lemma node: a skipped cone holds none.
+        reached: set[int] = set()
+        stack = list(roots)
+        while stack:
+            node = stack.pop()
+            if node in reached or node not in gate_encoded:
+                continue
+            reached.add(node)
+            stack.extend(aig.fanin_nodes(node))
+        assert reached == gate_encoded
+        frontier = roots | {fanin for node in gate_encoded for fanin in aig.fanin_nodes(node)}
+        assert lemma_nodes <= frontier
+        cones = _and_gates_in_cones(aig, roots)
+        assert gate_encoded < cones

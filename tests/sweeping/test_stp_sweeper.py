@@ -114,6 +114,16 @@ class TestStpSweeper:
         swept_twice, _ = stp_sweep(swept_once, num_patterns=32)
         assert swept_twice.num_ands == swept_once.num_ands
 
+    def test_without_constant_pass(self):
+        # The key-proof counter is set up with the tables, not by the pass.
+        aig = epfl_benchmark("cavlc")
+        sweeper = StpSweeper(aig)
+        sweeper.constant_pass = False
+        swept, stats = sweeper.run()
+        assert check_combinational_equivalence(aig, swept)
+        assert stats.extra["exhaustive_proofs"] > 0
+        assert stats.extra["key_lemmas"] > 0
+
     @pytest.mark.parametrize("tfi_limit", [10, 1000])
     def test_tfi_limit_variations(self, tfi_limit):
         workload = _workload(seed=19)

@@ -13,14 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits import EPFL_BENCHMARKS, epfl_benchmark
 from repro.circuits.random_logic import random_aig
 from repro.circuits.sweep_workloads import inject_redundancy
 from repro.networks import Aig
 from repro.networks.aig import fanout_counts_impl
+from repro.networks.structural_hash import structural_hash
 from repro.networks.traversal import topological_sort
 from repro.sat import CircuitSolver, EquivalenceStatus
 from repro.simulation import compute_local_truth_tables, compute_pi_supports
+from repro.simulation.stp_simulator import complement_key, function_key
 from repro.sweeping import FraigSweeper, StpSweeper
+from repro.sweeping.engine import SweepEngine
 from repro.sweeping.stats import SweepStatistics
 
 
@@ -172,6 +176,66 @@ class TestExhaustiveVerdict:
         if window_leaves == 16:
             assert not queried
             assert stats.extra["exhaustive_proofs"] >= stats.merges - stats.constant_merges
+
+
+def _check_verdicts(monkeypatch) -> dict[str, int]:
+    """Check every ``_local_verdict`` against a fresh :func:`function_key` comparison.
+
+    Returns the number of keyed pairs seen, by whether the two nodes
+    share their structural support (decided from the raw tables) or not.
+    """
+    local_verdict = SweepEngine._local_verdict
+    seen = {"same_support": 0, "other_support": 0}
+
+    def checked(self, candidate, driver, inverted, stats):
+        verdict = local_verdict(self, candidate, driver, inverted, stats)
+        tables, supports = self._local_tables, self._supports
+        if tables.get(candidate) is None or tables.get(driver) is None:
+            assert verdict is None
+            return verdict
+        candidate_key = function_key(tables[candidate], supports[candidate])
+        driver_key = function_key(tables[driver], supports[driver])
+        assert verdict == (candidate_key == (complement_key(driver_key) if inverted else driver_key))
+        seen["same_support" if supports[candidate] == supports[driver] else "other_support"] += 1
+        return verdict
+
+    monkeypatch.setattr(SweepEngine, "_local_verdict", checked)
+    return seen
+
+
+def _sweep_twice(aig: Aig, monkeypatch, **options) -> tuple[tuple[str, int], tuple[str, int], float]:
+    """(structure, gates) of an STP sweep with and without key lemmas, and the lemma count."""
+    swept, stats = StpSweeper(aig, **options).run()
+    with monkeypatch.context() as patch:
+        patch.setattr(SweepEngine, "_function_table", lambda self, node: None)
+        bare, bare_stats = StpSweeper(aig, **options).run()
+    assert bare_stats.extra["key_lemmas"] == 0
+    return (
+        (structural_hash(swept), stats.gates_after),
+        (structural_hash(bare), bare_stats.gates_after),
+        stats.extra["key_lemmas"],
+    )
+
+
+class TestKeyLemmas:
+    """Key lemmas in the SAT encoding and the raw-table verdict change no sweep."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_lemma_free_sweep_is_identical(self, seed, monkeypatch):
+        seen = _check_verdicts(monkeypatch)
+        with_lemmas, without, _lemmas = _sweep_twice(_workload(seed), monkeypatch, num_patterns=32)
+        assert with_lemmas == without
+        assert seen["same_support"] + seen["other_support"] > 0
+
+    def test_lemma_free_sweeps_of_epfl_are_identical(self, monkeypatch):
+        seen = _check_verdicts(monkeypatch)
+        lemmas = 0.0
+        for name in EPFL_BENCHMARKS:
+            with_lemmas, without, count = _sweep_twice(epfl_benchmark(name), monkeypatch, num_patterns=64, seed=1)
+            assert with_lemmas == without, name
+            lemmas += count
+        assert lemmas > 0
+        assert seen["same_support"] > seen["other_support"] > 0
 
 
 def _reference_topological_order(aig: Aig) -> list[int]:
