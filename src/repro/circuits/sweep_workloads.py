@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..networks.aig import Aig, LIT_FALSE
+from ..networks.traversal import topological_sort
 from ..cuts import aig_cone_table
 from ..truthtable import TruthTable
 from . import arithmetic, control, random_logic
@@ -94,6 +95,26 @@ def _rebuild_from_truth_table(aig: Aig, table: TruthTable, leaves: list[int], st
     return aig.add_or_multi(terms)
 
 
+def _pi_support_sizes(aig: Aig) -> list[int]:
+    """Number of PIs in each node's transitive fanin, indexed by node.
+
+    One bottom-up pass of PI bitmasks, each gate after its fanins.  Node
+    indices stop being topological once :meth:`Aig.replace_fanin` has
+    rewired a gate to a later duplicate.  The order comes from
+    :func:`topological_sort`, not :meth:`Aig.topological_order`, which
+    would cache an order in the network that a later sweep of it reads.
+    """
+    entries = aig.node_entries
+    masks = [0] * len(entries)
+    for position, pi in enumerate(aig.pis):
+        masks[pi] = 1 << position
+    for node in topological_sort(list(aig.gates()), aig.gate_fanin_nodes):
+        fanin0, fanin1 = entries[node]
+        if fanin0 >= 0:
+            masks[node] = masks[fanin0 >> 1] | masks[fanin1 >> 1]
+    return [mask.bit_count() for mask in masks]
+
+
 @dataclass
 class InjectionReport:
     """What the redundancy injector did to one network."""
@@ -142,6 +163,7 @@ def inject_redundancy(
     gates = [node for node in work.gates() if work.is_and(node)]
     num_duplicates = int(len(gates) * duplication_fraction)
     chosen = rng.sample(gates, min(num_duplicates, len(gates))) if gates else []
+    entries = work.node_entries
 
     for node in chosen:
         leaves = _small_cut(work, node, cut_size)
@@ -153,13 +175,14 @@ def inject_redundancy(
         if Aig.node_of(duplicate) == node or Aig.node_of(duplicate) == 0:
             continue
         report.duplicated_nodes += 1
-        # Redirect roughly half of the references of the original node.
+        # Redirect roughly half of the references of the original node,
+        # visiting the referencing gates in index order.
         duplicate_cone = set(work.tfi([Aig.node_of(duplicate)]))
-        for gate in list(work.gates()):
+        for gate in sorted(set(work.fanouts(node))):
             if gate == Aig.node_of(duplicate) or gate in duplicate_cone:
                 continue
-            fanin_nodes = {Aig.node_of(f) for f in work.fanins(gate)}
-            if node in fanin_nodes and rng.random() < 0.5:
+            fanin0, fanin1 = entries[gate]
+            if node in (fanin0 >> 1, fanin1 >> 1) and rng.random() < 0.5:
                 if work.replace_fanin(gate, node, duplicate):
                     report.redirected_references += 1
         for index, po in enumerate(work.pos):
@@ -200,20 +223,16 @@ def inject_redundancy(
 
     # Near-miss decoys: almost-equivalent nodes exposed as extra outputs.
     if near_miss_count:
-        candidates = []
-        for node in work.gates():
-            support = [n for n in work.tfi([node]) if work.is_pi(n)]
-            # A wide-enough support keeps the probability that random
-            # patterns hit the single differing assignment negligible.
-            if 8 <= len(support) <= max_support:
-                candidates.append((node, support))
+        support_size = _pi_support_sizes(work)
+        # A wide-enough support keeps the probability that random patterns
+        # hit the single differing assignment negligible.
+        candidates = [node for node in work.gates() if 8 <= support_size[node] <= max_support]
         if len(candidates) < near_miss_count:
-            for node in work.gates():
-                support = [n for n in work.tfi([node]) if work.is_pi(n)]
-                if 5 <= len(support) < 8:
-                    candidates.append((node, support))
+            candidates.extend(node for node in work.gates() if 5 <= support_size[node] < 8)
         rng.shuffle(candidates)
-        for node, support in candidates[:near_miss_count]:
+        for node in candidates[:near_miss_count]:
+            # The conjunction's shape follows the breadth-first support order.
+            support = [n for n in work.tfi([node]) if work.is_pi(n)]
             conjunction = work.add_and_multi([Aig.literal(pi) for pi in support])
             near_miss = work.add_xor(Aig.literal(node), conjunction)
             if Aig.node_of(near_miss) in (0, node):

@@ -63,7 +63,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .incremental import IncrementalNetworkMixin
-from .traversal import levelize, topological_sort, transitive_fanin
 
 __all__ = ["Aig", "AigNode", "LIT_FALSE", "LIT_TRUE"]
 
@@ -488,8 +487,40 @@ class Aig(IncrementalNetworkMixin):
         return max(level[po >> 1] for po in self._pos)
 
     def tfi(self, nodes: Iterable[int], limit: int | None = None) -> list[int]:
-        """Transitive fanin cone of ``nodes`` (the nodes themselves included)."""
-        return transitive_fanin(list(nodes), self._gate_fanin_nodes, limit)
+        """Transitive fanin cone of ``nodes`` (the nodes themselves included).
+
+        Returns exactly what ``transitive_fanin(nodes, _gate_fanin_nodes,
+        limit)`` returns -- breadth-first order of first visits, repeated
+        roots once, at most ``max(limit, 1)`` nodes -- but walks the raw
+        node array inline.  Deduplicating at push time keeps that order,
+        so the list being walked is the cone itself.
+        """
+        entries = self._nodes
+        cone = list(dict.fromkeys(nodes))
+        if cone and not (0 <= min(cone) and max(cone) < len(entries)):
+            raise ValueError(f"tfi roots reference an unknown node (nodes are 0..{len(entries) - 1})")
+        bound = len(entries) if limit is None else max(limit, 1)
+        if len(cone) >= bound:
+            return cone[:bound]
+        seen = set(cone)
+        add = seen.add
+        append = cone.append
+        # Appending to the list being iterated extends the iteration.
+        for node in cone:
+            fanin0, fanin1 = entries[node]
+            if fanin0 < 0:
+                continue
+            fanin0 >>= 1
+            if fanin0 not in seen:
+                add(fanin0)
+                append(fanin0)
+            fanin1 >>= 1
+            if fanin1 not in seen:
+                add(fanin1)
+                append(fanin1)
+            if len(cone) >= bound:
+                return cone[:bound]
+        return cone
 
     # fanouts / fanout_count / fanout_counts / tfo / topological_position
     # are provided by IncrementalNetworkMixin, answered from the

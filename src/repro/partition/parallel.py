@@ -192,13 +192,14 @@ def _reaches(aig: Aig, target: int, root: int) -> bool:
     """True when ``target`` lies in the fan-in cone of ``root`` (inclusive)."""
     if root == target:
         return True
+    entries = aig.node_entries
     stack = [root]
     seen = {root}
     while stack:
-        node = stack.pop()
-        if not aig.is_and(node):
+        fanin0, fanin1 = entries[stack.pop()]
+        if fanin0 < 0:
             continue
-        for fanin in aig.fanin_nodes(node):
+        for fanin in (fanin0 >> 1, fanin1 >> 1):
             if fanin == target:
                 return True
             if fanin not in seen:

@@ -303,6 +303,12 @@ class SweepEngine:
                         stats.simulation_time += time.perf_counter() - sim_start
                         stats.counterexamples_simulated += 1
                         stats.patterns_used += 1
+                        if classes.same_class(candidate, driver):
+                            # The next pass would ask the same query again.
+                            raise RuntimeError(
+                                f"SAT returned a model that does not separate candidate {candidate} "
+                                f"from driver {driver}"
+                            )
                         break
                 else:
                     stats.extra["exhaustive_proofs"] += 1

@@ -1,9 +1,14 @@
 """Tests for redundancy injection and the Table II workloads."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.circuits import SWEEP_WORKLOADS, inject_redundancy, sweep_workload
 from repro.circuits.arithmetic import ripple_carry_adder
+from repro.circuits.random_logic import random_aig
+from repro.networks import Aig, structural_hash
 from repro.simulation import PatternSet, simulate_aig, aig_po_signatures
 from repro.sweeping import check_combinational_equivalence
 
@@ -87,3 +92,106 @@ class TestWorkloadRegistry:
         b = sweep_workload("leon2")
         assert a.num_ands == b.num_ands
         assert a.pos == b.pos
+
+
+#: Per workload: a digest of the network (:func:`_network_digest`) and its
+#: ``structural_hash``.  Every Table II row must be rebuilt node for
+#: node, so a change to the injector's order of random draws or of gate
+#: creation shows up here.
+PINNED_WORKLOADS = {
+    "6s100": ("5e4a3dcf2050666a", "ccb19550d492588a245c57766e801b33"),
+    "6s20": ("e72ced3b273e93c2", "73fdd6281112ec8b4cdb5fa907951bdb"),
+    "6s203b41": ("eb0eed44e64fedea", "989050d8146884d3f25cc55c8c77505b"),
+    "6s281b35": ("049d1633af22ae0b", "ee22bdc6f2625287c7b942af8c568122"),
+    "6s342rb122": ("09e0342d2b8ef726", "4f8700ea9602994a605c5414c407ab83"),
+    "6s350rb46": ("fe0307cda36c4e8c", "604f6af5fb3443d50ae3121aea4e105c"),
+    "6s382r": ("329cf49a2e6bc76c", "b1a9ce4aec758c55ea6515eab8e84d92"),
+    "6s392r": ("9e3fd9df9f258ef9", "664d4a184515d0229fc07bf5c18432d6"),
+    "beemfwt4b1": ("d86e9c97a0b10d53", "ec8fd34c344602f96150edcb0eb53aaa"),
+    "beemfwt5b3": ("0fb7fdf1c1d74aea", "45e08ddd70a5d8e07babd11555abad4e"),
+    "oski15a07b0s": ("fe7af7f3eb62f609", "0ee3998fc02242d5feff65d54d755e07"),
+    "oski2b1i": ("eb489ff2e718e2bd", "c47c4f0a742a2a2bc1c22e3ed9da9b3f"),
+    "b18": ("02bd978c41ad7eed", "17442e92cd1b32f55c9b636ac64ee6b4"),
+    "b19": ("a1689729c1b96532", "b4de42340829f7a93ae9a4bddc8e61af"),
+    "leon2": ("177f3f6d6aee8792", "f8ad6bb8261867c5d83a6cbbcf812d10"),
+}
+
+
+def _network_digest(aig: Aig) -> str:
+    # The cached topological order and the fanout lists are part of what a
+    # sweep of the network reads, so they are pinned too.
+    fanouts = [aig.fanouts(node) for node in aig.nodes()]
+    state = (aig.node_entries, aig.pos, aig.pi_names, aig.po_names, aig.topological_order(), fanouts)
+    payload = repr(state).encode()
+    return hashlib.blake2b(payload, digest_size=8).hexdigest()
+
+
+class TestPinnedWorkloads:
+    def test_every_row_is_pinned(self):
+        assert set(PINNED_WORKLOADS) == set(SWEEP_WORKLOADS)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_WORKLOADS))
+    def test_workload_matches_its_pinned_digest(self, name):
+        aig = sweep_workload(name)
+        assert (_network_digest(aig), structural_hash(aig)) == PINNED_WORKLOADS[name]
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_WORKLOADS))
+    def test_injection_walks_few_whole_cones(self, name, monkeypatch):
+        # One cone walk per duplicate, two per constant cone and one per
+        # near miss kept; a walk per gate of the network fails this.
+        spec = SWEEP_WORKLOADS[name]
+        base = spec.factory()
+        walks = []
+        tfi = Aig.tfi
+
+        def counting_tfi(aig, nodes, limit=None):
+            walks.append(nodes)
+            return tfi(aig, nodes, limit)
+
+        monkeypatch.setattr(Aig, "tfi", counting_tfi)
+        _workload, report = inject_redundancy(
+            base,
+            duplication_fraction=spec.duplication_fraction,
+            constant_cones=spec.constant_cones,
+            near_miss_count=spec.near_miss_count,
+            seed=spec.seed,
+        )
+        assert len(walks) <= report.duplicated_nodes + 2 * report.constant_cones + spec.near_miss_count
+
+
+#: Per seed: the same two digests of ``inject_redundancy`` on
+#: :func:`_rewired_base`, whose fanout lists are not in index order.
+PINNED_REWIRED = {
+    1: ("a7877ea997b23e4d", "5c234a6edcdcc80a8d825bc3453f4030"),
+    2: ("defd2e0ed41e52c1", "3ba8a2573484440124880beb8e863770"),
+    3: ("a648d58bcc598b13", "badfcde609f28bab380a17d35068dcb0"),
+}
+
+
+def _rewired_base(seed: int) -> Aig:
+    """A random AIG with a few gates substituted by other gates.
+
+    ``substitute`` appends the moved references after the replacement's
+    own, so some fanout lists end up out of index order.
+    """
+    rng = random.Random(seed)
+    aig = random_aig(num_pis=14, num_gates=300, num_pos=10, seed=seed)
+    gates = list(aig.gates())
+    for _ in range(12):
+        old, new = rng.sample(gates, 2)
+        if aig.fanout_count(old) == 0 or old in aig.tfi([new]):
+            continue
+        aig.substitute(old, Aig.literal(new, rng.random() < 0.5))
+    return aig
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_REWIRED))
+def test_injection_visits_references_in_index_order(seed):
+    # The duplicate step draws one random number per referencing gate,
+    # in gate-index order, whatever order the fanout lists hold.
+    base = _rewired_base(seed)
+    assert any(base.fanouts(gate) != sorted(base.fanouts(gate)) for gate in base.gates())
+    workload, _report = inject_redundancy(
+        base, duplication_fraction=0.5, constant_cones=2, near_miss_count=5, seed=seed
+    )
+    assert (_network_digest(workload), structural_hash(workload)) == PINNED_REWIRED[seed]

@@ -8,6 +8,7 @@ from repro.networks import Aig, LIT_FALSE, LIT_TRUE
 from repro.networks.aig import fanout_counts_impl
 from repro.networks.structural_hash import structural_hash
 from repro.networks.transforms import cleanup_dangling
+from repro.networks.traversal import transitive_fanin
 
 
 class TestLiterals:
@@ -414,6 +415,60 @@ class TestPropertyBased:
             base = expressions[Aig.regular(output)](values) if Aig.regular(output) != 0 else False
             expected = base ^ Aig.is_complemented(output)
             assert aig.evaluate(values) == [expected]
+
+
+def _rewired_random_aig(seed: int) -> Aig:
+    """A random AIG whose gates were partly rewired onto later gates.
+
+    After the edits, node indices are no longer a topological order.
+    """
+    import random
+
+    from repro.circuits.random_logic import random_aig
+
+    rng = random.Random(seed)
+    aig = random_aig(num_pis=6, num_gates=60, num_pos=4, seed=seed)
+    gates = list(aig.gates())
+    for _ in range(10):
+        gate = rng.choice(gates)
+        literals = [Aig.literal(node, rng.random() < 0.5) for node in rng.sample(range(1, aig.num_nodes), 2)]
+        replacement = aig.add_and(*literals)
+        if gate in transitive_fanin([Aig.node_of(replacement)], aig.gate_fanin_nodes):
+            continue
+        aig.replace_fanin(gate, aig.fanin_nodes(gate)[0], replacement)
+    return aig
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_tfi_matches_the_generic_breadth_first_search(seed):
+    """The inlined ``Aig.tfi`` returns the generic traversal's exact list."""
+    import random
+
+    rng = random.Random(seed)
+    aig = _rewired_random_aig(seed)
+    assert any(max(aig.fanin_nodes(gate)) > gate for gate in aig.gates())
+    gates = list(aig.gates())
+    root_sets = [
+        aig.po_nodes(),
+        [rng.choice(gates)],
+        rng.sample(gates, 5) + rng.sample(gates, 3),  # repeated roots
+        [0, rng.choice(aig.pis), rng.choice(gates), 0],  # constant and PI roots
+        [rng.choice(aig.pis)],
+        [0],
+    ]
+    for roots in root_sets:
+        full = transitive_fanin(roots, aig.gate_fanin_nodes)
+        for limit in (None, 0, 1, 2, len(full) // 2, len(full), len(full) + 3):
+            assert aig.tfi(roots, limit) == transitive_fanin(roots, aig.gate_fanin_nodes, limit), (roots, limit)
+        assert aig.tfi(iter(roots)) == full
+
+
+def test_tfi_rejects_unknown_roots():
+    aig = _build_chain()
+    for roots in ([aig.num_nodes], [-1], [0, aig.num_nodes + 5]):
+        with pytest.raises(ValueError, match="unknown node"):
+            aig.tfi(roots)
+    assert aig.tfi([]) == []
 
 
 def _assert_topological(aig: Aig, order: list[int]) -> None:

@@ -5,7 +5,7 @@ import pytest
 from repro.circuits.arithmetic import ripple_carry_adder
 from repro.circuits.sweep_workloads import inject_redundancy
 from repro.networks import Aig
-from repro.sat import CircuitSolver, EquivalenceStatus
+from repro.sat import CircuitSolver, EquivalenceOutcome, EquivalenceStatus
 from repro.sweeping import FraigSweeper, StpSweeper, check_combinational_equivalence, fraig_sweep
 
 
@@ -97,6 +97,34 @@ class TestFraigSweeper:
         assert undetermined
         assert not undetermined & substituted
         assert check_combinational_equivalence(workload, swept)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda aig: FraigSweeper(aig, num_patterns=16),
+            lambda aig: StpSweeper(aig, num_patterns=16, window_leaves=0),
+        ],
+        ids=["fraig", "stp"],
+    )
+    def test_counterexample_that_does_not_separate_raises(self, make, monkeypatch):
+        # A faulty solver that disproves an equivalent pair with the
+        # all-zero pattern, which both nodes map to 0: refinement leaves
+        # the class as it was, so the sweep must fail, not ask again.
+        aig = Aig()
+        a, b, c = aig.add_pi(), aig.add_pi(), aig.add_pi()
+        aig.add_po(aig.add_and(a, aig.add_and(b, c)))
+        aig.add_po(aig.add_and(aig.add_and(a, b), c))
+        queries = []
+
+        def faulty_prove(solver, literal_a, literal_b, conflict_limit=None):
+            queries.append((literal_a, literal_b))
+            assert len(queries) <= 3, "the sweep repeats a query it cannot settle"
+            return EquivalenceOutcome(EquivalenceStatus.NOT_EQUIVALENT, (0, 0, 0))
+
+        monkeypatch.setattr(CircuitSolver, "prove_equivalence", faulty_prove)
+        with pytest.raises(RuntimeError, match="does not separate candidate"):
+            make(aig).run()
+        assert len(queries) == 1
 
     def test_constant_nodes_are_removed(self):
         aig = Aig()
