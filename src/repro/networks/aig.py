@@ -674,7 +674,17 @@ class Aig(IncrementalNetworkMixin):
         return changed
 
     def clone(self) -> "Aig":
-        """Deep copy of the graph."""
+        """Deep copy of the graph.
+
+        The clone keeps the strash table, the fanout lists, the PO
+        references, the choice classes and their acyclicity ranks.  Their
+        content is fixed by the graph; where their order or rank values
+        carry the input's mutation history, every reader's answer is the
+        same either way (fanout lists are read as multisets, ranks only
+        prune an exact acyclicity walk).  It keeps no cached topological
+        order and no listeners: an order extended by new gates differs
+        from a fresh one, and sweeps walk and prove in that order.
+        """
         other = Aig(self.name)
         other._nodes = list(self._nodes)
         other._pis = list(self._pis)

@@ -917,15 +917,18 @@ class IncrementalNetworkMixin:
     # ------------------------------------------------------------------
 
     def _copy_incremental_into(self, other: "IncrementalNetworkMixin") -> None:
-        """Copy the incremental state into a clone (listeners excluded).
+        """Copy the incremental state into a clone (listeners and cached order excluded).
 
         Mutation listeners are bound to *this* network's consumers; the
-        clone starts with none.
+        clone starts with none.  It also starts with no cached
+        topological order: an order extended by :meth:`_topo_append`
+        differs from a fresh one, and passes that walk a clone must not
+        depend on how the input was built.
         """
         other._fanouts = [list(refs) for refs in self._fanouts] if self._fanouts is not None else None
         other._po_refs = {node: list(refs) for node, refs in self._po_refs.items()}
-        other._topo_cache = list(self._topo_cache) if self._topo_cache is not None else None
-        other._topo_pos = dict(self._topo_pos) if self._topo_pos is not None else None
+        other._topo_cache = None
+        other._topo_pos = None
         other._mutation_listeners = []
         other._choice_listeners = []
         other._choice_repr = dict(self._choice_repr)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 from typing import Any
@@ -46,7 +47,11 @@ def _workload(seed: int) -> Aig:
 
 
 def _row(config: str, seed: int) -> dict[str, Any]:
-    swept, stats = CONFIGS[config](_workload(seed)).run()
+    return _sweep_row(config, _workload(seed))
+
+
+def _sweep_row(config: str, aig: Aig) -> dict[str, Any]:
+    swept, stats = CONFIGS[config](aig).run()
     row: dict[str, Any] = {
         "structure": structural_hash(swept),
         "gates": stats.gates_after,
@@ -69,6 +74,36 @@ def _pinned() -> dict[str, dict[str, Any]]:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sweep_matches_pinned_result(seed: int, config: str) -> None:
     assert _row(config, seed) == _pinned()[f"{config}/{seed}"]
+
+
+def _grown_after_a_cached_order(seed: int) -> Aig:
+    """A workload whose cached topological order was extended by new gates.
+
+    ``add_and`` appends each new gate to a cached order, which then
+    differs from the order a fresh computation gives.
+    """
+    aig = _workload(seed)
+    aig.topological_order()
+    rng = random.Random(seed)
+    for _ in range(10):
+        nodes = [node for node in range(1, aig.num_nodes)]
+        literal = aig.add_and(
+            Aig.literal(rng.choice(nodes), rng.random() < 0.5), Aig.literal(rng.choice(nodes), rng.random() < 0.5)
+        )
+        aig.add_po(literal)
+    return aig
+
+
+@pytest.mark.parametrize("config", list(CONFIGS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sweep_ignores_the_inputs_cached_order(seed: int, config: str) -> None:
+    # A sweep depends on the network alone: a cached order on the input,
+    # however it was built, must not reach the sweep's working copy.
+    grown = _grown_after_a_cached_order(seed)
+    cleared = grown.clone()
+    cleared._topo_invalidate()
+    assert cleared.node_entries == grown.node_entries
+    assert _sweep_row(config, grown) == _sweep_row(config, cleared)
 
 
 def test_record_mode_records_choices_and_never_substitutes() -> None:
