@@ -500,6 +500,8 @@ def compute_local_truth_tables(
     aig: Aig,
     max_support: int = 16,
     supports: Mapping[int, tuple[int, ...] | None] | None = None,
+    roots: Iterable[int] | None = None,
+    tables: dict[int, TruthTable | None] | None = None,
 ) -> dict[int, TruthTable | None]:
     """Function of every node over its own PI support, in one bottom-up pass.
 
@@ -510,14 +512,24 @@ def compute_local_truth_tables(
     no SAT call.  Each gate's table is the AND of its fanins' tables,
     expanded to the gate's support with word operations on the packed
     integers (:meth:`TruthTable.extend`).
+
+    With ``roots`` only the part of the roots' fanin cones that ``tables``
+    does not hold yet is built, bottom-up, and added to ``tables`` in
+    place; a root wider than ``max_support`` maps to ``None`` without
+    its cone being walked.  A table depends only on the node's cone, so
+    each one equals the table the whole-network pass builds.
     """
     if supports is None:
         supports = compute_pi_supports(aig, max_support)
-    tables: dict[int, TruthTable | None] = {0: TruthTable.constant(False)}
-    for pi in aig.pis:
-        tables[pi] = TruthTable.variable(0, 1)
+    if tables is None:
+        tables = {}
+    if 0 not in tables:
+        tables[0] = TruthTable.constant(False)
+        for pi in aig.pis:
+            tables[pi] = TruthTable.variable(0, 1)
+    order = aig.topological_order() if roots is None else _missing_cone(aig, roots, tables, supports, max_support)
     fulls: dict[int, int] = {}
-    for node in aig.topological_order():
+    for node in order:
         support = supports.get(node)
         if support is None or len(support) > max_support:
             tables[node] = None
@@ -543,3 +555,49 @@ def compute_local_truth_tables(
             bits &= expanded ^ full if Aig.is_complemented(fanin) else expanded
         tables[node] = TruthTable(len(support), bits)
     return tables
+
+
+def _missing_cone(
+    aig: Aig,
+    roots: Iterable[int],
+    tables: Mapping[int, TruthTable | None],
+    supports: Mapping[int, tuple[int, ...] | None],
+    max_support: int,
+) -> list[int]:
+    """The roots' fanin-cone nodes ``tables`` lacks, fanins first.
+
+    The walk stops at every node ``tables`` holds (the constant and the
+    PIs always are) and does not enter a root wider than
+    ``max_support``: every node in a narrow root's cone is narrow too.
+    """
+    entries = aig.node_entries
+    order: list[int] = []
+    placed: set[int] = set()
+    for root in roots:
+        if root in tables or root in placed:
+            continue
+        support = supports.get(root)
+        if support is None or len(support) > max_support:
+            placed.add(root)
+            order.append(root)
+            continue
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if node in placed:
+                stack.pop()
+                continue
+            fanin0, fanin1 = entries[node]
+            node0, node1 = fanin0 >> 1, fanin1 >> 1
+            ready = True
+            if node0 not in tables and node0 not in placed:
+                stack.append(node0)
+                ready = False
+            if node1 not in tables and node1 not in placed:
+                stack.append(node1)
+                ready = False
+            if ready:
+                stack.pop()
+                placed.add(node)
+                order.append(node)
+    return order

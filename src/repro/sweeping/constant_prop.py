@@ -12,7 +12,7 @@ solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from ..networks.aig import Aig, LIT_FALSE, LIT_TRUE
 from ..sat.circuit import CircuitSolver, EquivalenceStatus
@@ -47,18 +47,19 @@ def propagate_constant_candidates(
     patterns: PatternSet,
     solver: CircuitSolver,
     known_constants: Mapping[int, bool] | None = None,
-    local_tables: Mapping[int, TruthTable | None] | None = None,
+    local_table: Callable[[int], TruthTable | None] | None = None,
     conflict_limit: int | None = None,
     substitute: bool = True,
 ) -> ConstantPropagationReport:
     """Prove signature-constant nodes and substitute them by constant literals.
 
     ``known_constants`` (e.g. from the SAT-guided pattern generation) are
-    substituted without further SAT calls.  ``local_tables`` -- each node's
-    exhaustive function over its own PI support, as produced by the STP
-    simulator -- settle candidates whose support fits the window without
-    any SAT call at all: an exhaustive truth table either is constant
-    (proof) or is not (disproof).  Counter-examples of SAT-disproved
+    substituted without further SAT calls.  ``local_table`` looks up a
+    node's exhaustive function over its own PI support (``None`` when it
+    has none; the STP sweeper builds each on first request).  It settles
+    candidates whose support fits the window without any SAT call at
+    all: an exhaustive truth table either is constant (proof) or is not
+    (disproof).  Counter-examples of SAT-disproved
     candidates are simulated immediately, which removes other false
     constant candidates before they cost a SAT call; the CE patterns are
     also returned so the caller can extend its own pattern set.
@@ -85,7 +86,7 @@ def propagate_constant_candidates(
         else:
             continue
         # Exhaustive local simulation settles the candidate without SAT.
-        local = local_tables.get(node) if local_tables is not None else None
+        local = local_table(node) if local_table is not None else None
         if local is not None:
             if local.is_constant():
                 report.proved[node] = bool(local.bits)

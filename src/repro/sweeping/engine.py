@@ -11,7 +11,8 @@ configurations of it and differ only in what they hand the loop:
 ================  ==============================  ===============================
 candidate order   topological                     descending index, dangling skip
 initial patterns  random                          SAT-guided, then constant pass
-driver list       the class representative        every smaller member, TFI order
+driver list       the class representative        smaller members the keys do not
+                                                  disprove, TFI order
 keys              none                            ``window_leaves``
 choices           ``record_choices``              never
 ================  ==============================  ===============================
@@ -20,12 +21,19 @@ Each pair ends in one of four transitions: *substitute* the candidate by
 its driver (or, with ``record_choices``, *record* the pair as a choice),
 *give up* on the candidate (the query came back UNDETERMINED, or no
 driver in the list is legal and equal), or *refine* the classes with a
-SAT counter-example and rebuild the driver list.  A key disproof only
-moves on to the next driver.  Every transition but refinement removes
-the candidate from its class; so does exhausting a non-empty driver
-list.  In the descending walk a visited gate is never a driver again,
-so leaving its class changes nothing there; in the topological walk it
-keeps the candidate out of a class whose representative it cannot use.
+SAT counter-example and rebuild the driver list.  A member the keys
+disprove never enters the driver list, so it costs no ordering,
+legality check or verdict.  Every transition but refinement removes
+the candidate from its class; so does exhausting a driver list that
+held at least one member before the keys judged it.  In the descending
+walk a visited gate is never a driver again, so leaving its class
+changes nothing there; in the topological walk it keeps the candidate
+out of a class whose representative it cannot use.
+
+A key needs the node's exhaustive table.  The PI supports are computed
+for every node up front, but a table is built only when a verdict, a
+key, the solver's function-class lookup or the constant pass first asks
+for it, together with the part of its cone not built yet.
 """
 
 from __future__ import annotations
@@ -111,10 +119,12 @@ class SweepEngine:
         #: Gates the last run skipped as dangling: each drove no PO and
         #: all its fanouts were merged or skipped before it was visited.
         self.dangling: set[int] = set()
-        # Per-run caches, filled by :meth:`_load_tables`.
+        # Per-run caches, started by :meth:`_load_tables`.
         self._supports: dict[int, tuple[int, ...] | None] = {}
         self._local_tables: dict[int, TruthTable | None] = {}
         self._keys: dict[int, tuple[tuple[int, ...], int] | None] = {}
+        #: Seconds spent building tables this run (part of the simulation time).
+        self._table_time = 0.0
 
     # ------------------------------------------------------------------
 
@@ -131,14 +141,14 @@ class SweepEngine:
         start = time.perf_counter()
         self._load_tables(aig)
         stats.simulation_time += time.perf_counter() - start
-        if self._local_tables:
+        if self.window_leaves:
             stats.extra["exhaustive_proofs"] = 0.0
         solver = CircuitSolver(
             aig,
             conflict_limit=self.conflict_limit,
             budget=self.budget,
             window_size=self.window_size,
-            function_class=self._function_table if self._local_tables else None,
+            function_class=self._function_table if self.window_leaves else None,
         )
         tfi = TfiManager(aig, self.tfi_limit)
         classes = self._initialise(aig, solver, stats)
@@ -175,8 +185,10 @@ class SweepEngine:
 
         if self.reverse_walk:
             stats.extra["dangling_skipped"] = float(len(dangling))
-        if self._local_tables:
+        if self.window_leaves:
             stats.extra["key_lemmas"] = float(solver.num_key_lemmas)
+            stats.extra["tables_built"] = float(len(self._local_tables) - 1 - aig.num_pis)
+        stats.simulation_time += self._table_time
         # The supports, local tables and keys serve this run only; a sweeper
         # kept for another run should not hold them.
         self._supports, self._local_tables, self._keys = {}, {}, {}
@@ -217,7 +229,7 @@ class SweepEngine:
                 constant_patterns,
                 solver,
                 known_constants=known_constants,
-                local_tables=self._local_tables or None,
+                local_table=self._local_table if self.window_leaves else None,
                 conflict_limit=self.conflict_limit,
             )
             stats.constant_merges += report.substitutions
@@ -254,20 +266,22 @@ class SweepEngine:
         """Lines 7-31 of Algorithm 2 for one candidate gate; True if substituted.
 
         The driver list depends only on the candidate's class, so it is
-        built once per class state and then walked.  Each legal driver is
-        first judged by the two nodes' exhaustive keys
-        (:meth:`_local_verdict`): a proof merges the candidate and a
-        disproof moves on to the next driver, both without SAT.  Only a
-        pair the keys do not cover goes to SAT, and only a SAT
-        counter-example refines the classes, so only it rebuilds the list.
+        built once per class state and then walked.  The keys judge the
+        class members before the list is ordered (:meth:`_drivers`): a
+        member the keys disprove never enters it, so a key disproof costs
+        no ordering, legality check or verdict.  Each legal driver left is
+        judged by :meth:`_local_verdict`: when both nodes have a key it is
+        a proof, which merges the candidate without SAT.  Only a pair the
+        keys do not cover goes to SAT, and only a SAT counter-example
+        refines the classes, so only it rebuilds the list.
         """
         disproved: set[int] = set()
         while True:
             cls = classes.class_of(candidate)
             if cls is None or cls.is_singleton():
                 return False
-            drivers = self._drivers(candidate, cls, tfi, disproved)
-            if not drivers:
+            drivers = self._drivers(candidate, cls, tfi, disproved, stats)
+            if drivers is None:
                 return False
             for driver in drivers:
                 if self.record_choices and aig.choice_repr(candidate) == aig.choice_repr(driver):
@@ -281,11 +295,9 @@ class SweepEngine:
                     continue
                 inverted = classes.relative_polarity(candidate, driver)
                 driver_literal = Aig.literal(driver, inverted)
-                verdict = self._local_verdict(candidate, driver, inverted, stats)
+                verdict = self._local_verdict(candidate, driver, inverted)
                 if verdict is False:
-                    stats.simulation_disproofs += 1
-                    disproved.add(driver)
-                    continue
+                    raise RuntimeError(f"driver {driver} of candidate {candidate} survived a key disproof")
                 if verdict is None:
                     # line 18: the SAT query.
                     outcome = solver.prove_equivalence(Aig.literal(candidate), driver_literal, self.conflict_limit)
@@ -331,31 +343,111 @@ class SweepEngine:
                 return False
 
     def _drivers(
-        self, candidate: int, cls: EquivalenceClass, tfi: TfiManager, disproved: set[int]
-    ) -> list[int]:
+        self,
+        candidate: int,
+        cls: EquivalenceClass,
+        tfi: TfiManager,
+        disproved: set[int],
+        stats: SweepStatistics,
+    ) -> list[int] | None:
         """Lines 10-11: the merge drivers to try for ``candidate``, in order.
 
-        Members are kept sorted, so the constant node, when present, comes
-        first and the first member is the class representative.  Constant
-        candidates are substitution material only: in choice-recording
-        mode the network stays untouched and constants cannot anchor a
-        choice class.
+        ``None`` when the class holds no driver for the candidate at all;
+        an empty list when the keys disprove every one.  Members are kept
+        sorted, so the constant node, when present, comes first and the
+        first member is the class representative.  Constant candidates
+        are substitution material only: in choice-recording mode the
+        network stays untouched and constants cannot anchor a choice
+        class.
+
+        With keys, every member the keys disprove is dropped (and added
+        to ``disproved``) before the list is ordered.  That changes no
+        transition: the order only sorts by (outside the candidate's
+        bounded cone, index) over a cone the member list does not affect,
+        so the order of the members left is the full order restricted to
+        them, and a key-disproved driver was skipped anyway.
         """
         members = [member for member in cls.members if member < candidate and member not in disproved]
         if not members or (self.record_choices and members[0] == 0):
-            return []
+            return None
         if not self.all_drivers:
             return members[:1]
+        if self.window_leaves:
+            members = self._key_survivors(candidate, cls, members, disproved, stats)
         # The TFI manager orders drivers (bounded-TFI members first); the
         # constant driver always goes first.
         drivers = tfi.order_drivers(candidate, members)
-        if members[0] == 0:
+        if members and members[0] == 0:
             drivers = [0] + [driver for driver in drivers if driver != 0]
         return drivers
 
+    def _key_survivors(
+        self,
+        candidate: int,
+        cls: EquivalenceClass,
+        members: list[int],
+        disproved: set[int],
+        stats: SweepStatistics,
+    ) -> list[int]:
+        """The members the keys do not disprove as drivers of ``candidate``.
+
+        Decides each keyed member the way :meth:`_local_verdict` does,
+        with the class polarity: raw bits over equal supports, keys
+        otherwise.  Before a key is computed, the two functions' ones
+        densities, normalised to ``window_leaves`` inputs, must match; an
+        input a function does not depend on leaves its density unchanged,
+        so equal functions always pass.
+        """
+        tables = self._local_tables
+        supports = self._supports
+        table = tables.get(candidate)
+        if table is None:
+            if supports.get(candidate) is None:
+                return members
+            table = self._local_table(candidate)
+            assert table is not None
+        missing = [member for member in members if member not in tables and supports.get(member) is not None]
+        if missing:
+            self._build_tables(missing)
+        start = time.perf_counter()
+        polarity = cls.polarity
+        phase = polarity[candidate]
+        support = supports[candidate]
+        bits = table.bits
+        full = (1 << table.num_bits) - 1
+        leaves = self.window_leaves
+        everything = 1 << leaves
+        density = bits.bit_count() << (leaves - table.num_vars)
+        candidate_key = None
+        survivors = []
+        for member in members:
+            other = tables.get(member)
+            if other is None:
+                survivors.append(member)
+                continue
+            inverted = polarity[member] != phase
+            if supports[member] == support:
+                equal = (other.bits ^ full if inverted else other.bits) == bits
+            else:
+                other_density = other.bits.bit_count() << (leaves - other.num_vars)
+                equal = (everything - other_density if inverted else other_density) == density
+                if equal:
+                    if candidate_key is None:
+                        candidate_key = self._function_key(candidate)
+                    key = self._function_key(member)
+                    assert key is not None
+                    equal = candidate_key == (complement_key(key) if inverted else key)
+            if equal:
+                survivors.append(member)
+            else:
+                disproved.add(member)
+        stats.simulation_disproofs += len(members) - len(survivors)
+        stats.simulation_time += time.perf_counter() - start
+        return survivors
+
     # ------------------------------------------------------------------
 
-    def _local_verdict(self, candidate: int, driver: int, inverted: bool, stats: SweepStatistics) -> bool | None:
+    def _local_verdict(self, candidate: int, driver: int, inverted: bool) -> bool | None:
         """Exhaustive verdict on ``candidate == driver ^ inverted``; None if a table is missing.
 
         Two tables over the same structural support are compared bit for
@@ -367,42 +459,66 @@ class SweepEngine:
         ``window_leaves`` has no table, and its pairs go to SAT; with
         ``window_leaves=0`` no node has one.
         """
-        candidate_table = self._local_tables.get(candidate)
-        driver_table = self._local_tables.get(driver)
+        tables = self._local_tables
+        candidate_table = tables.get(candidate)
+        if candidate_table is None:
+            candidate_table = self._local_table(candidate)
+        driver_table = tables.get(driver)
+        if driver_table is None:
+            driver_table = self._local_table(driver)
         if candidate_table is None or driver_table is None:
             return None
-        sim_start = time.perf_counter()
         if self._supports[candidate] == self._supports[driver]:
             bits = driver_table.bits
             if inverted:
                 bits ^= (1 << driver_table.num_bits) - 1
-            verdict = candidate_table.bits == bits
-        else:
-            candidate_key = self._function_key(candidate)
-            driver_key = self._function_key(driver)
-            assert candidate_key is not None and driver_key is not None
-            verdict = candidate_key == (complement_key(driver_key) if inverted else driver_key)
-        stats.simulation_time += time.perf_counter() - sim_start
-        return verdict
+            return candidate_table.bits == bits
+        candidate_key = self._function_key(candidate)
+        driver_key = self._function_key(driver)
+        assert candidate_key is not None and driver_key is not None
+        return candidate_key == (complement_key(driver_key) if inverted else driver_key)
 
     def _load_tables(self, aig: Aig) -> None:
-        """Structural PI supports and per-node local functions of ``aig``, once up front.
+        """Structural PI supports of ``aig`` up front; local functions on demand.
 
-        A node's local function stays valid across equivalence-preserving
-        substitutions, so the caches are never invalidated during a sweep.
-        With ``window_leaves=0`` no node gets a table.
+        The supports are computed for every node.  A node's table is built
+        the first time a verdict, a key, the solver's lookup or the
+        constant pass asks for it (:meth:`_local_table`), together with
+        the part of its cone not built yet, from the untouched input
+        network: the working copy shares its node indices, but
+        substitutions change its cones.  A node's local function stays
+        valid across equivalence-preserving substitutions, so the caches
+        are never invalidated during a sweep.  With ``window_leaves=0``
+        no node gets a table.
         """
         self._keys = {}
+        self._table_time = 0.0
         if not self.window_leaves:
             self._supports, self._local_tables = {}, {}
             return
         self._supports = compute_pi_supports(aig, self.window_leaves)
-        self._local_tables = compute_local_truth_tables(aig, self.window_leaves, self._supports)
+        self._local_tables = compute_local_truth_tables(aig, self.window_leaves, self._supports, roots=())
+
+    def _build_tables(self, roots: list[int]) -> None:
+        """Add the tables of ``roots`` and of their cones' missing nodes to the cache."""
+        start = time.perf_counter()
+        compute_local_truth_tables(
+            self.original, self.window_leaves, self._supports, roots=roots, tables=self._local_tables
+        )
+        self._table_time += time.perf_counter() - start
+
+    def _local_table(self, node: int) -> TruthTable | None:
+        """A node's local function, built on first use; None if its support is too wide."""
+        table = self._local_tables.get(node)
+        if table is None and self._supports.get(node) is not None:
+            self._build_tables([node])
+            table = self._local_tables[node]
+        return table
 
     def _function_key(self, node: int) -> tuple[tuple[int, ...], int] | None:
         """Lazily cached :func:`function_key` of a node's local function."""
         if node not in self._keys:
-            local = self._local_tables.get(node)
+            local = self._local_table(node)
             support = self._supports.get(node)
             self._keys[node] = None if local is None or support is None else function_key(local, support)
         return self._keys[node]
@@ -410,5 +526,8 @@ class SweepEngine:
     def _function_table(self, node: int) -> FunctionTable | None:
         """The solver's function-class lookup: ``(support, bits)`` of a node's table."""
         table = self._local_tables.get(node)
-        support = self._supports.get(node)
-        return None if table is None or support is None else (support, table.bits)
+        if table is None:
+            table = self._local_table(node)
+            if table is None:
+                return None
+        return self._supports[node], table.bits

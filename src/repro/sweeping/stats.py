@@ -50,6 +50,11 @@ class SweepStatistics:
     included, is ``extra["exhaustive_proofs"]``.  Its
     ``unsatisfiable_sat_calls`` therefore no longer include the pairs the
     tables prove: they count only the equivalences SAT itself proved.
+    It builds a node's table only when a verdict, a key, the solver or
+    the constant pass asks for it (with the part of its cone not built
+    yet); the number of gate tables built is ``extra["tables_built"]``.
+    ``simulation_disproofs`` counts every class member the keys drop
+    from a driver list, whether or not it would have been a legal merge.
     """
 
     name: str = ""
@@ -118,6 +123,7 @@ class SweepStatistics:
     def __str__(self) -> str:
         skipped = self.extra.get("dangling_skipped")
         proofs = self.extra.get("exhaustive_proofs")
+        tables = self.extra.get("tables_built")
         return (
             f"{self.name or 'sweep'}: gates {self.gates_before} -> {self.gates_after} "
             f"({100 * self.gate_reduction:.1f}% reduction), "
@@ -126,6 +132,7 @@ class SweepStatistics:
             f"merges {self.merges} (+{self.constant_merges} const), "
             f"sim disproofs {self.simulation_disproofs}, "
             + (f"exhaustive proofs {int(proofs)}, " if proofs is not None else "")
+            + (f"tables built {int(tables)}, " if tables is not None else "")
             + (f"dangling skipped {int(skipped)}, " if skipped is not None else "")
             + f"sim {self.simulation_time:.3f}s, total {self.total_time:.3f}s"
         )

@@ -18,14 +18,18 @@ paper calls out, each a setting of
    candidate's generalised (polarity-merged) equivalence class, ordered and
    bounded through the transitive-fanin manager (lines 10-17).
 4. *STP-based exhaustive refinement*: every node whose PI support has at
-   most ``window_leaves`` inputs gets its exhaustive function over that
-   support, computed once up front, and a canonical key of it
-   (:func:`~repro.simulation.stp_simulator.function_key`).  When both
-   nodes of a (candidate, driver) pair have a key, the keys decide the
-   pair exactly with no SAT call at all: equal keys prove the equivalence
-   and the candidate is substituted, unequal keys disprove it and the walk
-   moves on to the next driver.  Two nodes with the same support compare
-   their tables directly, without the key.  Only pairs with a wider node
+   most ``window_leaves`` inputs has an exhaustive function over that
+   support and a canonical key of it
+   (:func:`~repro.simulation.stp_simulator.function_key`).  The supports
+   are computed up front; a node's table is built the first time a
+   verdict, a key, the solver or the constant pass asks for it
+   (``stats.extra["tables_built"]``).  When both nodes of a (candidate,
+   driver) pair have a key, the keys decide the pair exactly with no SAT
+   call at all: unequal keys drop the member from the candidate's driver
+   list before the list is ordered, and equal keys prove the equivalence
+   and the candidate is substituted.  Two nodes with the same support
+   compare their tables directly, without the key, and a key is computed
+   only for a member whose ones density matches the candidate's.  Only pairs with a wider node
    go to SAT, and every SAT counter-example is propagated only through the
    nodes that still sit in equivalence classes (Section IV-A, "Refinement
    using STP-based Simulation").  The tables also shrink those SAT queries:

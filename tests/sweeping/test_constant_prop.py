@@ -54,7 +54,7 @@ class TestConstantPropagation:
         patterns = PatternSet.random(3, 16, seed=3)
         solver = CircuitSolver(aig)
         tables = compute_local_truth_tables(aig)
-        report = propagate_constant_candidates(aig, patterns, solver, local_tables=tables)
+        report = propagate_constant_candidates(aig, patterns, solver, local_table=tables.get)
         assert report.proved.get(hidden_node) is False
         assert report.exhaustive_proofs >= 1
         assert report.sat_calls == 0

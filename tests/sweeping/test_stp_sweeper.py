@@ -257,4 +257,5 @@ class TestDanglingSkip:
         assert f"dangling skipped {int(stats.extra['dangling_skipped'])}" in str(stats)
         assert stats.extra["exhaustive_proofs"] > 0
         assert f"exhaustive proofs {int(stats.extra['exhaustive_proofs'])}" in str(stats)
+        assert f"tables built {int(stats.extra['tables_built'])}" in str(stats)
 

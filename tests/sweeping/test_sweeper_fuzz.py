@@ -8,6 +8,7 @@ the network.
 """
 
 import itertools
+from typing import Any
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from repro.networks.aig import fanout_counts_impl
 from repro.networks.structural_hash import structural_hash
 from repro.networks.traversal import topological_sort
 from repro.sat import CircuitSolver, EquivalenceStatus
-from repro.simulation import compute_local_truth_tables, compute_pi_supports
+from repro.simulation import PatternSet, compute_local_truth_tables, compute_pi_supports, simulate_aig
 from repro.simulation.stp_simulator import complement_key, function_key
 from repro.sweeping import FraigSweeper, StpSweeper
 from repro.sweeping.engine import SweepEngine
@@ -141,14 +142,13 @@ class TestExhaustiveVerdict:
         sweeper = StpSweeper(aig, num_patterns=32, window_leaves=4)
         sweeper._load_tables(aig)
         solver = CircuitSolver(aig)
-        stats = SweepStatistics()
         keyed = [node for node in aig.nodes() if sweeper._function_key(node) is not None]
         verdicts = set()
         for a, b in itertools.combinations(keyed, 2):
             for inverted in (False, True):
                 outcome = solver.prove_equivalence(Aig.literal(b), Aig.literal(a, inverted))
                 assert outcome.status is not EquivalenceStatus.UNDETERMINED
-                verdict = sweeper._local_verdict(b, a, inverted, stats)
+                verdict = sweeper._local_verdict(b, a, inverted)
                 assert verdict == (outcome.status is EquivalenceStatus.EQUIVALENT), (a, b, inverted)
                 verdicts.add(verdict)
         assert verdicts == {False, True}
@@ -187,8 +187,8 @@ def _check_verdicts(monkeypatch) -> dict[str, int]:
     local_verdict = SweepEngine._local_verdict
     seen = {"same_support": 0, "other_support": 0}
 
-    def checked(self, candidate, driver, inverted, stats):
-        verdict = local_verdict(self, candidate, driver, inverted, stats)
+    def checked(self, candidate, driver, inverted):
+        verdict = local_verdict(self, candidate, driver, inverted)
         tables, supports = self._local_tables, self._supports
         if tables.get(candidate) is None or tables.get(driver) is None:
             assert verdict is None
@@ -236,6 +236,141 @@ class TestKeyLemmas:
             lemmas += count
         assert lemmas > 0
         assert seen["same_support"] > seen["other_support"] > 0
+
+
+def _check_driver_lists(monkeypatch) -> dict[str, int]:
+    """Check every driver list against the unfiltered order minus the key disproofs.
+
+    The reference keys come from the whole-network tables of the
+    sweep's input.  Returns the number of lists checked and of members
+    the keys dropped.
+    """
+    drivers = SweepEngine._drivers
+    seen = {"lists": 0, "dropped": 0}
+    reference: dict[int, Any] = {}
+
+    def key(sweeper, node):
+        if sweeper not in reference:
+            supports = compute_pi_supports(sweeper.original, sweeper.window_leaves)
+            reference.clear()
+            reference[sweeper] = (supports, compute_local_truth_tables(sweeper.original, sweeper.window_leaves, supports), {})
+        supports, tables, keys = reference[sweeper]
+        if node not in keys:
+            table = tables.get(node)
+            keys[node] = None if table is None else function_key(table, supports[node])
+        return keys[node]
+
+    def checked(self, candidate, cls, tfi, disproved, stats):
+        members = [member for member in cls.members if member < candidate and member not in disproved]
+        result = drivers(self, candidate, cls, tfi, disproved, stats)
+        if not members:
+            assert result is None
+            return result
+        expected = tfi.order_drivers(candidate, members)
+        if members[0] == 0:
+            expected = [0] + [driver for driver in expected if driver != 0]
+        candidate_key = key(self, candidate)
+
+        def disproves(member):
+            member_key = key(self, member)
+            if candidate_key is None or member_key is None:
+                return False
+            inverted = cls.polarity[candidate] != cls.polarity[member]
+            return candidate_key != (complement_key(member_key) if inverted else member_key)
+
+        assert result == [driver for driver in expected if not disproves(driver)], candidate
+        seen["lists"] += 1
+        seen["dropped"] += len(expected) - len(result)
+        return result
+
+    monkeypatch.setattr(SweepEngine, "_drivers", checked)
+    return seen
+
+
+class TestKeyFirstDrivers:
+    """The key filter drops exactly the drivers the keys disprove, in the unfiltered order."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_driver_lists_of_fuzz_workloads(self, seed, monkeypatch):
+        seen = _check_driver_lists(monkeypatch)
+        workload = _workload(seed)
+        swept, stats = StpSweeper(workload, num_patterns=32).run()
+        assert seen["lists"] > 0
+        assert stats.simulation_disproofs >= seen["dropped"]
+        assert _exhaustively_equal(workload, swept)
+
+    def test_driver_lists_of_epfl(self, monkeypatch):
+        seen = _check_driver_lists(monkeypatch)
+        dropped = 0
+        for name in EPFL_BENCHMARKS:
+            _swept, stats = StpSweeper(epfl_benchmark(name), num_patterns=64, seed=1).run()
+            dropped += stats.simulation_disproofs
+        assert seen["dropped"] > 0
+        assert dropped >= seen["dropped"]
+
+
+def _sweep_recording_tables(aig: Aig, monkeypatch, **options) -> tuple[dict[int, Any], set[int], SweepStatistics]:
+    """Sweep with the STP sweeper; returns its table cache, the requested roots and the statistics."""
+    build = SweepEngine._build_tables
+    cache: dict[int, Any] = {}
+    requested: set[int] = set()
+
+    def recording(self, roots):
+        requested.update(roots)
+        build(self, roots)
+        cache.update(self._local_tables)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SweepEngine, "_build_tables", recording)
+        _swept, stats = StpSweeper(aig, **options).run()
+    return cache, requested, stats
+
+
+def _eager_tables(aig: Aig) -> dict[int, Any]:
+    return compute_local_truth_tables(aig, 16, compute_pi_supports(aig, 16))
+
+
+class TestOnDemandTables:
+    """Tables built on demand equal the whole-network pass, and none is built unread."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tables_of_fuzz_workloads(self, seed, monkeypatch):
+        workload = _workload(seed)
+        built, _requested, stats = _sweep_recording_tables(workload, monkeypatch, num_patterns=32)
+        eager = _eager_tables(workload)
+        supports = compute_pi_supports(workload, 16)
+        # An oracle that shares no code with the table builder: each node's
+        # exhaustive simulation over all inputs.
+        simulated = simulate_aig(workload, PatternSet.exhaustive(workload.num_pis))
+        position = {pi: index for index, pi in enumerate(workload.pis)}
+        gates = [node for node in built if workload.is_and(node)]
+        assert stats.extra["tables_built"] == len(gates) > 0
+        for node in gates:
+            assert built[node] == eager[node], node
+            table = built[node].extend(workload.num_pis, [position[leaf] for leaf in supports[node]])
+            assert table.bits == simulated.signature(node), node
+
+    def test_tables_of_epfl(self, monkeypatch):
+        for name in EPFL_BENCHMARKS:
+            aig = epfl_benchmark(name)
+            built, _requested, stats = _sweep_recording_tables(aig, monkeypatch, num_patterns=64, seed=1)
+            eager = _eager_tables(aig)
+            gates = [node for node in built if aig.is_and(node)]
+            assert stats.extra["tables_built"] == len(gates), name
+            assert all(built[node] == eager[node] for node in gates), name
+
+    @pytest.mark.parametrize("name", ["adder", "bar"])
+    def test_every_table_built_is_read(self, name, monkeypatch):
+        # A table is read when a verdict, a key, the solver or the constant
+        # pass asks for it, or when a table above it is built from it.
+        aig = epfl_benchmark(name)
+        built, requested, stats = _sweep_recording_tables(aig, monkeypatch, num_patterns=64, seed=1)
+        gates = {node for node in built if aig.is_and(node)}
+        fanins = {fanin for node in gates for fanin in aig.fanin_nodes(node)}
+        assert stats.extra["tables_built"] == len(gates)
+        assert gates <= requested | fanins
+        narrow = [node for node, support in compute_pi_supports(aig, 16).items() if support is not None]
+        assert len(gates) < len([node for node in narrow if aig.is_and(node)])
 
 
 def _reference_topological_order(aig: Aig) -> list[int]:
