@@ -315,7 +315,6 @@ def sweep_main(argv: list[str] | None = None) -> int:
                     "sat_time": stats.sat_time,
                     "simulation_time": stats.simulation_time,
                     "patterns_used": float(stats.patterns_used),
-                    **{key: stats.extra[key] for key in ("exhaustive_proofs", "tables_built") if key in stats.extra},
                 },
             )
         )

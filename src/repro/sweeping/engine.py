@@ -398,14 +398,11 @@ class SweepEngine:
         input a function does not depend on leaves its density unchanged,
         so equal functions always pass.
         """
+        table = self._local_table(candidate)
+        if table is None:
+            return members
         tables = self._local_tables
         supports = self._supports
-        table = tables.get(candidate)
-        if table is None:
-            if supports.get(candidate) is None:
-                return members
-            table = self._local_table(candidate)
-            assert table is not None
         missing = [member for member in members if member not in tables and supports.get(member) is not None]
         if missing:
             self._build_tables(missing)
@@ -419,7 +416,7 @@ class SweepEngine:
         everything = 1 << leaves
         density = bits.bit_count() << (leaves - table.num_vars)
         candidate_key = None
-        survivors = []
+        survivors: list[int] = []
         for member in members:
             other = tables.get(member)
             if other is None:
@@ -525,9 +522,11 @@ class SweepEngine:
 
     def _function_table(self, node: int) -> FunctionTable | None:
         """The solver's function-class lookup: ``(support, bits)`` of a node's table."""
+        support = self._supports.get(node)
+        if support is None:
+            return None
         table = self._local_tables.get(node)
         if table is None:
             table = self._local_table(node)
-            if table is None:
-                return None
-        return self._supports[node], table.bits
+            assert table is not None
+        return support, table.bits
