@@ -677,13 +677,15 @@ class Aig(IncrementalNetworkMixin):
         """Deep copy of the graph.
 
         The clone keeps the strash table, the fanout lists, the PO
-        references, the choice classes and their acyclicity ranks.  Their
-        content is fixed by the graph; where their order or rank values
-        carry the input's mutation history, every reader's answer is the
-        same either way (fanout lists are read as multisets, ranks only
-        prune an exact acyclicity walk).  It keeps no cached topological
-        order and no listeners: an order extended by new gates differs
-        from a fresh one, and sweeps walk and prove in that order.
+        references, the choice classes and their acyclicity ranks as they
+        are.  The input's mutation history can show in them: the order of
+        a fanout list (``substitute`` rewires in that order, which decides
+        the gate that keeps a shared strash key) and the rank values.  A
+        sweep reads none of it: it creates no gate, reads fanouts as a
+        set, and ranks only prune an exact acyclicity walk.  The clone
+        keeps no cached topological order and no listeners: an order
+        extended by new gates differs from a fresh one, and sweeps walk
+        and prove in that order.
         """
         other = Aig(self.name)
         other._nodes = list(self._nodes)

@@ -456,13 +456,8 @@ class SweepEngine:
         ``window_leaves`` has no table, and its pairs go to SAT; with
         ``window_leaves=0`` no node has one.
         """
-        tables = self._local_tables
-        candidate_table = tables.get(candidate)
-        if candidate_table is None:
-            candidate_table = self._local_table(candidate)
-        driver_table = tables.get(driver)
-        if driver_table is None:
-            driver_table = self._local_table(driver)
+        candidate_table = self._local_table(candidate)
+        driver_table = self._local_table(driver)
         if candidate_table is None or driver_table is None:
             return None
         if self._supports[candidate] == self._supports[driver]:

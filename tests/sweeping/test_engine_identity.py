@@ -86,7 +86,7 @@ def _grown_after_a_cached_order(seed: int) -> Aig:
     aig.topological_order()
     rng = random.Random(seed)
     for _ in range(10):
-        nodes = [node for node in range(1, aig.num_nodes)]
+        nodes = range(1, aig.num_nodes)
         literal = aig.add_and(
             Aig.literal(rng.choice(nodes), rng.random() < 0.5), Aig.literal(rng.choice(nodes), rng.random() < 0.5)
         )
