@@ -247,17 +247,17 @@ def _check_driver_lists(monkeypatch) -> dict[str, int]:
     """
     drivers = SweepEngine._drivers
     seen = {"lists": 0, "dropped": 0}
-    reference: dict[int, Any] = {}
+    reference: dict[str, Any] = {}
 
     def key(sweeper, node):
-        if sweeper not in reference:
+        if reference.get("network") is not sweeper.original:
             supports = compute_pi_supports(sweeper.original, sweeper.window_leaves)
-            reference.clear()
-            reference[sweeper] = (supports, compute_local_truth_tables(sweeper.original, sweeper.window_leaves, supports), {})
-        supports, tables, keys = reference[sweeper]
+            tables = compute_local_truth_tables(sweeper.original, sweeper.window_leaves, supports)
+            reference.update(network=sweeper.original, supports=supports, tables=tables, keys={})
+        keys = reference["keys"]
         if node not in keys:
-            table = tables.get(node)
-            keys[node] = None if table is None else function_key(table, supports[node])
+            table = reference["tables"].get(node)
+            keys[node] = None if table is None else function_key(table, reference["supports"][node])
         return keys[node]
 
     def checked(self, candidate, cls, tfi, disproved, stats):
