@@ -14,6 +14,7 @@ the ``repro map`` CLI.
 from __future__ import annotations
 
 from ..truthtable import TruthTable
+from ..truthtable.truth_table import spread_bits
 
 __all__ = ["CutFunctionCache"]
 
@@ -50,24 +51,26 @@ class CutFunctionCache:
         """Function of ``AND(fanin0 ^ comp0, fanin1 ^ comp1)`` over ``leaves``.
 
         ``table0``/``table1`` are the fanin cut functions over
-        ``leaves0``/``leaves1`` (both subsets of ``leaves``).  The result
+        ``leaves0``/``leaves1``, sorted like every cut's leaves and both
+        subsets of the sorted ``leaves``.  The result
         is memoised under the merge's structural signature, so two
         structurally identical merges anywhere in the network share one
         computation.
         """
-        positions = {leaf: index for index, leaf in enumerate(leaves)}
-        pos0 = tuple(positions[leaf] for leaf in leaves0)
-        pos1 = tuple(positions[leaf] for leaf in leaves1)
-        key = (table0.bits, *pos0, -1 - comp0, table1.bits, *pos1, -1 - comp1, len(leaves))
+        position = leaves.index
+        pos0 = tuple(map(position, leaves0))
+        pos1 = tuple(map(position, leaves1))
+        num_vars = len(leaves)
+        key = (table0.bits, *pos0, -1 - comp0, table1.bits, *pos1, -1 - comp1, num_vars)
         cached = self._tables.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        num_vars = len(leaves)
         full = (1 << (1 << num_vars)) - 1
-        bits0 = table0.extend(num_vars, pos0).bits
-        bits1 = table1.extend(num_vars, pos1).bits
+        # Sorted leaves give increasing positions: no permutation needed.
+        bits0 = spread_bits(table0.bits, table0.num_vars, num_vars, pos0)
+        bits1 = spread_bits(table1.bits, table1.num_vars, num_vars, pos1)
         if comp0:
             bits0 ^= full
         if comp1:

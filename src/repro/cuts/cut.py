@@ -19,8 +19,8 @@ mapper all go through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import TYPE_CHECKING, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..truthtable import TruthTable
 
@@ -32,11 +32,7 @@ __all__ = ["Cut", "trivial_cut", "merge_cut_sets"]
 #: Table of a trivial cut ``{node}``: the identity function of one input.
 _IDENTITY = TruthTable.variable(0, 1)
 
-#: Sort key of a ``(size, mask, cut0, cut1)`` merge candidate.
-_by_size = itemgetter(0)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Cut:
     """A k-feasible cut: the leaf set, plus (optionally) its fused function.
 
@@ -47,6 +43,11 @@ class Cut:
 
     leaves: tuple[int, ...]
     table: TruthTable | None = field(default=None, compare=False)
+
+    def __init__(self, leaves: tuple[int, ...], table: TruthTable | None = None) -> None:
+        # The slot setters skip the frozen ``__setattr__`` path.
+        _set_leaves(self, leaves)
+        _set_table(self, table)
 
     @property
     def size(self) -> int:
@@ -60,6 +61,10 @@ class Cut:
     def dominates(self, other: "Cut") -> bool:
         """True if this cut's leaves are a subset of the other's."""
         return set(self.leaves) <= set(other.leaves)
+
+
+_set_leaves: Callable[[Cut, tuple[int, ...]], None] = Cut.__dict__["leaves"].__set__
+_set_table: Callable[[Cut, "TruthTable | None"], None] = Cut.__dict__["table"].__set__
 
 
 def trivial_cut(node: int, with_table: bool = True) -> Cut:
@@ -96,10 +101,12 @@ def merge_cut_sets(
 
     1. every pair whose leaf union has at most ``k`` leaves becomes a
        candidate, in arrival order (``cuts0`` outer, ``cuts1`` inner);
-    2. the candidates are stably sorted by size;
+    2. the candidates are bucketed by size, each bucket in arrival
+       order (a stable sort by size);
     3. a candidate is kept unless an already-kept leaf set is a subset
        of its own (equal sets included);
-    4. the pass stops once ``cut_limit - 1`` candidates are kept.
+    4. the pass stops once ``cut_limit - 1`` candidates are kept; with
+       ``cut_limit == 1`` no candidate is built at all.
 
     Leaves are built only for kept cuts and, with a
     :class:`~repro.cuts.cache.CutFunctionCache`, so are truth tables,
@@ -123,36 +130,35 @@ def merge_cut_sets(
     Subset tests run on per-call leaf *bitmasks* (each distinct leaf of
     the two fanin sets gets one bit), so a test is two integer ops.
     """
+    trivial = trivial_cut(node, with_table=cache is not None)
+    room = cut_limit - 1
+    if room <= 0:
+        return [trivial]
     comp0, comp1 = fanin0 & 1, fanin1 & 1
-    # One bit per distinct leaf appearing in either fanin set.
+    # One bit per distinct leaf of either fanin set, assigned while each
+    # cut's mask is built.
     bit_of: dict[int, int] = {}
-    for cut in cuts0:
+    new_bit = bit_of.setdefault
+    masks: list[int] = []
+    for cut in chain(cuts0, cuts1):
+        mask = 0
         for leaf in cut.leaves:
-            if leaf not in bit_of:
-                bit_of[leaf] = 1 << len(bit_of)
-    for cut in cuts1:
-        for leaf in cut.leaves:
-            if leaf not in bit_of:
-                bit_of[leaf] = 1 << len(bit_of)
-    leaf_bit = bit_of.__getitem__
-    masks1 = [(sum(map(leaf_bit, cut.leaves)), cut) for cut in cuts1]
+            mask |= new_bit(leaf, 1 << len(bit_of))
+        masks.append(mask)
+    masks1 = list(zip(masks[len(cuts0) :], cuts1))
 
-    candidates: list[tuple[int, int, Cut, Cut]] = []
-    for cut0 in cuts0:
-        mask0 = sum(map(leaf_bit, cut0.leaves))
+    # Candidates bucketed by size; each bucket keeps arrival order.
+    by_size: list[list[tuple[int, Cut, Cut]]] = [[] for _ in range(k + 1)]
+    for mask0, cut0 in zip(masks, cuts0):
         for mask1, cut1 in masks1:
             mask = mask0 | mask1
             size = mask.bit_count()
             if size <= k:
-                candidates.append((size, mask, cut0, cut1))
-    candidates.sort(key=_by_size)  # list.sort is stable: ties keep arrival order
+                by_size[size].append((mask, cut0, cut1))
 
-    room = cut_limit - 1
     merged: list[Cut] = []
     kept_masks: list[int] = []
-    for _size, mask, cut0, cut1 in candidates:
-        if len(merged) >= room:
-            break
+    for mask, cut0, cut1 in chain.from_iterable(by_size):
         for existing in kept_masks:
             if existing & mask == existing:
                 break
@@ -164,5 +170,7 @@ def merge_cut_sets(
                 merged.append(Cut(leaves, table))
             else:
                 merged.append(Cut(leaves))
-    merged.append(trivial_cut(node, with_table=cache is not None))
+            if len(merged) == room:
+                break
+    merged.append(trivial)
     return merged

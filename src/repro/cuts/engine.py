@@ -319,20 +319,13 @@ class CutEngine:
 
     def _merge(self, node: int) -> list[Cut]:
         fanin0, fanin1 = self.aig.fanins(node)
-        node0, node1 = fanin0 >> 1, fanin1 >> 1
-        cuts0 = self._db.get(node0)
-        if cuts0 is None:
-            cuts0 = self.cuts(node0)
-        cuts1 = self._db.get(node1)
-        if cuts1 is None:
-            cuts1 = self.cuts(node1)
         self.merges += 1
         return merge_cut_sets(
             node,
             fanin0,
             fanin1,
-            cuts0,
-            cuts1,
+            self.cuts(fanin0 >> 1),
+            self.cuts(fanin1 >> 1),
             self.k,
             self.cut_limit,
             self.cache if self._with_tables else None,

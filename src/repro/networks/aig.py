@@ -152,27 +152,12 @@ class Aig(IncrementalNetworkMixin):
         return index
 
     def add_and(self, a: int, b: int) -> int:
-        """AND of two literals, with one-level simplification and strashing."""
-        self._check_literal(a)
-        self._check_literal(b)
-        # Trivial cases.
-        if a == LIT_FALSE or b == LIT_FALSE:
-            return LIT_FALSE
-        if a == LIT_TRUE:
-            return b
-        if b == LIT_TRUE:
-            return a
-        if a == b:
-            return a
-        if a == self.negate(b):
-            return LIT_FALSE
+        """AND of two literals: the literal :meth:`find_and` returns, else a new gate."""
+        found = self.find_and(a, b)
+        if found is not None:
+            return found
         # Canonical fanin order for structural hashing.
-        if a > b:
-            a, b = b, a
-        entry = (a, b)
-        existing = self._strash.get(entry)
-        if existing is not None:
-            return self.literal(existing)
+        entry = (a, b) if a < b else (b, a)
         node = len(self._nodes)
         self._nodes.append(entry)
         self._register_node()
@@ -184,19 +169,21 @@ class Aig(IncrementalNetworkMixin):
         # Appending a freshly created gate keeps any cached order valid:
         # both fanins already exist, hence precede it.
         self._topo_append(node)
-        return self.literal(node)
+        return node << 1
 
     def find_and(self, a: int, b: int) -> int | None:
         """Literal :meth:`add_and` would return, or ``None`` if it would create a gate.
 
-        Applies the same one-level simplifications and strash lookup as
-        :meth:`add_and` but never mutates the graph.  DAG-aware rewriting
-        uses this to price candidate replacement structures (counting the
-        gates a structure would actually add, given sharing with the
-        existing network) before committing to any of them.
+        The one-level simplifications and the strash lookup that
+        :meth:`add_and` runs first; it never mutates the graph.  DAG-aware
+        rewriting uses this to price candidate replacement structures
+        (counting the gates a structure would actually add, given sharing
+        with the existing network) before committing to any of them.
         """
-        self._check_literal(a)
-        self._check_literal(b)
+        limit = len(self._nodes) << 1
+        if not (0 <= a < limit and 0 <= b < limit):
+            self._check_literal(a)
+            self._check_literal(b)
         if a == LIT_FALSE or b == LIT_FALSE:
             return LIT_FALSE
         if a == LIT_TRUE:
@@ -205,14 +192,12 @@ class Aig(IncrementalNetworkMixin):
             return a
         if a == b:
             return a
-        if a == self.negate(b):
+        if a == b ^ 1:
             return LIT_FALSE
-        if a > b:
-            a, b = b, a
-        existing = self._strash.get((a, b))
+        existing = self._strash.get((a, b) if a < b else (b, a))
         if existing is None:
             return None
-        return self.literal(existing)
+        return existing << 1
 
     # Derived gates -----------------------------------------------------
 
@@ -339,11 +324,10 @@ class Aig(IncrementalNetworkMixin):
 
     def is_and(self, node: int) -> bool:
         """True if ``node`` is an internal AND gate."""
-        return node > len(self._pis) and node < len(self._nodes)
+        return len(self._pis) < node < len(self._nodes)
 
-    def is_gate(self, node: int) -> bool:
-        """True if ``node`` is an internal gate (protocol alias of :meth:`is_and`)."""
-        return self.is_and(node)
+    #: True if ``node`` is an internal gate (protocol alias of :meth:`is_and`).
+    is_gate = is_and
 
     def po_nodes(self) -> list[int]:
         """Node indices driving the primary outputs, in PO order."""
@@ -391,14 +375,12 @@ class Aig(IncrementalNetworkMixin):
             fanouts[fanin1 >> 1].append(gate)
         return fanouts
 
-    def _gate_fanin_nodes(self, node: int) -> list[int]:
-        if self.is_and(node):
-            return [self.node_of(f) for f in self.fanins(node)]
-        return []
-
     def gate_fanin_nodes(self, node: int) -> list[int]:
         """Fanin node indices of ``node`` (empty for PIs and the constant)."""
-        return self._gate_fanin_nodes(node)
+        if len(self._pis) < node < len(self._nodes):
+            fanin0, fanin1 = self._nodes[node]
+            return [fanin0 >> 1, fanin1 >> 1]
+        return []
 
     def topological_order(self, include_pis: bool = False) -> list[int]:
         """AND-node indices in topological (fanin-before-fanout) order.
@@ -418,7 +400,7 @@ class Aig(IncrementalNetworkMixin):
         cache = self._topo_cache
         if cache is None:
             # Specialised DFS producing exactly the order of
-            # topological_sort(po_nodes + gates, _gate_fanin_nodes): the
+            # topological_sort(po_nodes + gates, gate_fanin_nodes): the
             # generic helper's per-node callback, tuple stack and list
             # allocations triple the cost of this rebuild, and sweeping
             # re-sorts after every cache-invalidating merge.
@@ -489,7 +471,7 @@ class Aig(IncrementalNetworkMixin):
     def tfi(self, nodes: Iterable[int], limit: int | None = None) -> list[int]:
         """Transitive fanin cone of ``nodes`` (the nodes themselves included).
 
-        Returns exactly what ``transitive_fanin(nodes, _gate_fanin_nodes,
+        Returns exactly what ``transitive_fanin(nodes, gate_fanin_nodes,
         limit)`` returns -- breadth-first order of first visits, repeated
         roots once, at most ``max(limit, 1)`` nodes -- but walks the raw
         node array inline.  Deduplicating at push time keeps that order,
@@ -703,17 +685,3 @@ class Aig(IncrementalNetworkMixin):
             f"ands={self.num_ands})"
         )
 
-
-def fanout_counts_impl(aig: Aig) -> dict[int, int]:
-    """Reference counts of every node, recomputed from scratch.
-
-    Kept as the from-scratch oracle for the incrementally maintained
-    :meth:`Aig.fanout_counts`; tests cross-check the two.
-    """
-    counts = {node: 0 for node in aig.nodes()}
-    for node in aig.gates():
-        for fanin in aig.fanins(node):
-            counts[aig.node_of(fanin)] += 1
-    for po in aig.pos:
-        counts[aig.node_of(po)] += 1
-    return counts

@@ -301,7 +301,10 @@ class IncrementalNetworkMixin:
         map; MFFC computation queries this for every cone node, so it
         must not scan the network.
         """
-        count = len(self._fanout_lists()[node])
+        fanouts = self._fanouts
+        if fanouts is None:
+            fanouts = self._fanout_lists()
+        count = len(fanouts[node])
         refs = self._po_refs.get(node)
         return count + len(refs) if refs else count
 

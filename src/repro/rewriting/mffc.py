@@ -57,7 +57,7 @@ def collect_mffc(
     while stack:
         node = stack.pop()
         for fanin in network.gate_fanin_nodes(node):
-            if fanin in stop or not network.is_gate(fanin) or fanin in mffc:
+            if fanin in stop or fanin in mffc or not network.is_gate(fanin):
                 continue
             count = remaining.get(fanin)
             if count is None:

@@ -101,15 +101,14 @@ def refactor(
         table = aig_cone_table(work, node, leaves)
         report.cones_evaluated += 1
         structure = synthesize_structure(table)
-        leaf_literals = [Aig.literal(leaf) for leaf in leaves]
-        created, valid = _dry_run(work, structure, leaf_literals, node, mffc, engine)
+        created, valid = _dry_run(work, structure, leaves, node, mffc, engine)
         if not valid:
             continue
         gain = len(mffc) - created
         threshold = 0 if zero_gain or record_choices else 1
         if gain < threshold:
             continue
-        new_literal = _instantiate(work, structure, leaf_literals, None)
+        new_literal = _instantiate(work, structure, [leaf << 1 for leaf in leaves], None)
         new_node = new_literal >> 1
         if new_node == node:
             continue

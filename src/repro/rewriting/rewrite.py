@@ -28,6 +28,7 @@ substitution is function-preserving (see :mod:`repro.cuts.engine`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..cuts import CutEngine
 from ..networks.aig import Aig
@@ -57,6 +58,7 @@ class RewriteReport:
     rewrites_applied: int = 0
     zero_gain_applied: int = 0
     estimated_gain: int = 0
+    dry_runs_skipped: int = 0
     dead_revived: int = 0
     choices_recorded: int = 0
     cut_cache_hit_rate: float = 0.0
@@ -69,6 +71,7 @@ class RewriteReport:
             "rewrites_applied": float(self.rewrites_applied),
             "zero_gain_applied": float(self.zero_gain_applied),
             "estimated_gain": float(self.estimated_gain),
+            "dry_runs_skipped": float(self.dry_runs_skipped),
             "dead_revived": float(self.dead_revived),
             "choices_recorded": float(self.choices_recorded),
             "cut_cache_hit_rate": self.cut_cache_hit_rate,
@@ -78,7 +81,7 @@ class RewriteReport:
 def _dry_run(
     aig: Aig,
     structure: AigStructure,
-    leaf_literals: list[int],
+    leaves: Sequence[int],
     root: int,
     treat_as_new: set[int],
     engine: CutEngine,
@@ -89,24 +92,22 @@ def _dry_run(
     ``treat_as_new`` (the root's MFFC) or marked dead by the engine:
     reusing one keeps it alive, which costs exactly the gate the
     MFFC/dead accounting assumed freed, so it is priced as a new gate.
-    Returns ``(count, valid)``; ``valid`` is False when the replacement
-    cone would contain the root itself (substituting would create a
-    cycle).
+    Both sets hold gates only, so a found PI or constant is never in
+    them.  Returns ``(count, valid)``; ``valid`` is False when the
+    replacement cone would contain the root itself (substituting would
+    create a cycle).
     """
     created = 0
-    literals: list[tuple[int, int] | None] = [(0, 0)] + [
-        (literal >> 1, literal & 1) for literal in leaf_literals
-    ]
+    # Each structure node's literal in the network; None if it would be created.
+    literals: list[int | None] = [0, *[leaf << 1 for leaf in leaves]]
     for fanin0, fanin1 in structure.gates:
-        entry0 = literals[fanin0 >> 1]
-        entry1 = literals[fanin1 >> 1]
-        if entry0 is None or entry1 is None:
+        literal0 = literals[fanin0 >> 1]
+        literal1 = literals[fanin1 >> 1]
+        if literal0 is None or literal1 is None:
             created += 1
             literals.append(None)
             continue
-        literal0 = 2 * entry0[0] + (entry0[1] ^ (fanin0 & 1))
-        literal1 = 2 * entry1[0] + (entry1[1] ^ (fanin1 & 1))
-        found = aig.find_and(literal0, literal1)
+        found = aig.find_and(literal0 ^ (fanin0 & 1), literal1 ^ (fanin1 & 1))
         if found is None:
             created += 1
             literals.append(None)
@@ -114,11 +115,11 @@ def _dry_run(
         node = found >> 1
         if node == root:
             return created, False
-        if aig.is_and(node) and (node in treat_as_new or engine.is_dead(node)):
+        if node in treat_as_new or engine.is_dead(node):
             created += 1
-        literals.append((node, found & 1))
+        literals.append(found)
     output = literals[structure.output >> 1]
-    if output is not None and output[0] == root:
+    if output is not None and output >> 1 == root:
         return created, False
     return created, True
 
@@ -186,26 +187,32 @@ def rewrite(
             report.nodes_visited += 1
             cuts = engine.compute(node)
 
+            trivial = (node,)
             best_gain: int | None = None
-            best: tuple[AigStructure, list[int], set[int]] | None = None
-            candidates: list[tuple[int, AigStructure, list[int]]] = []
+            best: tuple[AigStructure, tuple[int, ...], set[int]] | None = None
+            candidates: list[tuple[int, AigStructure, tuple[int, ...]]] = []
             for cut in cuts:
-                if cut.leaves == (node,) or cut.table is None:
+                leaves, table = cut.leaves, cut.table
+                if leaves == trivial or table is None:
                     continue
                 report.cuts_evaluated += 1
-                mffc = collect_mffc(work, node, cut.leaves)
+                mffc = collect_mffc(work, node, leaves)
                 assert mffc is not None
-                structure = lib.structure(cut.table)
-                leaf_literals = [Aig.literal(leaf) for leaf in cut.leaves]
-                created, valid = _dry_run(work, structure, leaf_literals, node, mffc, engine)
+                # ``gain <= len(mffc)`` and only a larger gain wins, so this
+                # cut cannot; recording choices prices every cut.
+                if not record_choices and best_gain is not None and len(mffc) <= best_gain:
+                    report.dry_runs_skipped += 1
+                    continue
+                structure = lib.structure(table)
+                created, valid = _dry_run(work, structure, leaves, node, mffc, engine)
                 if not valid:
                     continue
                 gain = len(mffc) - created
                 if record_choices and gain >= 0:
-                    candidates.append((gain, structure, leaf_literals))
+                    candidates.append((gain, structure, leaves))
                 if best_gain is None or gain > best_gain:
                     best_gain = gain
-                    best = (structure, leaf_literals, mffc)
+                    best = (structure, leaves, mffc)
 
             if record_choices:
                 # Additive mode: keep the subject logic and record the
@@ -215,8 +222,8 @@ def rewrite(
                 # gates stay dangling and unlinked (the mapper ignores
                 # them, the next cleanup-carrying pass prunes them).
                 candidates.sort(key=lambda entry: -entry[0])
-                for _gain, structure, leaf_literals in candidates[:_RECORD_PER_NODE]:
-                    new_literal = _instantiate(work, structure, leaf_literals, engine)
+                for _gain, structure, leaves in candidates[:_RECORD_PER_NODE]:
+                    new_literal = _instantiate(work, structure, [leaf << 1 for leaf in leaves], engine)
                     if new_literal >> 1 == node:
                         continue  # the structure strashed back onto the node
                     if work.add_choice(node, new_literal):
@@ -226,8 +233,8 @@ def rewrite(
             threshold = 0 if zero_gain else 1
             if best is None or best_gain is None or best_gain < threshold:
                 continue
-            structure, leaf_literals, mffc = best
-            new_literal = _instantiate(work, structure, leaf_literals, engine)
+            structure, leaves, mffc = best
+            new_literal = _instantiate(work, structure, [leaf << 1 for leaf in leaves], engine)
             new_node = new_literal >> 1
             if new_node == node:
                 continue  # the structure strashed back onto the node itself

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-__all__ = ["TruthTable"]
+__all__ = ["TruthTable", "spread_bits"]
 
 #: Cached block masks for the word-level cofactor: key ``(num_bits,
 #: block)``, value a mask selecting the low ``block`` positions of every
@@ -88,7 +88,27 @@ def _move_input(bits: int, masks: tuple[int, ...], source: int, target: int) -> 
     return bits
 
 
-@dataclass(frozen=True)
+def spread_bits(bits: int, width: int, num_vars: int, positions: Sequence[int]) -> int:
+    """Bits of a ``width``-input table whose input ``i`` moves to ``positions[i]`` (increasing) of ``num_vars``.
+
+    Each new (don't-care) input, lowest first, is added on top and moved
+    down into place.
+    """
+    masks = _swap_masks(1 << num_vars)
+    present = iter(positions)
+    next_present = next(present, num_vars)
+    for position in range(num_vars):
+        if position == next_present:
+            next_present = next(present, num_vars)
+            continue
+        # Every input below ``position`` is already in place.
+        bits |= bits << (1 << width)
+        bits = _move_input(bits, masks, width, position)
+        width += 1
+    return bits
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class TruthTable:
     """Truth table of a ``num_vars``-input Boolean function.
 
@@ -104,13 +124,14 @@ class TruthTable:
     num_vars: int
     bits: int
 
-    def __post_init__(self) -> None:
-        if self.num_vars < 0:
+    def __init__(self, num_vars: int, bits: int) -> None:
+        if num_vars < 0:
             raise ValueError("num_vars must be non-negative")
-        if self.num_vars > 24:
-            raise ValueError(f"truth tables limited to 24 variables, got {self.num_vars}")
-        mask = (1 << (1 << self.num_vars)) - 1
-        object.__setattr__(self, "bits", self.bits & mask)
+        if num_vars > 24:
+            raise ValueError(f"truth tables limited to 24 variables, got {num_vars}")
+        # The slot setters skip the frozen ``__setattr__`` path.
+        _set_num_vars(self, num_vars)
+        _set_bits(self, bits & ((1 << (1 << num_vars)) - 1))
 
     # -- constructors -------------------------------------------------------
 
@@ -292,9 +313,9 @@ class TruthTable:
         The new inputs go on top unless ``positions`` is given: then input
         ``i`` becomes input ``positions[i]`` and the rest are the new
         ones.  The table's inputs are first put in position order
-        (:meth:`permute_inputs`); then each new input, lowest first, is
-        added on top (``t | t << 2**k``) and moved down into place, so
-        every move works on a table no wider than it has to be.
+        (:meth:`permute_inputs`); then :func:`spread_bits` adds each new
+        input (``t | t << 2**k``), so every move works on a table no
+        wider than it has to be.
         """
         if num_vars < self.num_vars:
             raise ValueError("cannot shrink a truth table with extend()")
@@ -309,16 +330,7 @@ class TruthTable:
         table = self
         if list(positions) != sorted(positions):
             table = self.permute_inputs(sorted(range(self.num_vars), key=positions.__getitem__))
-        bits, width = table.bits, table.num_vars
-        masks = _swap_masks(1 << num_vars)
-        present = set(positions)
-        for position in range(num_vars):
-            if position not in present:
-                # Every input below ``position`` is already in place.
-                bits |= bits << (1 << width)
-                bits = _move_input(bits, masks, width, position)
-                width += 1
-        return TruthTable(num_vars, bits)
+        return TruthTable(num_vars, spread_bits(table.bits, table.num_vars, num_vars, sorted(positions)))
 
     def shrink_to_support(self) -> tuple["TruthTable", list[int]]:
         """Project onto the true support; returns the smaller table and the kept inputs.
@@ -364,3 +376,7 @@ class TruthTable:
 
     def __str__(self) -> str:
         return f"TruthTable({self.num_vars} vars, 0x{self.to_hex()})"
+
+
+_set_num_vars: Callable[[TruthTable, int], None] = TruthTable.__dict__["num_vars"].__set__
+_set_bits: Callable[[TruthTable, int], None] = TruthTable.__dict__["bits"].__set__

@@ -5,10 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.networks import Aig, LIT_FALSE, LIT_TRUE
-from repro.networks.aig import fanout_counts_impl
 from repro.networks.structural_hash import structural_hash
 from repro.networks.transforms import cleanup_dangling
-from repro.networks.traversal import transitive_fanin
+from repro.networks.traversal import fanout_counts, transitive_fanin
+
+
+def fanout_counts_impl(aig: Aig) -> dict[int, int]:
+    """Reference counts of every node, recomputed from scratch by the generic traversal helper."""
+    return fanout_counts(aig.nodes(), aig.gate_fanin_nodes, aig.po_nodes())
 
 
 class TestLiterals:
@@ -148,6 +152,57 @@ class TestQueries:
     def test_evaluate_arity_check(self, small_aig):
         with pytest.raises(ValueError):
             small_aig.evaluate([True])
+
+
+class TestAccessorContracts:
+    """Range edges of the accessors DAG-aware rewriting calls once per cut."""
+
+    @pytest.mark.parametrize("method", ["find_and", "add_and"])
+    def test_out_of_range_literals_raise(self, small_aig, method):
+        call = getattr(small_aig, method)
+        past_end = 2 * small_aig.num_nodes
+        valid = Aig.literal(small_aig.pis[0])
+        for bad in (-1, -2, past_end, past_end + 1):
+            for a, b in ((bad, valid), (valid, bad), (bad, bad)):
+                with pytest.raises(ValueError, match="references an unknown node"):
+                    call(a, b)
+        # The last node's literals are still in range.
+        last = small_aig.num_nodes - 1
+        assert call(Aig.literal(last), Aig.literal(last, True)) == LIT_FALSE
+
+    def test_find_and_returns_the_strashed_literal(self, small_aig):
+        gate = next(iter(small_aig.gates()))
+        fanin0, fanin1 = small_aig.fanins(gate)
+        assert small_aig.find_and(fanin0, fanin1) == Aig.literal(gate)
+        assert small_aig.find_and(fanin1, fanin0) == Aig.literal(gate)
+        assert small_aig.add_and(fanin1, fanin0) == Aig.literal(gate)
+
+    def test_gate_queries_at_the_range_edges(self, small_aig):
+        gate = next(iter(small_aig.gates()))
+        past_end = small_aig.num_nodes
+        cases = {0: False, small_aig.pis[0]: False, small_aig.pis[-1]: False, gate: True, past_end: False, -1: False}
+        for node, is_gate in cases.items():
+            assert small_aig.is_gate(node) is is_gate, node
+            assert small_aig.is_and(node) is is_gate, node
+        assert small_aig.gate_fanin_nodes(0) == []
+        assert small_aig.gate_fanin_nodes(small_aig.pis[0]) == []
+        assert small_aig.gate_fanin_nodes(past_end) == []
+        assert small_aig.gate_fanin_nodes(gate) == list(small_aig.fanin_nodes(gate))
+        last = past_end - 1
+        assert small_aig.is_gate(last)
+        assert small_aig.gate_fanin_nodes(last) == list(small_aig.fanin_nodes(last))
+
+    def test_fanout_count_before_and_after_the_lists_exist(self, small_aig):
+        assert small_aig._fanouts is None
+        counts = small_aig.clone().fanout_counts()
+        assert counts == fanout_counts_impl(small_aig)
+        for node in small_aig.nodes():
+            unbuilt = small_aig.clone()
+            assert unbuilt._fanouts is None
+            assert unbuilt.fanout_count(node) == counts[node], node
+        small_aig.fanouts(0)
+        assert small_aig._fanouts is not None
+        assert {node: small_aig.fanout_count(node) for node in small_aig.nodes()} == counts
 
 
 class TestMutation:

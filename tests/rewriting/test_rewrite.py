@@ -4,9 +4,12 @@ import pytest
 
 from repro.circuits.arithmetic import ripple_carry_adder
 from repro.circuits.random_logic import random_aig
+from repro.cuts import CutEngine
 from repro.networks import Aig
 from repro.networks.transforms import cleanup_dangling
-from repro.rewriting import RewriteLibrary, rewrite
+from repro.rewriting import RewriteLibrary, collect_mffc, rewrite
+from repro.rewriting.library import default_library
+from repro.rewriting.rewrite import _instantiate
 from repro.sweeping import check_combinational_equivalence
 
 
@@ -120,3 +123,114 @@ def test_rewrite_pass_on_epfl(name):
     assert result.num_ands < aig.num_ands
     assert report.rewrites_applied > 0
     assert check_combinational_equivalence(aig, result)
+
+
+def reference_price(aig, structure, leaves, root, mffc, engine):
+    """Reference dry run: the gates ``structure`` would add over ``leaves``, and whether it is acyclic."""
+    created = 0
+    entries = [(0, 0)] + [(leaf, 0) for leaf in leaves]
+    for fanin0, fanin1 in structure.gates:
+        entry0, entry1 = entries[fanin0 >> 1], entries[fanin1 >> 1]
+        if entry0 is None or entry1 is None:
+            created += 1
+            entries.append(None)
+            continue
+        found = aig.find_and(
+            Aig.literal(entry0[0], entry0[1] ^ (fanin0 & 1)),
+            Aig.literal(entry1[0], entry1[1] ^ (fanin1 & 1)),
+        )
+        if found is None:
+            created += 1
+            entries.append(None)
+            continue
+        node = Aig.node_of(found)
+        if node == root:
+            return created, False
+        if aig.is_and(node) and (node in mffc or engine.is_dead(node)):
+            created += 1
+        entries.append((node, found & 1))
+    output = entries[structure.output >> 1]
+    return created, output is None or output[0] != root
+
+
+def reference_rewrite(aig, zero_gain=False, record_choices=False):
+    """Reference: the ``rw`` loop pricing every cut, which :func:`rewrite` must reproduce.
+
+    It dry-runs every cut of every visited node and keeps the first cut
+    of the largest gain, so a cut that :func:`rewrite` skips without a
+    dry run must never have been the one chosen.
+    """
+    library = default_library()
+    work = aig.clone()
+    engine = CutEngine(work, k=4, attach=True)
+    applied = 0
+    try:
+        for node in work.topological_order():
+            if engine.is_dead(node):
+                continue
+            priced = []
+            for cut in engine.compute(node):
+                if cut.leaves == (node,) or cut.table is None:
+                    continue
+                mffc = collect_mffc(work, node, cut.leaves)
+                structure = library.structure(cut.table)
+                created, valid = reference_price(work, structure, cut.leaves, node, mffc, engine)
+                if valid:
+                    priced.append((len(mffc) - created, structure, cut.leaves, mffc))
+            if not priced:
+                continue
+            literals = lambda leaves: [Aig.literal(leaf) for leaf in leaves]
+            if record_choices:
+                best = max((entry for entry in priced if entry[0] >= 0), key=lambda entry: entry[0], default=None)
+                if best is not None:
+                    new_literal = _instantiate(work, best[1], literals(best[2]), engine)
+                    if new_literal >> 1 != node:
+                        work.add_choice(node, new_literal)
+                continue
+            gain, structure, leaves, mffc = max(priced, key=lambda entry: entry[0])
+            if gain < (0 if zero_gain else 1):
+                continue
+            new_literal = _instantiate(work, structure, literals(leaves), engine)
+            if new_literal >> 1 == node:
+                continue
+            work.substitute(node, new_literal)
+            engine.kill(mffc)
+            engine.revive_from(new_literal >> 1)
+            applied += 1
+    finally:
+        engine.detach()
+    if record_choices:
+        return work, applied
+    return cleanup_dangling(work)[0], applied
+
+
+def _network(aig):
+    """Everything a rewritten network is: nodes, outputs and choice classes."""
+    classes = [(aig.choice_repr(node), aig.choice_phase(node)) for node in aig.nodes()]
+    return aig.node_entries, aig.pos, classes
+
+
+class TestRewriteOracle:
+    """:func:`rewrite` skips the dry run of a cut that cannot win; nothing else may change."""
+
+    @pytest.mark.parametrize("record_choices", [False, True])
+    @pytest.mark.parametrize("zero_gain", [False, True])
+    def test_matches_reference_on_fuzz_networks(self, zero_gain, record_choices):
+        skipped = 0
+        for seed in range(12):
+            aig = random_aig(num_pis=7, num_gates=70 + 5 * seed, num_pos=5, seed=100 + seed)
+            result, report = rewrite(aig, zero_gain=zero_gain, record_choices=record_choices)
+            expected, applied = reference_rewrite(aig, zero_gain=zero_gain, record_choices=record_choices)
+            assert _network(result) == _network(expected), seed
+            assert report.rewrites_applied == applied
+            assert 0 <= report.dry_runs_skipped <= report.cuts_evaluated
+            skipped += report.dry_runs_skipped
+        if record_choices:
+            # Every non-negative gain is a candidate choice: nothing is skipped.
+            assert skipped == 0
+        else:
+            assert skipped > 0
+
+    def test_skip_count_reaches_stats_details(self):
+        _result, report = rewrite(random_aig(num_pis=7, num_gates=90, num_pos=5, seed=3))
+        assert report.as_details()["dry_runs_skipped"] == float(report.dry_runs_skipped)

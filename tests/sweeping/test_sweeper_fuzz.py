@@ -18,15 +18,19 @@ from repro.circuits import EPFL_BENCHMARKS, epfl_benchmark
 from repro.circuits.random_logic import random_aig
 from repro.circuits.sweep_workloads import inject_redundancy
 from repro.networks import Aig
-from repro.networks.aig import fanout_counts_impl
 from repro.networks.structural_hash import structural_hash
-from repro.networks.traversal import topological_sort
+from repro.networks.traversal import fanout_counts, topological_sort
 from repro.sat import CircuitSolver, EquivalenceStatus
 from repro.simulation import PatternSet, compute_local_truth_tables, compute_pi_supports, simulate_aig
 from repro.simulation.stp_simulator import complement_key, function_key
 from repro.sweeping import FraigSweeper, StpSweeper
 from repro.sweeping.engine import SweepEngine
 from repro.sweeping.stats import SweepStatistics
+
+
+def fanout_counts_impl(aig: Aig) -> dict[int, int]:
+    """Reference counts of every node, recomputed from scratch by the generic traversal helper."""
+    return fanout_counts(aig.nodes(), aig.gate_fanin_nodes, aig.po_nodes())
 
 
 def _exhaustively_equal(a: Aig, b: Aig) -> bool:
