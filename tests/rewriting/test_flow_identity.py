@@ -17,6 +17,7 @@ import contextlib
 import hashlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -61,8 +62,6 @@ def test_flow_matches_pinned_digest(tmp_path: Path, profile: str, script: str) -
 
 
 if __name__ == "__main__":
-    import tempfile
-
     with tempfile.TemporaryDirectory() as scratch:
         for name in PROFILES:
             for kind in SCRIPTS:

@@ -179,18 +179,17 @@ def reference_rewrite(aig, zero_gain=False, record_choices=False):
                     priced.append((len(mffc) - created, structure, cut.leaves, mffc))
             if not priced:
                 continue
-            literals = lambda leaves: [Aig.literal(leaf) for leaf in leaves]
             if record_choices:
                 best = max((entry for entry in priced if entry[0] >= 0), key=lambda entry: entry[0], default=None)
                 if best is not None:
-                    new_literal = _instantiate(work, best[1], literals(best[2]), engine)
+                    new_literal = _instantiate(work, best[1], [Aig.literal(leaf) for leaf in best[2]], engine)
                     if new_literal >> 1 != node:
                         work.add_choice(node, new_literal)
                 continue
             gain, structure, leaves, mffc = max(priced, key=lambda entry: entry[0])
             if gain < (0 if zero_gain else 1):
                 continue
-            new_literal = _instantiate(work, structure, literals(leaves), engine)
+            new_literal = _instantiate(work, structure, [Aig.literal(leaf) for leaf in leaves], engine)
             if new_literal >> 1 == node:
                 continue
             work.substitute(node, new_literal)
