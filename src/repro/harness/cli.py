@@ -315,6 +315,7 @@ def sweep_main(argv: list[str] | None = None) -> int:
                     "sat_time": stats.sat_time,
                     "simulation_time": stats.simulation_time,
                     "patterns_used": float(stats.patterns_used),
+                    "counterexamples_simulated": float(stats.counterexamples_simulated),
                 },
             )
         )

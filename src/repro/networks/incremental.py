@@ -381,6 +381,17 @@ class IncrementalNetworkMixin:
         if pos.get(new_node, -1) >= pos.get(old_node, -1):
             self._topo_invalidate()
 
+    def cached_topological_order(self) -> list[int] | None:
+        """The cached topological gate order itself, or ``None`` when dirty.
+
+        A read-only peek: it never computes the order and never drops
+        it, so a reader that can also do without the order (the sweepers'
+        counter-example refinement) leaves the rebuild points, and with
+        them the order of every later walk, as they were.  The list is
+        the cache, not a copy; callers must not mutate it.
+        """
+        return self._topo_cache
+
     def _topo_positions(self) -> dict[int, int]:
         """The node->position map of the cached order, built on first use."""
         if self._topo_pos is None:

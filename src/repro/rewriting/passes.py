@@ -992,6 +992,7 @@ def _sweep_details(stats: SweepStatistics) -> dict[str, float]:
         "merges": float(stats.merges),
         "sat_calls": float(stats.total_sat_calls),
         "sat_time": stats.sat_time,
+        "counterexamples_simulated": float(stats.counterexamples_simulated),
     }
     for key, value in stats.solver_statistics.items():
         details[f"sat_{key}"] = float(value)

@@ -74,9 +74,11 @@ def simulate_aig_nodes(aig: Aig, patterns: PatternSet, nodes: Iterable[int]) -> 
     """Signatures of selected nodes only (simulates just their TFI cone).
 
     The cone is traversed with a cone-local topological sort, so the cost
-    is O(|TFI(nodes)|) -- independent of the network size.  This is the
-    counter-example refinement path of the sweepers, which only needs the
-    nodes still sitting in equivalence classes.
+    is O(|TFI(nodes)|) -- independent of the network size -- and the
+    network's cached topological order is neither read nor built.  The
+    sweepers' counter-example refinement falls back to it for the nodes
+    still sitting in equivalence classes when no order is cached
+    (:func:`repro.sweeping.equivalence.refine_with_counterexample`).
     """
     targets = list(nodes)
     if patterns.num_inputs != aig.num_pis:

@@ -15,9 +15,10 @@ Signatures live in a flat list indexed by node (no per-node dictionary
 hashing), and appended patterns are *buffered*: :meth:`add_pattern`
 records the pattern in O(num_pis) and the buffered block is flushed
 word-parallel -- one bitwise network pass for the whole block -- only
-when a signature is actually read.  The candidate loop refines its
-classes from a cone-local simulation instead
-(:func:`repro.simulation.bitwise.simulate_aig_nodes`).
+when a signature is actually read.  The candidate loop keeps no
+signatures at all: it refines its classes from one bit per literal of
+each counter-example
+(:func:`repro.sweeping.equivalence.refine_with_counterexample`).
 """
 
 from __future__ import annotations

@@ -25,16 +25,46 @@ __all__ = ["EquivalenceClasses", "EquivalenceClass", "refine_with_counterexample
 def refine_with_counterexample(aig: Aig, classes: "EquivalenceClasses", pattern: tuple[int, ...]) -> None:
     """Refine the candidate classes with one SAT counter-example.
 
-    The pattern is simulated cone-locally over the nodes still sitting in
-    equivalence classes (O(cone), see
-    :func:`repro.simulation.bitwise.simulate_aig_nodes`) and the classes
-    are split on the new bit.  No whole-network signature is updated:
-    the classes are the only reader of a counter-example.  Shared by
-    both sweeping engines.
+    The pattern's bit of every literal goes into a literal-indexed
+    ``bytearray`` (``values[l]`` is literal ``l``'s bit), so a gate is
+    true when ``values[f0]`` and ``values[f1]`` are: no complement
+    branch, no dictionary.  With a cached topological order -- sweeping
+    merges usually keep it valid -- that is one forward walk of every
+    gate; without one, the class members are simulated cone-locally
+    (:func:`repro.simulation.bitwise.simulate_aig_nodes`) into the same
+    array.  The order is never built here: when it is rebuilt decides
+    later walk orders, and with them the numbering
+    :func:`repro.networks.transforms.rebuild_strashed` gives the swept
+    network.  The classes, the only reader of a counter-example, are
+    then split on the new bit (:meth:`EquivalenceClasses.refine_with_bits`).
+    Shared by both sweeping engines.
     """
-    ce_patterns = PatternSet.from_patterns([pattern])
-    ce_signatures = simulate_aig_nodes(aig, ce_patterns, classes.class_nodes())
-    classes.refine_with_signatures(ce_signatures, 1)
+    if len(pattern) != aig.num_pis:
+        raise ValueError(f"expected {aig.num_pis} values, got {len(pattern)}")
+    values = bytearray(2 * aig.num_nodes)
+    values[1] = 1
+    order = aig.cached_topological_order()
+    if order is None:
+        signatures = simulate_aig_nodes(aig, PatternSet.from_patterns([pattern]), classes.class_nodes())
+        for node, bit in signatures.items():
+            values[2 * node] = bit
+            values[2 * node + 1] = bit ^ 1
+    else:
+        # The array starts all-zero, so each node sets one of its two
+        # literals: the true one.
+        for pi, value in zip(aig.pis, pattern):
+            if value:
+                values[2 * pi] = 1
+            else:
+                values[2 * pi + 1] = 1
+        entries = aig.node_entries
+        for node in order:
+            fanin0, fanin1 = entries[node]
+            if values[fanin0] and values[fanin1]:
+                values[2 * node] = 1
+            else:
+                values[2 * node + 1] = 1
+    classes.refine_with_bits(values)
 
 
 @dataclass
@@ -195,35 +225,39 @@ class EquivalenceClasses:
         if node == cls_.representative and cls_.members:
             cls_.representative = cls_.members[0]
 
-    def refine_with_signatures(self, signatures: Mapping[int, int], num_patterns: int) -> int:
-        """Split classes according to new signatures; returns the number of splits.
+    def refine_with_bits(self, values: bytearray) -> int:
+        """Split classes on one new pattern; returns the number of splits.
 
-        Only nodes present in ``signatures`` are re-examined (the paper's CE
-        simulation restricted to equivalence-class nodes); class members
-        without a new signature keep their current grouping.
+        ``values`` is literal-indexed: ``values[2 * n]`` is node ``n``'s
+        bit under the pattern and ``values[2 * n + 1]`` its complement,
+        for the constant node and every member of a non-singleton class.
+        A member's polarity-adjusted bit is then one lookup,
+        ``values[2 * n + polarity]``.  A class whose members all agree is
+        left alone; any other splits, in member order, into the members
+        agreeing with the first one and the rest.  The constant node
+        reads 0 like any constant-false member, so it stays with the
+        members that still evaluate to their constant.
         """
-        mask = (1 << num_patterns) - 1 if num_patterns else 0
         splits = 0
         for class_id in list(self._classes):
             cls_ = self._classes[class_id]
-            if cls_.is_singleton():
+            members = cls_.members
+            if len(members) <= 1:
                 continue
-            buckets: dict[tuple[int, ...], list[int]] = {}
-            for node in cls_.members:
-                if node == 0:
-                    key = (0,)
-                elif node in signatures:
-                    signature = signatures[node] & mask
-                    if cls_.polarity.get(node, False):
-                        signature ^= mask
-                    key = (signature,)
-                else:
-                    key = ("keep",)  # type: ignore[assignment]
-                buckets.setdefault(key, []).append(node)
-            if len(buckets) <= 1:
+            polarity = cls_.polarity
+            first = members[0]
+            bit = values[2 * first + polarity[first]]
+            for node in members:
+                if values[2 * node + polarity[node]] != bit:
+                    break
+            else:
                 continue
-            splits += len(buckets) - 1
-            self._split_class(class_id, list(buckets.values()))
+            agree: list[int] = []
+            differ: list[int] = []
+            for node in members:
+                (agree if values[2 * node + polarity[node]] == bit else differ).append(node)
+            splits += 1
+            self._split_class(class_id, [agree, differ])
         return splits
 
     def refine_with_truth_tables(self, tables: Mapping[int, TruthTable]) -> int:

@@ -323,22 +323,31 @@ class TestStatsJson:
 
     def test_optimize_stats_json(self, adder_file, tmp_path, capsys):
         stats_path = tmp_path / "flow.json"
-        code = optimize_main([str(adder_file), "--script", "rw; b", "--stats-json", str(stats_path)])
+        code = optimize_main([str(adder_file), "--script", "rw; b; fraig", "--stats-json", str(stats_path)])
         assert code == 0
         stats = self._load(stats_path)
-        assert [p["name"] for p in stats["passes"]] == ["rw", "b"]
+        assert [p["name"] for p in stats["passes"]] == ["rw", "b", "fraig"]
+        assert stats["passes"][2]["details"]["counterexamples_simulated"] >= 0
         assert stats["verified"] is True
         assert stats["gates_after"] <= stats["gates_before"]
 
     def test_sweep_stats_json(self, workload_file, tmp_path, capsys):
         path, _ = workload_file
-        stats_path = tmp_path / "sweep.json"
-        code = sweep_main([str(path), "--engine", "stp", "--stats-json", str(stats_path)])
-        assert code == 0
-        stats = self._load(stats_path)
-        assert stats["script"] == "stp"
-        assert len(stats["passes"]) == 1
-        assert "total_sat_calls" in stats["passes"][0]["details"]
+        for engine in ("stp", "fraig"):
+            stats_path = tmp_path / f"sweep-{engine}.json"
+            code = sweep_main([str(path), "--engine", engine, "--stats-json", str(stats_path)])
+            assert code == 0
+            stats = self._load(stats_path)
+            assert stats["script"] == engine
+            assert len(stats["passes"]) == 1
+            details = stats["passes"][0]["details"]
+            assert "total_sat_calls" in details
+            # The 64 initial patterns plus one per refining counter-example
+            # (the STP sweeper's constant pass adds its own).
+            assert details["patterns_used"] >= 64 + details["counterexamples_simulated"]
+        # fraig refines its classes with every satisfiable query's model.
+        assert details["counterexamples_simulated"] == details["satisfiable_sat_calls"] > 0
+        assert details["patterns_used"] == 64 + details["counterexamples_simulated"]
 
     def test_map_stats_json(self, adder_file, tmp_path, capsys):
         stats_path = tmp_path / "map.json"

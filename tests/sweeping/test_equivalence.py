@@ -1,10 +1,14 @@
 """Tests for the equivalence-class manager."""
 
+import random
+
 import pytest
 
+from repro.circuits.random_logic import random_aig
 from repro.networks import Aig
-from repro.simulation import PatternSet, SimulationResult, simulate_aig
+from repro.simulation import PatternSet, SimulationResult, simulate_aig, simulate_aig_nodes
 from repro.sweeping import EquivalenceClasses
+from repro.sweeping.equivalence import refine_with_counterexample
 from repro.truthtable import TruthTable
 
 
@@ -14,6 +18,16 @@ def _result_for(aig: Aig, signatures: dict[int, int], num_patterns: int) -> Simu
     for node, signature in signatures.items():
         words[node] = signature
     return SimulationResult(num_patterns, words)
+
+
+def _literal_values(aig: Aig, bits: dict[int, int]) -> bytearray:
+    """The literal-indexed array of one pattern with the given node bits."""
+    values = bytearray(2 * aig.num_nodes)
+    values[1] = 1
+    for node, bit in bits.items():
+        values[2 * node] = bit
+        values[2 * node + 1] = bit ^ 1
+    return values
 
 
 def _two_class_aig() -> Aig:
@@ -118,7 +132,7 @@ class TestQueriesAndMutation:
 
 
 class TestRefinement:
-    def test_refine_with_signatures_splits(self):
+    def test_refine_with_bits_splits(self):
         aig2 = Aig()
         a, b = aig2.add_pi(), aig2.add_pi()
         g1 = aig2.add_and(a, b)
@@ -128,8 +142,8 @@ class TestRefinement:
         result = _result_for(aig2, {nodes[0]: 0b0011, nodes[1]: 0b0011, nodes[2]: 0b0011}, 4)
         classes = EquivalenceClasses.from_simulation(aig2, result)
         assert classes.num_classes == 1
-        # A new pattern (bit 0 of a 1-pattern refinement) distinguishes node 3.
-        splits = classes.refine_with_signatures({nodes[0]: 0, nodes[1]: 0, nodes[2]: 1}, 1)
+        # A new pattern distinguishes node 3.
+        splits = classes.refine_with_bits(_literal_values(aig2, {nodes[0]: 0, nodes[1]: 0, nodes[2]: 1}))
         assert splits == 1
         assert classes.same_class(nodes[0], nodes[1])
         assert not classes.same_class(nodes[0], nodes[2])
@@ -143,10 +157,41 @@ class TestRefinement:
         result = _result_for(aig, {n1: 0b0101, n2: 0b1010}, 4)
         classes = EquivalenceClasses.from_simulation(aig, result)
         assert classes.same_class(n1, n2)
-        # New signatures that are still complementary must NOT split the class.
-        splits = classes.refine_with_signatures({n1: 0b1, n2: 0b0}, 1)
+        # New bits that are still complementary must NOT split the class.
+        splits = classes.refine_with_bits(_literal_values(aig, {n1: 1, n2: 0}))
         assert splits == 0
         assert classes.same_class(n1, n2)
+
+    def test_refine_with_bits_keeps_the_constant_class(self):
+        # A constant class {0, g1, g2} and an ordinary class {g3, g4}:
+        # splitting the ordinary class leaves the constant node with the
+        # members that still read their constant.
+        aig = Aig()
+        a, b = aig.add_pi(), aig.add_pi()
+        g1 = aig.add_and(a, b)
+        g2 = aig.add_and(g1, a)
+        g3 = aig.add_and(g2, b)
+        g4 = aig.add_and(g3, a)
+        n1, n2, n3, n4 = (Aig.node_of(g) for g in (g1, g2, g3, g4))
+        result = _result_for(aig, {n1: 0, n2: 0b1111, n3: 0b0110, n4: 0b0110}, 4)
+        classes = EquivalenceClasses.from_simulation(aig, result)
+        assert classes.same_class(0, n1) and classes.same_class(0, n2) and classes.same_class(n3, n4)
+        # n2 is a constant-true candidate: its bit 1 agrees with node 0.
+        assert classes.refine_with_bits(_literal_values(aig, {n1: 0, n2: 1, n3: 1, n4: 0})) == 1
+        assert not classes.same_class(n3, n4)
+        constant_class = classes.constant_class()
+        assert constant_class is not None
+        assert constant_class.members == [0, n1, n2]
+        # A member leaving its constant splits away from node 0.
+        assert classes.refine_with_bits(_literal_values(aig, {n1: 0, n2: 0})) == 1
+        assert classes.constant_class() is not None
+        assert classes.constant_class().members == [0, n1]
+
+    def test_counterexample_of_the_wrong_width_is_rejected(self):
+        aig = _two_class_aig()
+        classes = EquivalenceClasses.from_simulation(aig, simulate_aig(aig, PatternSet.exhaustive(3)))
+        with pytest.raises(ValueError):
+            refine_with_counterexample(aig, classes, (0, 1))
 
     def test_refine_with_truth_tables(self):
         aig = Aig()
@@ -188,19 +233,78 @@ class TestRefinement:
         assert constant_class is not None
         assert sorted(constant_class.members) == [0, n1, n2]
 
-    def test_refine_keeps_members_without_new_information(self):
-        aig = Aig()
-        a, b = aig.add_pi(), aig.add_pi()
-        g1 = aig.add_and(a, b)
-        g2 = aig.add_and(g1, a)
-        g3 = aig.add_and(g2, b)
-        nodes = [Aig.node_of(g) for g in (g1, g2, g3)]
-        result = _result_for(aig, {n: 0b0001 for n in nodes}, 4)
+
+def _reference_refine(aig: Aig, classes: EquivalenceClasses, pattern: tuple[int, ...]) -> None:
+    """Counter-example refinement as a cone-local simulation plus a bucket split."""
+    signatures = simulate_aig_nodes(aig, PatternSet.from_patterns([pattern]), classes.class_nodes())
+    for class_id in list(classes._classes):
+        cls = classes._classes[class_id]
+        if cls.is_singleton():
+            continue
+        buckets: dict[int, list[int]] = {}
+        for node in cls.members:
+            key = 0 if node == 0 else signatures[node] ^ cls.polarity[node]
+            buckets.setdefault(key, []).append(node)
+        if len(buckets) > 1:
+            classes._split_class(class_id, list(buckets.values()))
+
+
+def _snapshot(classes: EquivalenceClasses) -> list[tuple[int, int, list[int], dict[int, bool]]]:
+    """Every class in id order: id, representative, members, polarities."""
+    return [
+        (class_id, cls.representative, list(cls.members), dict(cls.polarity))
+        for class_id, cls in classes._classes.items()
+    ]
+
+
+def _oracle_network(seed: int, rewired: bool) -> Aig:
+    """A random AIG with an extended cached order, or one rewired out of index order."""
+    rng = random.Random(seed)
+    aig = random_aig(num_pis=6, num_gates=60, num_pos=4, seed=seed)
+    aig.topological_order()
+    literals = [Aig.literal(node) for node in aig.gates()]
+    for _ in range(15):
+        aig.add_and(rng.choice(literals) ^ rng.randrange(2), rng.choice(literals) ^ rng.randrange(2))
+    if rewired:
+        gates = list(aig.gates())
+        for gate in rng.sample(gates, 10):
+            # A later node outside the gate's fanout cone keeps the network acyclic.
+            fanout_cone = set(aig.tfo([gate]))
+            later = [node for node in gates if node > gate and node not in fanout_cone]
+            if later:
+                old_node = rng.choice(aig.fanin_nodes(gate))
+                aig.replace_fanin(gate, old_node, Aig.literal(rng.choice(later), rng.random() < 0.5))
+        assert any(
+            fanin > gate for gate in aig.gates() for fanin in aig.fanin_nodes(gate)
+        ), "rewiring left the index order topological"
+    return aig
+
+
+class TestCounterexampleOracle:
+    """refine_with_counterexample against simulate_aig_nodes plus a bucket split."""
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached-order", "no-order"])
+    @pytest.mark.parametrize("rewired", [False, True], ids=["extended", "rewired"])
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_matches_reference(self, seed, rewired, cached):
+        aig = _oracle_network(seed, rewired)
+        # Four patterns leave many nodes looking constant or alike.  The
+        # simulation builds the order; a clone starts without one.
+        result = simulate_aig(aig, PatternSet.random(aig.num_pis, 4, seed))
+        if not cached:
+            aig = aig.clone()
+        order = aig.cached_topological_order()
+        assert (order is not None) == cached
         classes = EquivalenceClasses.from_simulation(aig, result)
-        # Only nodes 1 and 2 receive new signatures and they still agree.
-        splits = classes.refine_with_signatures({nodes[0]: 1, nodes[1]: 1}, 1)
-        # Node 3 had no new signature: it stays grouped, but in a separate
-        # "no information" bucket, which may or may not split depending on
-        # the grouping -- what matters is no crash and consistency.
-        assert isinstance(splits, int)
-        assert classes.same_class(nodes[0], nodes[1])
+        reference = EquivalenceClasses.from_simulation(aig, result)
+        assert classes.constant_class() is not None
+        rng = random.Random(seed + 1000)
+        for _ in range(20):
+            pattern = tuple(rng.randrange(2) for _ in range(aig.num_pis))
+            refine_with_counterexample(aig, classes, pattern)
+            _reference_refine(aig, reference, pattern)
+            assert _snapshot(classes) == _snapshot(reference)
+            assert classes._class_of == reference._class_of
+            assert aig.cached_topological_order() is order
+        # The patterns did split classes.
+        assert classes.candidate_pairs() < EquivalenceClasses.from_simulation(aig, result).candidate_pairs()
