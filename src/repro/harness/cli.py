@@ -599,7 +599,7 @@ def map_main(argv: list[str] | None = None) -> int:
     )
     arguments = parser.parse_args(argv)
 
-    error = option_error(arguments, {"patterns": 1})
+    error = option_error(arguments, {"lut_size": 2, "cut_limit": 2, "area_rounds": 0, "patterns": 1})
     if error is not None:
         print(error, file=sys.stderr)
         return EXIT_USAGE

@@ -20,6 +20,14 @@ function cache come from :mod:`repro.cuts`; the mapper never walks a
 cone to compute a LUT function.  Every selected cut becomes a LUT whose
 truth table is the cut's fused table.
 
+Each node's candidate cuts, and each candidate's gate leaves, are built
+once per run.  The passes keep arrival times, area flow, exact-area
+reference counts and required times in lists indexed by node, in the
+manner of ABC's flat per-node arrays (Mishchenko et al., "Combinational
+and sequential mapping with priority cuts", ICCAD 2007).  Each
+selection's cover is computed once and serves the next pass's required
+times and the final network.
+
 Choice-aware mapping
 --------------------
 
@@ -142,7 +150,15 @@ class MappingResult:
 
 
 class _Mapper:
-    """One mapping run: cut selection state shared by the passes."""
+    """One mapping run: cut selection state shared by the passes.
+
+    Each topo node's candidate cuts and their gate leaves are built once,
+    in lists parallel to ``topo``.  The passes keep their per-node state
+    in lists indexed by node -- ``arrival``, ``best_gates`` (the gate
+    leaves of the selected cut), the required times, the area flow and
+    the exact-area reference counts -- where a node no pass has visited
+    reads 0.
+    """
 
     def __init__(
         self,
@@ -189,10 +205,20 @@ class _Mapper:
         else:
             self.topo = aig.topological_order()
             self.all_cuts = self.engine.enumerate_all()
+        # The candidates of a node are its non-trivial cuts (the trivial
+        # cut maps a node onto itself), or its whole set when it has no
+        # other.  A leaf is a gate exactly when its index lies above the
+        # PIs'.
+        num_pis = aig.num_pis
+        self.candidates: list[list[Cut]] = []
+        self.candidate_gates: list[list[tuple[int, ...]]] = []
+        for node in self.topo:
+            cuts = [cut for cut in self.all_cuts[node] if cut.leaves != (node,)] or list(self.all_cuts[node])
+            self.candidates.append(cuts)
+            self.candidate_gates.append([_gate_leaves(cut.leaves, num_pis) for cut in cuts])
         self.best: dict[int, Cut] = {}
-        self.arrival: dict[int, int] = {0: 0}
-        for pi in aig.pis:
-            self.arrival[pi] = 0
+        self.best_gates: list[tuple[int, ...]] = [()] * aig.num_nodes
+        self.arrival = [0] * aig.num_nodes
         # Estimated reference counts for area flow: how often a node is
         # used in the subject graph (never below one).  The estimate is
         # restricted to the PO-reachable subgraph: references held by
@@ -204,7 +230,7 @@ class _Mapper:
         # network, which is what the never-worse guarantee rests on.
         self.est_refs = self._reachable_refs(reachable)
 
-    def _reachable_refs(self, reachable: set[int] | None = None) -> dict[int, int]:
+    def _reachable_refs(self, reachable: set[int] | None = None) -> list[int]:
         """Reference estimates counted over the PO-reachable subgraph only."""
         aig = self.aig
         if reachable is None:
@@ -216,11 +242,14 @@ class _Mapper:
             for fanin in aig.gate_fanin_nodes(node):
                 if fanin in counts:
                     counts[fanin] += 1
-        for po in aig.pos:
-            driver = aig.node_of(po)
+        for driver in aig.po_nodes():
             if driver in counts:
                 counts[driver] += 1
-        return {node: max(1, count) for node, count in counts.items()}
+        refs = [1] * aig.num_nodes
+        for node, count in counts.items():
+            if count > 1:
+                refs[node] = count
+        return refs
 
     # -- shared helpers -------------------------------------------------
 
@@ -229,39 +258,31 @@ class _Mapper:
         if self.budget is not None and counter % 256 == 0:
             self.budget.checkpoint("map")
 
-    def candidates(self, node: int) -> list[Cut]:
-        """Non-trivial cuts of ``node`` (the trivial cut maps a node onto itself)."""
-        cuts = [cut for cut in self.all_cuts[node] if cut.leaves != (node,)]
-        return cuts if cuts else list(self.all_cuts[node])
-
-    def cut_arrival(self, cut: Cut) -> int:
-        """Arrival time of a cut: one level above its slowest leaf."""
-        return 1 + max((self.arrival.get(leaf, 0) for leaf in cut.leaves), default=0)
+    def and_po_drivers(self) -> list[int]:
+        """AND nodes driving a primary output, in PO order."""
+        aig = self.aig
+        return [node for node in aig.po_nodes() if aig.is_and(node)]
 
     def cover(self) -> list[int]:
         """AND nodes used by the current selection, in topological order."""
-        required: set[int] = set()
-        frontier = [self.aig.node_of(po) for po in self.aig.pos if self.aig.is_and(self.aig.node_of(po))]
+        best_gates = self.best_gates
+        required = bytearray(self.aig.num_nodes)
+        frontier = self.and_po_drivers()
         while frontier:
             node = frontier.pop()
-            if node in required:
+            if required[node]:
                 continue
-            required.add(node)
-            for leaf in self.best[node].leaves:
-                if self.aig.is_and(leaf) and leaf not in required:
+            required[node] = 1
+            for leaf in best_gates[node]:
+                if not required[leaf]:
                     frontier.append(leaf)
-        return [node for node in self.topo if node in required]
+        return [node for node in self.topo if required[node]]
 
     def mapping_depth(self) -> int:
         """Largest PO arrival under the current selection."""
-        depth = 0
-        for po in self.aig.pos:
-            node = self.aig.node_of(po)
-            if self.aig.is_and(node):
-                depth = max(depth, self.arrival[node])
-        return depth
+        return max(map(self.arrival.__getitem__, self.and_po_drivers()), default=0)
 
-    def required_times(self, cover: list[int], target_depth: int) -> dict[int, float]:
+    def required_times(self, cover: list[int], target_depth: int) -> list[float]:
         """Per-node required times over the current cover.
 
         PO drivers are required at ``target_depth``; a covered node
@@ -270,18 +291,14 @@ class _Mapper:
         into the cover as a leaf, the leaf-feasibility check against its
         *new* arrival keeps the depth bound intact.
         """
-        required: dict[int, float] = {}
-        for po in self.aig.pos:
-            node = self.aig.node_of(po)
-            if self.aig.is_and(node):
-                required[node] = min(required.get(node, _INFINITY), float(target_depth))
+        best_gates = self.best_gates
+        required = [_INFINITY] * self.aig.num_nodes
+        for node in self.and_po_drivers():
+            required[node] = float(target_depth)
         for node in reversed(cover):
-            node_required = required.get(node, _INFINITY)
-            for leaf in self.best[node].leaves:
-                if not self.aig.is_and(leaf):
-                    continue
-                leaf_required = node_required - 1
-                if leaf_required < required.get(leaf, _INFINITY):
+            leaf_required = required[node] - 1
+            for leaf in best_gates[node]:
+                if leaf_required < required[leaf]:
                     required[leaf] = leaf_required
         return required
 
@@ -289,15 +306,24 @@ class _Mapper:
 
     def depth_pass(self) -> None:
         """Depth-optimal cut per node, ties broken by leaf count."""
-        for index, node in enumerate(self.topo):
+        arrival = self.arrival
+        arrival_of = arrival.__getitem__
+        for index, (node, cuts, gates) in enumerate(zip(self.topo, self.candidates, self.candidate_gates)):
             self.poll_budget(index)
-            best = min(self.candidates(node), key=lambda cut: (self.cut_arrival(cut), cut.size))
-            self.best[node] = best
-            self.arrival[node] = self.cut_arrival(best)
+            best_key: tuple[int, int] | None = None
+            for cut, gate_leaves in zip(cuts, gates):
+                leaves = cut.leaves
+                key = (1 + max(map(arrival_of, leaves), default=0), len(leaves))
+                if best_key is None or key < best_key:
+                    best_key, best_cut, best_gate_leaves = key, cut, gate_leaves
+            assert best_key is not None
+            self.best[node] = best_cut
+            self.best_gates[node] = best_gate_leaves
+            arrival[node] = best_key[0]
 
     # -- pass 2: area flow ----------------------------------------------
 
-    def area_flow_pass(self, required: dict[int, float]) -> None:
+    def area_flow_pass(self, required: list[float]) -> None:
         """Re-select cuts by area flow under the required-time constraints.
 
         Area flow distributes the estimated cost of a node's cone over
@@ -306,32 +332,34 @@ class _Mapper:
         node's previous best cut is always feasible (its leaves' required
         times were derived from it), so every node keeps a selection.
         """
-        flow: dict[int, float] = {0: 0.0}
-        for pi in self.aig.pis:
-            flow[pi] = 0.0
-        for index, node in enumerate(self.topo):
+        arrival = self.arrival
+        arrival_of = arrival.__getitem__
+        flow = [0.0] * self.aig.num_nodes
+        flow_of = flow.__getitem__
+        for index, (node, cuts, gates) in enumerate(zip(self.topo, self.candidates, self.candidate_gates)):
             self.poll_budget(index)
-            node_required = required.get(node, _INFINITY)
-            best_cut: Cut | None = None
+            node_required = required[node]
             best_cost: tuple[float, int, int] | None = None
-            for cut in self.candidates(node):
-                arrival = self.cut_arrival(cut)
-                if arrival > node_required:
+            for cut, gate_leaves in zip(cuts, gates):
+                leaves = cut.leaves
+                cut_arrival = 1 + max(map(arrival_of, leaves), default=0)
+                if cut_arrival > node_required:
                     continue
-                cut_flow = 1.0 + sum(flow.get(leaf, 0.0) for leaf in cut.leaves)
-                cost = (cut_flow, arrival, cut.size)
+                cost = (1.0 + sum(map(flow_of, leaves)), cut_arrival, len(leaves))
                 if best_cost is None or cost < best_cost:
-                    best_cost = cost
-                    best_cut = cut
-            if best_cut is None:  # pragma: no cover - previous best is always feasible
-                best_cut = self.best[node]
+                    best_cost, best_cut, best_gate_leaves = cost, cut, gate_leaves
+            if best_cost is None:  # pragma: no cover - previous best is always feasible
+                best_cut, best_gate_leaves = self.best[node], self.best_gates[node]
+                leaves = best_cut.leaves
+                best_cost = (1.0 + sum(map(flow_of, leaves)), 1 + max(map(arrival_of, leaves), default=0), len(leaves))
             self.best[node] = best_cut
-            self.arrival[node] = self.cut_arrival(best_cut)
-            flow[node] = (1.0 + sum(flow.get(leaf, 0.0) for leaf in best_cut.leaves)) / self.est_refs[node]
+            self.best_gates[node] = best_gate_leaves
+            arrival[node] = best_cost[1]
+            flow[node] = best_cost[0] / self.est_refs[node]
 
     # -- pass 3: exact area ---------------------------------------------
 
-    def exact_area_pass(self, required: dict[int, float]) -> None:
+    def exact_area_pass(self, required: list[float]) -> None:
         """Greedy exact-area recovery with reference counting.
 
         The mapping is reference-counted (``refs[n]`` = number of LUT
@@ -340,7 +368,10 @@ class _Mapper:
         and every feasible candidate is probed for the exact number of
         LUTs its selection would (re)introduce; the cheapest wins.
         """
-        refs: dict[int, int] = {}
+        arrival = self.arrival
+        arrival_of = arrival.__getitem__
+        best_gates = self.best_gates
+        refs = [0] * self.aig.num_nodes
 
         # Worklist form rather than recursion: the ref/deref cascade can
         # be as deep as the mapped network (carry chains), which would
@@ -351,12 +382,10 @@ class _Mapper:
             while stack:
                 current = stack.pop()
                 area += 1
-                for leaf in self.best[current].leaves:
-                    if not self.aig.is_and(leaf):
-                        continue
-                    if refs.get(leaf, 0) == 0:
+                for leaf in best_gates[current]:
+                    if refs[leaf] == 0:
                         stack.append(leaf)
-                    refs[leaf] = refs.get(leaf, 0) + 1
+                    refs[leaf] += 1
             return area
 
         def deref_cut(node: int) -> int:
@@ -365,70 +394,67 @@ class _Mapper:
             while stack:
                 current = stack.pop()
                 area += 1
-                for leaf in self.best[current].leaves:
-                    if not self.aig.is_and(leaf):
-                        continue
+                for leaf in best_gates[current]:
                     refs[leaf] -= 1
                     if refs[leaf] == 0:
                         stack.append(leaf)
             return area
 
-        def probe(node: int, cut: Cut) -> int:
-            """Exact area of selecting ``cut`` at ``node``, without commitment."""
-            previous = self.best[node]
-            self.best[node] = cut
+        def probe(node: int, gate_leaves: tuple[int, ...]) -> int:
+            """Exact area of selecting a cut with these gate leaves at ``node``, without commitment."""
+            previous = best_gates[node]
+            best_gates[node] = gate_leaves
             area = ref_cut(node)
             deref_cut(node)
-            self.best[node] = previous
+            best_gates[node] = previous
             return area
 
-        for po in self.aig.pos:
-            node = self.aig.node_of(po)
-            if not self.aig.is_and(node):
-                continue
-            if refs.get(node, 0) == 0:
+        for node in self.and_po_drivers():
+            if refs[node] == 0:
                 ref_cut(node)
-            refs[node] = refs.get(node, 0) + 1
+            refs[node] += 1
 
-        for index, node in enumerate(self.topo):
+        for index, (node, cuts, gates) in enumerate(zip(self.topo, self.candidates, self.candidate_gates)):
             self.poll_budget(index)
-            if refs.get(node, 0) == 0:
+            best_cut = self.best[node]
+            leaves = best_cut.leaves
+            if refs[node] == 0:
                 # Not in the cover: nothing to re-select, but the node's
                 # arrival must track its leaves' (legally) re-timed
                 # arrivals -- a later parent may still pull it into the
                 # cover, and a stale arrival would break the depth bound.
-                self.arrival[node] = self.cut_arrival(self.best[node])
+                arrival[node] = 1 + max(map(arrival_of, leaves), default=0)
                 continue
-            node_required = required.get(node, _INFINITY)
+            node_required = required[node]
             deref_cut(node)
-            best_cut = self.best[node]
-            best_cost = (probe(node, best_cut), self.cut_arrival(best_cut), best_cut.size)
-            for cut in self.candidates(node):
+            best_gate_leaves = best_gates[node]
+            best_cost = (probe(node, best_gate_leaves), 1 + max(map(arrival_of, leaves), default=0), len(leaves))
+            for cut, gate_leaves in zip(cuts, gates):
                 if cut is best_cut:
                     continue
-                arrival = self.cut_arrival(cut)
-                if arrival > node_required:
+                leaves = cut.leaves
+                cut_arrival = 1 + max(map(arrival_of, leaves), default=0)
+                if cut_arrival > node_required:
                     continue
-                cost = (probe(node, cut), arrival, cut.size)
+                cost = (probe(node, gate_leaves), cut_arrival, len(leaves))
                 if cost < best_cost:
-                    best_cost = cost
-                    best_cut = cut
+                    best_cost, best_cut, best_gate_leaves = cost, cut, gate_leaves
             self.best[node] = best_cut
+            best_gates[node] = best_gate_leaves
             ref_cut(node)
-            self.arrival[node] = self.cut_arrival(best_cut)
+            arrival[node] = best_cost[1]
 
     # -- network construction -------------------------------------------
 
-    def build(self) -> tuple[KLutNetwork, dict[int, int], list[int]]:
-        """Materialise the selection into a k-LUT network."""
+    def build(self, selection: "_Selection") -> tuple[KLutNetwork, dict[int, int]]:
+        """Materialise a selection into a k-LUT network and its node map."""
         aig = self.aig
-        cover = self.cover()
         klut = KLutNetwork(name=f"{aig.name}_lut{self.k}")
         node_map: dict[int, int] = {0: klut.constant_false}
         for pi, name in zip(aig.pis, aig.pi_names):
             node_map[pi] = klut.add_pi(name)
-        for node in cover:
-            cut = self.best[node]
+        for node in selection.cover:
+            cut = selection.best[node]
             function = cut.table
             if function is None:  # pragma: no cover - fused tables are always on
                 function = aig_cone_table(aig, node, cut.leaves)
@@ -437,18 +463,30 @@ class _Mapper:
         for po, name in zip(aig.pos, aig.po_names):
             po_node = aig.node_of(po)
             klut.add_po(node_map[po_node], negated=aig.is_complemented(po), name=name)
-        return klut, node_map, cover
+        return klut, node_map
+
+
+def _gate_leaves(leaves: tuple[int, ...], num_pis: int) -> tuple[int, ...]:
+    """The leaves above the PIs' indices, as the same tuple when that is all of them."""
+    if leaves and leaves[0] > num_pis:
+        return leaves
+    return tuple(leaf for leaf in leaves if leaf > num_pis)
 
 
 @dataclass
 class _Selection:
-    """One complete cut selection: the best-snapshot unit of comparison."""
+    """One complete cut selection: the best-snapshot unit of comparison.
+
+    ``cover`` lists the AND nodes the selection maps, in topological
+    order; it is walked once and serves the next pass's required times
+    and :meth:`_Mapper.build`.
+    """
 
     luts: int
     edges: int
     depth: int
     best: dict[int, Cut]
-    arrival: dict[int, int]
+    cover: list[int]
 
 
 def _map_passes(mapper: _Mapper, area_rounds: int, relax_depth: int | None = None) -> tuple[_Selection, list[int]]:
@@ -468,30 +506,29 @@ def _map_passes(mapper: _Mapper, area_rounds: int, relax_depth: int | None = Non
 
     def snapshot() -> _Selection:
         cover = mapper.cover()
-        edges = sum(mapper.best[node].size for node in cover)
-        return _Selection(len(cover), edges, mapper.mapping_depth(), dict(mapper.best), dict(mapper.arrival))
+        best = mapper.best
+        edges = sum(len(best[node].leaves) for node in cover)
+        return _Selection(len(cover), edges, mapper.mapping_depth(), dict(best), cover)
 
     mapper.depth_pass()
     target_depth = mapper.mapping_depth()
     if relax_depth is not None and relax_depth > target_depth:
         target_depth = relax_depth
-    best = snapshot()
+    best = current = snapshot()
     pass_luts = [best.luts]
 
     if area_rounds >= 1:
-        required = mapper.required_times(mapper.cover(), target_depth)
-        mapper.area_flow_pass(required)
-        candidate = snapshot()
-        pass_luts.append(candidate.luts)
-        if (candidate.luts, candidate.edges) < (best.luts, best.edges):
-            best = candidate
+        mapper.area_flow_pass(mapper.required_times(current.cover, target_depth))
+        current = snapshot()
+        pass_luts.append(current.luts)
+        if (current.luts, current.edges) < (best.luts, best.edges):
+            best = current
     if area_rounds >= 2:
-        required = mapper.required_times(mapper.cover(), target_depth)
-        mapper.exact_area_pass(required)
-        candidate = snapshot()
-        pass_luts.append(candidate.luts)
-        if (candidate.luts, candidate.edges) < (best.luts, best.edges):
-            best = candidate
+        mapper.exact_area_pass(mapper.required_times(current.cover, target_depth))
+        current = snapshot()
+        pass_luts.append(current.luts)
+        if (current.luts, current.edges) < (best.luts, best.edges):
+            best = current
     return best, pass_luts
 
 
@@ -512,6 +549,8 @@ def technology_map(
     selection by required times derived from the depth-pass mapping.
     A shared :class:`~repro.cuts.cache.CutFunctionCache` can be passed
     to reuse fused cut functions across multiple mapping runs.
+    ``cut_limit`` counts the trivial cut, so it must be at least 2:
+    with one kept cut a node has no cut but itself.
 
     A network that records choice classes is mapped choice-aware: the
     run selects among all recorded implementations in all passes and is
@@ -527,6 +566,8 @@ def technology_map(
     """
     if k < 2:
         raise ValueError("LUT size k must be at least 2")
+    if cut_limit < 2:
+        raise ValueError("cut_limit must be at least 2: the trivial cut alone maps no node")
     if area_rounds < 0:
         raise ValueError("area_rounds must be non-negative")
     shared_cache = cache if cache is not None else CutFunctionCache()
@@ -570,11 +611,10 @@ def technology_map(
     if len(pass_luts) > 2:
         stats.exact_area_luts = pass_luts[2]
 
-    mapper.best, mapper.arrival = selection.best, selection.arrival
-    network, node_map, cover = mapper.build()
-    stats.num_luts = len(cover)
+    network, node_map = mapper.build(selection)
+    stats.num_luts = selection.luts
     stats.depth = network.depth()
-    stats.num_edges = sum(mapper.best[node].size for node in cover)
+    stats.num_edges = selection.edges
     stats.cache_hits = shared_cache.hits - hits_before
     stats.cache_misses = shared_cache.misses - misses_before
     lookups = stats.cache_hits + stats.cache_misses

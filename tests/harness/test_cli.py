@@ -431,9 +431,25 @@ class TestOptimizeMapExitCodes:
         assert captured.err.strip() == f"--patterns must be >= 1, got {value}"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        ("option", "message"),
+        [
+            (["--cut-limit", "1"], "--cut-limit must be >= 2, got 1"),
+            (["-k", "1"], "--lut-size must be >= 2, got 1"),
+            (["--area-rounds", "-1"], "--area-rounds must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_map_option_exits_2_before_reading_input(self, tmp_path, capsys, option, message):
+        # The input does not exist: the option must be rejected first.
+        assert map_main([str(tmp_path / "missing.aag"), *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert captured.out == ""
+
     def test_limits_themselves_are_accepted(self, adder_file, capsys):
         assert optimize_main([str(adder_file), "--script", "fraig; map", "-k", "2", "--patterns", "0"]) == 0
         assert map_main([str(adder_file), "--patterns", "1"]) == 0
+        assert map_main([str(adder_file), "--cut-limit", "2", "-k", "2", "--area-rounds", "0"]) == 0
 
 
 class TestServiceSubcommands:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.circuits.random_logic import random_aig
 from repro.cuts import aig_cone_table
-from repro.networks import Aig, map_aig_to_klut
+from repro.networks import Aig, map_aig_to_klut, technology_map
 
 
 class TestConeTruthTables:
@@ -77,6 +77,19 @@ class TestMapping:
     def test_k_validation(self, small_aig):
         with pytest.raises(ValueError):
             map_aig_to_klut(small_aig, k=1)
+
+    @pytest.mark.parametrize("cut_limit", [1, 0])
+    def test_cut_limit_validation(self, small_aig, cut_limit):
+        # One kept cut is the trivial cut alone, which would map a node
+        # onto itself.
+        with pytest.raises(ValueError, match="cut_limit"):
+            technology_map(small_aig, cut_limit=cut_limit)
+
+    def test_smallest_cut_limit_maps_correctly(self, small_aig):
+        klut = technology_map(small_aig, k=2, cut_limit=2).network
+        for assignment in range(1 << small_aig.num_pis):
+            values = [bool(assignment & (1 << i)) for i in range(small_aig.num_pis)]
+            assert klut.evaluate(values) == small_aig.evaluate(values)
 
     def test_po_complement_preserved(self):
         aig = Aig()
